@@ -69,10 +69,6 @@ class FiniteASet:
   def nonbase(self):
     return [x for x in self.elements if x != self.base]
 
-  def generator_maps(self):
-    """Action maps for a generating set, as plain dicts."""
-    return self.action
-
   def is_trivial(self):
     return len(self.elements) == 1
 
@@ -216,8 +212,9 @@ class FiniteASet:
 
     mine = self.nonbase()
     theirs = other.nonbase()
-    if sorted(profile(self, x) for x in mine) != \
-       sorted(profile(other, y) for y in theirs):
+    mine_profile = {x: profile(self, x) for x in mine}
+    their_profile = {y: profile(other, y) for y in theirs}
+    if sorted(mine_profile.values()) != sorted(their_profile.values()):
       return None
     gens = list(self.action)
     if set(gens) != set(other.action):
@@ -245,7 +242,7 @@ class FiniteASet:
         return True
       x = mine[i]
       for y in theirs:
-        if y in used or profile(self, x) != profile(other, y):
+        if y in used or mine_profile[x] != their_profile[y]:
           continue
         assignment[x] = y
         used.add(y)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .asets import STAR, FiniteASet, nat_set
+from .asets import STAR, FiniteASet, exact_seq_from_sub, nat_set
 from .errors import ClosureBoundExceeded, InvalidStructure
 from .monoids import FiniteMonoid, NatMonoid
 
@@ -66,10 +66,6 @@ def forest_multisets(total):
   return _forest_cache[total]
 
 
-def shape_size(shape):
-  return 1 + sum(shape_size(c) for c in shape)
-
-
 def shape_height(shape):
   return 1 + max((shape_height(c) for c in shape), default=0)
 
@@ -108,10 +104,6 @@ class NShape:
   def __init__(self, forest=(), crowns=()):
     self.forest = tuple(forest)
     self.crowns = tuple(crowns)
-
-  def nonbase_size(self):
-    return (sum(shape_size(s) for s in self.forest)
-            + sum(shape_size(s) for c in self.crowns for s in c))
 
   def is_tree(self):
     """True iff every element eventually falls into ∗ (no cycles)."""
@@ -369,37 +361,56 @@ def dedup_up_to_iso(asets):
   return out
 
 
+def subquotient_relations(seeds, bound=64):
+  """Sub/quotient closure of `seeds` up to iso, with its K₀ relations.
+
+  Returns (reps, rows): one representative per class, and the distinct
+  rows [X] − [S] − [X/S], as vectors over `reps`, of every sequence
+  S >--> X -->> X/S with X a representative.  Each row sums to −1, so none
+  is zero.  Raises ClosureBoundExceeded when the class count passes `bound`.
+  """
+  reps = []
+  buckets = {}
+  work = []
+
+  def index(X):
+    bucket = buckets.setdefault(_fingerprint(X), [])
+    for i in bucket:
+      if X.is_isomorphic(reps[i]):
+        return i
+    if len(reps) >= bound:
+      raise ClosureBoundExceeded(
+          f"subquotient closure exceeded {bound} classes")
+    bucket.append(len(reps))
+    work.append(len(reps))
+    reps.append(X)
+    return len(reps) - 1
+
+  for X in seeds:
+    index(X)
+  ends = []
+  while work:
+    i = work.pop()
+    X = reps[i]
+    for s in X.subobject_sets():
+      seq = exact_seq_from_sub(X, s)
+      ends.append((i, index(seq.sub), index(seq.quotient)))
+  rows = {}
+  for i, j, k in ends:
+    row = [0] * len(reps)
+    row[i] += 1
+    row[j] -= 1
+    row[k] -= 1
+    rows.setdefault(tuple(row), row)
+  return reps, list(rows.values())
+
+
 def close_under_subquotients(seeds, bound=64):
   """Representatives of the sub/quotient closure of `seeds`, up to iso.
 
   Raises ClosureBoundExceeded when the class count passes `bound`.
   """
-  reps = []
-  buckets = {}
-
-  def add(X):
-    key = _fingerprint(X)
-    for R in buckets.get(key, []):
-      if X.is_isomorphic(R):
-        return None
-    if len(reps) >= bound:
-      raise ClosureBoundExceeded(
-          f"subquotient closure exceeded {bound} classes")
-    reps.append(X)
-    buckets.setdefault(key, []).append(X)
-    return X
-
-  work = [X for X in seeds if add(X) is not None]
-  while work:
-    X = work.pop()
-    for s in X.subobject_sets():
-      sub, _ = X.sub_aset(s)
-      quo, _ = X.quotient_by(s)
-      for Y in (sub, quo):
-        fresh = add(Y)
-        if fresh is not None:
-          work.append(fresh)
-  return reps
+  return subquotient_relations(seeds, bound)[0]
 
 
 # ------------------------------------------------------------------ samplers

@@ -161,13 +161,6 @@ class FiniteAbelianGroup:
   def neg(self, a):
     return tuple((-x) % n for x, n in zip(a, self.orders))
 
-  def element_order(self, a):
-    k, cur = 1, a
-    while cur != self.identity:
-      cur = self.add(cur, a)
-      k += 1
-    return k
-
   def span(self, gens):
     seen = {self.identity}
     frontier = [self.identity]

@@ -15,7 +15,7 @@ from . import intlin
 from .affine import AffineMonoid
 from .asets import aset_length, is_pc_aset
 from .corpora import (all_gamma_asets, all_nilpotent_asets, all_pointed_sets,
-                      close_under_subquotients)
+                      subquotient_relations)
 from .errors import (InvalidStructure, NotNormal, NotZeroSmooth,
                      UnsupportedDegree)
 from .groups import (AbelianGroupPresentation, FiniteAbelianGroup,
@@ -81,11 +81,10 @@ class K0Result:
   def __init__(self, reps, relations):
     self.reps = reps
     self.relations = relations
-    n = len(reps)
-    rows = [r for r in relations if any(r)]
-    self.group = AbelianGroupPresentation.from_relations(rows, n)
     self._free_slots, self._torsion_slots, self._basis = \
-        self._coordinates(rows, n)
+        self._coordinates(relations, len(reps))
+    self.group = AbelianGroupPresentation(
+        len(self._free_slots), [d for _, d in self._torsion_slots])
 
   @staticmethod
   def _coordinates(rows, n):
@@ -153,37 +152,14 @@ class K0Result:
     return True
 
 
-def _class_index(reps, X):
-  for i, rep in enumerate(reps):
-    if rep.size() == X.size() and rep.is_isomorphic(X):
-      return i
-  raise InvalidStructure("subquotient escaped the closed corpus")
-
-
-def _sequence_relations(reps):
-  """One relation row [X] − [X′] − [X″] per subobject of each representative."""
-  rows = []
-  for i, X in enumerate(reps):
-    for s in X.subobject_sets():
-      sub, _ = X.sub_aset(s)
-      quo, _ = X.quotient_by(s)
-      row = [0] * len(reps)
-      row[i] += 1
-      row[_class_index(reps, sub)] -= 1
-      row[_class_index(reps, quo)] -= 1
-      if any(row):
-        rows.append(row)
-  return rows
-
-
 def k0_of_catspec(objects, closure_bound=64):
   """Present K₀ of the quasi-exact category generated by the given objects.
 
   Closes the list under subquotients up to isomorphism (erroring past the
-  bound), imposes one relation per admissible sequence, and reduces.
+  bound), imposes one relation per distinct nonzero sequence class, and
+  reduces.
   """
-  reps = close_under_subquotients(objects, bound=closure_bound)
-  return K0Result(reps, _sequence_relations(reps))
+  return K0Result(*subquotient_relations(objects, bound=closure_bound))
 
 
 # ----------------------------------------------------- K0 of M/C and MC=MC
@@ -203,27 +179,28 @@ def are_iso_in_quotient(X, Y, pred):
 
 
 class QuotientK0Result:
-  """K₀ of M/C on a closed corpus: M-objects, M/C iso classes, M-relations."""
+  """K₀ of M/C on a closed corpus: M-objects, M/C iso classes, M-relations.
 
-  def __init__(self, reps, pred):
+  The relations are the M-relations pushed onto the M/C classes (each
+  M/C column is the sum of the M-columns it merges), without zero or
+  repeated rows.
+  """
+
+  def __init__(self, reps, pred, m_relations):
     self.pred = pred
     self.reps = reps
     self.class_index = self._partition(reps, pred)
     n = max(self.class_index) + 1 if self.class_index else 0
-    rows = []
-    for i, X in enumerate(reps):
-      for s in X.subobject_sets():
-        sub, _ = X.sub_aset(s)
-        quo, _ = X.quotient_by(s)
-        row = [0] * n
-        row[self.class_index[i]] += 1
-        row[self.class_index[_class_index(reps, sub)]] -= 1
-        row[self.class_index[_class_index(reps, quo)]] -= 1
-        if any(row):
-          rows.append(row)
+    rows = {}
+    for rel in m_relations:
+      row = [0] * n
+      for i, c in enumerate(rel):
+        row[self.class_index[i]] += c
+      if any(row):
+        rows.setdefault(tuple(row), row)
     self.n_classes = n
-    self.relations = rows
-    self.group = AbelianGroupPresentation.from_relations(rows, n)
+    self.relations = list(rows.values())
+    self.group = AbelianGroupPresentation.from_relations(self.relations, n)
 
   @staticmethod
   def _partition(reps, pred):
@@ -247,11 +224,10 @@ def localization_exactness_k0(objects, pred, closure_bound=64):
   exactly the image of the left one (as subgroups of K₀(M)), and that the
   right map is surjective — all by integer lattice computations.
   """
-  reps = close_under_subquotients(objects, bound=closure_bound)
-  m_rel = _sequence_relations(reps)
+  reps, m_rel = subquotient_relations(objects, bound=closure_bound)
   m_k0 = K0Result(reps, m_rel)
   c_indices = [i for i, X in enumerate(reps) if pred.contains(X)]
-  quot = QuotientK0Result(reps, pred)
+  quot = QuotientK0Result(reps, pred, m_rel)
 
   n_m = len(reps)
   # the right map sends the i-th M-generator to its M/C class generator

@@ -56,9 +56,6 @@ class UnitGroupDescriptor:
   def presentation(self):
     return AbelianGroupPresentation(self.free_rank, self.torsion)
 
-  def torsion_group(self):
-    return FiniteAbelianGroup(self.torsion or [1])
-
   def is_trivial(self):
     return self.free_rank == 0 and not self.torsion
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import itertools
 
-from .asets import (ASetMap, FiniteASet, aset_length, coequalizer, hom_maps,
-                    identity_map, is_rooted_tree, point_aset, product,
-                    support, wedge)
+from .asets import (ASetMap, FiniteASet, aset_length, coequalizer,
+                    exact_seq_from_sub, hom_maps, identity_map, is_rooted_tree,
+                    point_aset, product, support, wedge)
 from .errors import (InvalidStructure, NotIso, PredicateClosureError,
                      Undecidable)
 from .monoids import NatMonoid, ValidationReport
@@ -165,9 +165,8 @@ def validate_serre(pred, universe):
   for X in universe:
     mid = pred.contains(X)
     for s in X.subobject_sets():
-      sub, _ = X.sub_aset(s)
-      quo, _ = X.quotient_by(s)
-      ends = pred.contains(sub) and pred.contains(quo)
+      seq = exact_seq_from_sub(X, s)
+      ends = pred.contains(seq.sub) and pred.contains(seq.quotient)
       if mid != ends:
         v.append(f"two-out-of-three fails at {X.name or X.elements}"
                  f" with subobject {sorted(s)}: middle {mid}, ends {ends}")

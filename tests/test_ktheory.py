@@ -7,16 +7,16 @@ from monoidkit.affine import AffineMonoid
 from monoidkit.asets import (aset_length, cycle_nset, is_pc_aset, nat_set,
                              truncated_line)
 from monoidkit.corpora import (all_gamma_asets, all_nilpotent_asets,
-                               all_pointed_sets, close_under_subquotients,
-                               random_nset)
+                               all_pointed_sets, random_nset,
+                               subquotient_relations)
 from monoidkit.errors import (ClosureBoundExceeded, InvalidStructure,
                               NotNormal, NotZeroSmooth, UnsupportedDegree)
 from monoidkit.groups import AbelianGroupPresentation
-from monoidkit.ktheory import (LatticeComplex, StableConstants, burnside_rank,
-                               class_group, coniveau_k0_report,
-                               devissage_check_k0, div_matrix, dvm_report,
-                               gersten_complex, gersten_exactness_check,
-                               k0_of_catspec, k_gamma,
+from monoidkit.ktheory import (K0Result, LatticeComplex, QuotientK0Result,
+                               StableConstants, burnside_rank, class_group,
+                               coniveau_k0_report, devissage_check_k0,
+                               div_matrix, dvm_report, gersten_complex,
+                               gersten_exactness_check, k0_of_catspec, k_gamma,
                                localization_exactness_k0, w_group)
 from monoidkit.monoids import FiniteMonoid, NatMonoid, UnitGroupDescriptor
 from monoidkit.serre import SerrePredicate
@@ -102,11 +102,50 @@ def test_k0_closure_bound_is_an_error_not_a_truncation():
     k0_of_catspec([truncated_line(4)], closure_bound=3)
 
 
+def sequence_ends_oracle(reps):
+  """(middle, sub, quotient) indices for every subobject of every
+  representative, each end located by a linear iso scan over `reps`."""
+  def locate(Y):
+    return next(i for i, R in enumerate(reps)
+                if R.size() == Y.size() and R.is_isomorphic(Y))
+
+  ends = []
+  for i, X in enumerate(reps):
+    for s in X.subobject_sets():
+      sub, _ = X.sub_aset(s)
+      quo, _ = X.quotient_by(s)
+      ends.append((i, locate(sub), locate(quo)))
+  return ends
+
+
+def oracle_rows(ends, column, n):
+  """Distinct nonzero rows [X] - [S] - [X/S], with object i in column[i]."""
+  rows = set()
+  for i, j, k in ends:
+    row = [0] * n
+    row[column[i]] += 1
+    row[column[j]] -= 1
+    row[column[k]] -= 1
+    if any(row):
+      rows.add(tuple(row))
+  return rows
+
+
 def test_k0_additivity_on_random_corpora():
   rng = random.Random(20240816)
-  for _ in range(12):
-    seeds = [random_nset(rng, 4) for _ in range(2)]
-    k0 = k0_of_catspec(seeds, closure_bound=96)
+  corpora = [[random_nset(rng, 4) for _ in range(2)] for _ in range(12)]
+  for orders in ([2], [3]):
+    G = FiniteMonoid.group_with_zero(orders)
+    corpora.append([X for X, _ in all_gamma_asets(G, 6)])
+  for seeds in corpora:
+    reps, rows = subquotient_relations(seeds, bound=96)
+    n = len(reps)
+    want = oracle_rows(sequence_ends_oracle(reps), range(n), n)
+    got = {tuple(r) for r in rows}
+    assert len(got) == len(rows)
+    assert got == want
+    k0 = K0Result(reps, rows)
+    assert k0.group == AbelianGroupPresentation.from_relations(rows, n)
     assert k0.additivity_holds()
 
 
@@ -364,9 +403,15 @@ def test_localized_k0_rank_counts_cycle_lengths():
       [cycle_nset(1), cycle_nset(2), truncated_line(2)],
       [cycle_nset(3, tail=1), cycle_nset(1)],
   ]
+  torsion = SerrePredicate.torsion(N)
   for seeds in corpora:
-    closure = close_under_subquotients(seeds, bound=64)
-    want = len(nset_cycle_lengths(closure))
-    rep = localization_exactness_k0(seeds, SerrePredicate.torsion(N))
+    reps, rows = subquotient_relations(seeds, bound=64)
+    want = len(nset_cycle_lengths(reps))
+    rep = localization_exactness_k0(seeds, torsion)
     assert rep.ok
     assert rep.q_group == Z(want)
+    quot = QuotientK0Result(reps, torsion, rows)
+    want_rows = oracle_rows(sequence_ends_oracle(reps), quot.class_index,
+                            quot.n_classes)
+    assert intlin.lattice_equal(quot.relations, [list(r) for r in want_rows],
+                                ambient_dim=quot.n_classes)
