@@ -13,7 +13,6 @@ constructed here explicitly.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .errors import InvalidStructure, Undecidable
@@ -156,21 +155,54 @@ class FiniteASet:
     return all(gmap[x] in s for x in s for gmap in self.action.values())
 
   def subobject_sets(self):
-    """Every action-closed subset containing the basepoint, as frozensets."""
+    """Every action-closed subset containing the basepoint, as frozensets.
+
+    The order is fixed: by size, and within one size by the positions of
+    the elements in ``nonbase()``, in ``itertools.combinations`` order (the
+    order of a filter over all subsets, smallest first).
+
+    A subobject is the basepoint plus a union of orbits, so the subsets are
+    built, not filtered: the work grows with the number of subobjects
+    times the carrier size, not with 2^n.
+    """
+    base = self.base
     rest = self.nonbase()
-    out = []
-    for r in range(len(rest) + 1):
-      for combo in itertools.combinations(rest, r):
-        cand = frozenset(combo) | {self.base}
-        if self.is_admissible_subset(cand):
-          out.append(cand)
-    return out
+    # nonbase()[i] is bit n-1-i, so among masks of one popcount the
+    # combinations order is descending numeric order
+    bits = [1 << k for k in range(len(rest) - 1, -1, -1)]
+    bit = dict(zip(rest, bits))
+    bit[base] = 0
+    gmaps = list(self.action.values())
+    down = []                       # orbit(x) as a mask, for each x in rest
+    for x, m in zip(rest, bits):
+      frontier = [x]
+      while frontier:
+        y = frontier.pop()
+        for gmap in gmaps:
+          z = gmap[y]
+          b = bit[z]
+          if b and not m & b:
+            m |= b
+            frontier.append(z)
+      down.append(m)
+    # include/exclude walk in nonbase() order: every mask kept is closed,
+    # and an element left out earlier stays out, so x may join only when
+    # its orbit's earlier elements are all in already
+    masks = [0]
+    for b, d in zip(bits, down):
+      earlier = d & -(b << 1)
+      masks += [m | d for m in masks if not m & b and m & earlier == earlier]
+    masks.sort(reverse=True)
+    masks.sort(key=int.bit_count)
+    pairs = list(zip(bits, rest))
+    return [frozenset([base] + [x for b, x in pairs if m & b]) for m in masks]
 
   def sub_aset(self, subset, name=None):
     """(subobject, inclusion) for an action-closed subset."""
     if not self.is_admissible_subset(subset):
       raise InvalidStructure("subset is not action-closed (or misses the basepoint)")
-    keep = [x for x in self.elements if x in set(subset)]
+    s = set(subset)
+    keep = [x for x in self.elements if x in s]
     action = {g: {x: gmap[x] for x in keep} for g, gmap in self.action.items()}
     sub = FiniteASet(self.monoid, keep, action, self.base, name=name)
     incl = ASetMap(sub, self, {x: x for x in keep})
@@ -742,14 +774,9 @@ class NotFiniteLength:
             f"witness={sorted(map(str, self.blocking_extension))})")
 
 
-def length_filtration(X):
-  """A maximal chain whose steps are irreducible, or a NotFiniteLength witness.
-
-  Irreducible means isomorphic to (A^x)_+: each step adjoins one free orbit
-  of the unit group, all of whose non-unit translates land in the previous
-  stage.  Returns a list of ExactSeq (previous stage into next stage onto the
-  step quotient); the length of the object is the list's length.
-  """
+def _irreducible_chain(X):
+  """The unit orbits a maximal irreducible chain adjoins, in order, or a
+  NotFiniteLength witness (see ``length_filtration``)."""
   if isinstance(X.monoid, NatMonoid):
     units = []
     unit_count = 1
@@ -774,25 +801,36 @@ def length_filtration(X):
   start = frozenset({X.base})
   dead = set()
 
-  def extend(cur):
-    """DFS for a chain cur -> ... -> full carrier; returns the element order."""
-    if cur == target:
-      return []
-    if cur in dead:
-      return None
-    for x in sorted(map(str, target - cur)):
-      orb = unit_orbit(x)
-      if orb & cur or len(orb) != unit_count:
-        continue
-      if not nonunit_images(x) <= cur:
-        continue
-      rest = extend(cur | orb)
-      if rest is not None:
-        return [orb] + rest
-    dead.add(cur)
+  def candidates(cur):
+    return iter(sorted(map(str, target - cur)))
+
+  def extend():
+    """DFS for a chain start -> ... -> full carrier; returns the orbits added.
+
+    Iterative, so the depth is not bounded by the recursion limit.  Each
+    frame is (stage, its untried elements, the orbit that reached it).
+    """
+    stack = [(start, candidates(start), None)]
+    while stack:
+      cur, todo, _ = stack[-1]
+      if cur == target:
+        return [orb for _, _, orb in stack[1:]]
+      for x in todo:
+        orb = unit_orbit(x)
+        if orb & cur or len(orb) != unit_count:
+          continue
+        if not nonunit_images(x) <= cur:
+          continue
+        nxt = cur | orb
+        if nxt not in dead:
+          stack.append((nxt, candidates(nxt), orb))
+          break
+      else:
+        dead.add(cur)
+        stack.pop()
     return None
 
-  chain = extend(start)
+  chain = extend()
   if chain is None:
     # witness: a smallest admissible extension of a stuck stage
     stuck = start
@@ -806,11 +844,29 @@ def length_filtration(X):
           stuck = stuck | orb
           grow = True
           break
-    blocking = min((s for s in X.subobject_sets() if stuck < s),
-                   key=len, default=target)
+    # stuck is action-closed, so each smallest subobject above it is stuck
+    # plus one orbit; ties go to the first in subobject_sets() order
+    pos = {x: i for i, x in enumerate(X.nonbase())}
+    blocking = min({stuck | X.orbit(x) for x in target - stuck},
+                   key=lambda s: (len(s), sorted(pos[y] for y in s - start)),
+                   default=target)
     return NotFiniteLength(stuck, blocking)
+  return chain
+
+
+def length_filtration(X):
+  """A maximal chain whose steps are irreducible, or a NotFiniteLength witness.
+
+  Irreducible means isomorphic to (A^x)_+: each step adjoins one free orbit
+  of the unit group, all of whose non-unit translates land in the previous
+  stage.  Returns a list of ExactSeq (previous stage into next stage onto the
+  step quotient); the length of the object is the list's length.
+  """
+  chain = _irreducible_chain(X)
+  if isinstance(chain, NotFiniteLength):
+    return chain
   steps = []
-  cur = start
+  cur = frozenset({X.base})
   for orb in chain:
     nxt = cur | orb
     mid, _ = X.sub_aset(nxt)
@@ -821,7 +877,7 @@ def length_filtration(X):
 
 def aset_length(X):
   """Number of irreducible steps, or None if X is not finite length."""
-  chain = length_filtration(X)
+  chain = _irreducible_chain(X)
   if isinstance(chain, NotFiniteLength):
     return None
   return len(chain)

@@ -10,6 +10,7 @@ accepts ``--json`` for a machine-readable report stamped with
   3  a structurally invalid monoid, action, or undecidable request
   4  predicate/corpus closure failure
   5  a computation that needs normality or 0-smoothness was refused
+  6  internal error: the program failed before reaching a verdict
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .affine import AffineMonoid
-from .asets import aset_length, is_pc_aset, length_filtration, support
+from .asets import is_pc_aset, length_filtration, support
 from .errors import (ClosureBoundExceeded, InvalidStructure, MonoidKitError,
                      NotNormal, NotZeroSmooth, ParseError,
                      PredicateClosureError, Undecidable)
@@ -94,9 +96,9 @@ def cmd_aset_check(args):
   m = load_monoid(args.monoid_file)
   X = load_aset(args.aset_file, monoid=m)
   pc = is_pc_aset(X)
-  length = aset_length(X)
   supp = [p.label for p in support(X)]
   chain = length_filtration(X)
+  length = len(chain) if isinstance(chain, list) else None
   payload = _payload(aset=X.name, monoid=m.name, pc=pc, length=length,
                      support=supp)
   lines = [f"A-set {X.name or '?'} over {m.name or '?'}: "
@@ -355,6 +357,12 @@ def main(argv=None):
   except (InvalidStructure, Undecidable, MonoidKitError) as e:
     print(f"error: {e}", file=sys.stderr)
     return 3
+  except Exception as e:
+    # a fault in the program, not a verdict: never exit 1, which means a
+    # check ran and failed
+    traceback.print_exc()
+    print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+    return 6
   print(json.dumps(payload, indent=2, sort_keys=True) if args.json else text)
   return code
 

@@ -1,5 +1,9 @@
+import itertools
+import random
+
 import pytest
 
+from monoidkit import corpora
 from monoidkit.asets import (ASetMap, ExactSeq, FiniteASet, NotFiniteLength,
                              aset_length, codim_support, coequalizer,
                              cokernel, cycle_nset, exact_seq_from_sub,
@@ -107,6 +111,117 @@ def test_subobjects_of_line():
   subs = X.subobject_sets()
   assert sorted(sorted(s) for s in subs) == [
       [STAR], [STAR, "1", "t"], [STAR, "t"]]
+
+
+def filter_subobjects(X):
+  """The 2^n filter over every subset: the oracle for subobject_sets()."""
+  rest = X.nonbase()
+  out = []
+  for r in range(len(rest) + 1):
+    for combo in itertools.combinations(rest, r):
+      cand = frozenset(combo) | {X.base}
+      if X.is_admissible_subset(cand):
+        out.append(cand)
+  return out
+
+
+def lattice_corpus():
+  """Small A-sets over N, F1, N/(t^3) and three groups with zero, plus
+  seeded random N-sets with up to 10 non-base elements."""
+  out = list(corpora.all_nsets(6))
+  out += corpora.all_pointed_sets(F1, 6)
+  out += corpora.all_nilpotent_asets(A3, 6)
+  for orders in ([2], [3], [2, 2]):
+    gamma = FiniteMonoid.group_with_zero(orders)
+    out += [X for X, _ in corpora.all_gamma_asets(gamma, 6)]
+  rng = random.Random(20261018)
+  out += [corpora.random_nset(rng, 10) for _ in range(60)]
+  return out
+
+
+def test_subobject_sets_match_the_filter_in_order():
+  for X in lattice_corpus():
+    assert X.subobject_sets() == filter_subobjects(X), X
+
+
+def test_subobject_sets_of_a_long_line():
+  # 41 subobjects out of 2^40 subsets: out of reach of the filter
+  assert len(truncated_line(40).subobject_sets()) == 41
+
+
+def test_subobject_sets_of_a_dense_carrier():
+  # every subset of 12 fixed points is a subobject
+  X = nat_set({f"p{i:02}": f"p{i:02}" for i in range(12)})
+  assert X.subobject_sets() == filter_subobjects(X)
+
+
+def recursive_chain(X):
+  """The recursive DFS length_filtration ran before it was made iterative:
+  the orbits of the first chain found, or None."""
+  if isinstance(X.monoid, NatMonoid):
+    units, table = [], None
+  else:
+    units, table = X.monoid.unit_elements(), X.full_action()
+  unit_count = len(units) or 1
+
+  def unit_orbit(x):
+    return frozenset({x}) if table is None else \
+        frozenset(table[u][x] for u in units)
+
+  def nonunit_images(x):
+    if table is None:
+      return {X.action["t"][x]}
+    return {table[a][x] for a in X.monoid.elements
+            if a not in units and a != X.monoid.one}
+
+  target, dead = frozenset(X.elements), set()
+
+  def extend(cur):
+    if cur == target:
+      return []
+    if cur in dead:
+      return None
+    for x in sorted(map(str, target - cur)):
+      orb = unit_orbit(x)
+      if orb & cur or len(orb) != unit_count or not nonunit_images(x) <= cur:
+        continue
+      rest = extend(cur | orb)
+      if rest is not None:
+        return [orb] + rest
+    dead.add(cur)
+    return None
+
+  return extend(frozenset({X.base}))
+
+
+def test_length_filtration_matches_the_recursive_search_and_witness():
+  for X in lattice_corpus():
+    res = length_filtration(X)
+    chain = recursive_chain(X)
+    if chain is not None:
+      assert [s.middle._element_set - s.sub._element_set for s in res] == \
+          [set(orb) for orb in chain], X
+      continue
+    assert isinstance(res, NotFiniteLength), X
+    stuck = res.stuck_subset
+    # the witness before it was computed directly: a smallest subobject
+    # above stuck, ties to the first in lattice order
+    oracle = min((s for s in filter_subobjects(X) if stuck < s),
+                 key=len, default=frozenset(X.elements))
+    assert res.blocking_extension == oracle, X
+
+
+def test_witness_on_many_fixed_points():
+  # 2^24 subobjects; the witness must not list them
+  X = nat_set({f"p{i}": f"p{i}" for i in range(24)})
+  res = length_filtration(X)
+  assert isinstance(res, NotFiniteLength)
+  assert res.blocking_extension == frozenset({STAR, "p0"})
+
+
+def test_length_of_a_very_long_line():
+  # deeper than the default recursion limit
+  assert aset_length(truncated_line(1200)) == 1200
 
 
 def test_smash_counts_over_f1():

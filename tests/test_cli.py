@@ -229,6 +229,17 @@ def test_exit_5_on_strict_gersten(capsys):
   assert code == 5 and "0-smooth" in err
 
 
+def test_exit_6_on_internal_error(monkeypatch, capsys):
+  def broken(args):
+    raise RuntimeError("boom")
+
+  monkeypatch.setattr(cli, "cmd_dvm", broken)
+  code, out, err = run(capsys, "dvm", "2")
+  assert code == 6
+  assert out == ""
+  assert "internal error: RuntimeError: boom" in err
+
+
 def test_unknown_flag_rejected(capsys):
   with pytest.raises(SystemExit) as exc:
     main(["cl", fixture("free_n2.json"), "--frobnicate"])
