@@ -22,8 +22,7 @@ from .groups import (AbelianGroupPresentation, FiniteAbelianGroup,
                      invariants_from_abelian_group)
 from .intlin import smith_normal_form
 from .monoids import UnitGroupDescriptor
-from .serre import (SerrePredicate, compose_quotient, hom_quotient,
-                    identity_quotient)
+from .serre import _inverse, hom_quotient
 
 SCHEMA_VERSION = 1
 
@@ -167,15 +166,8 @@ def k0_of_catspec(objects, closure_bound=64):
 
 def are_iso_in_quotient(X, Y, pred):
   """Is there an isomorphism X → Y in M/C?"""
-  if X.is_isomorphic(Y):
-    return True
-  id_x = identity_quotient(X, pred)
-  id_y = identity_quotient(Y, pred)
-  for f in hom_quotient(X, Y, pred):
-    for g in hom_quotient(Y, X, pred):
-      if compose_quotient(f, g) == id_x and compose_quotient(g, f) == id_y:
-        return True
-  return False
+  return X.is_isomorphic(Y) or any(_inverse(f) is not None
+                                   for f in hom_quotient(X, Y, pred))
 
 
 class QuotientK0Result:

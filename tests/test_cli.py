@@ -136,6 +136,22 @@ def test_quotient_equivalence(capsys):
   assert data["pairs"] == 4 and data["mismatches"] == 0
 
 
+def test_quotient_hom_on_24_fixed_points(tmp_path, capsys):
+  # the window has 2^24 admissible subobjects; it must not list them
+  points = [f"p{i}" for i in range(24)]
+  aset = tmp_path / "fixed24.json"
+  aset.write_text(json.dumps(
+      {"monoid": "N", "elements": ["*"] + points, "base": "*",
+       "action": {"t": {p: p for p in points}}}))
+  pred = tmp_path / "all_primes.json"
+  pred.write_text(json.dumps({"kind": "support_in",
+                              "primes": ["(0)", "(t)"]}))
+  code, out, _ = run(capsys, "quotient", "N", str(pred), str(aset),
+                     str(aset), "hom")
+  assert code == 0
+  assert "1 morphism " in out
+
+
 def test_k0_of_catspec(capsys):
   code, data = run_json(capsys, "k0", fixture("catspec_pointed.json"))
   assert code == 0

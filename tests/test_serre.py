@@ -2,16 +2,19 @@ import random
 
 import pytest
 
-from monoidkit.asets import (ASetMap, cycle_nset, hom_maps, nat_set,
-                             point_aset, truncated_line)
-from monoidkit.corpora import all_nsets, random_nset
+from monoidkit.asets import (ASetMap, FiniteASet, cycle_nset, hom_maps,
+                             nat_set, point_aset, truncated_line)
+from monoidkit.corpora import (all_gamma_asets, all_nilpotent_asets,
+                               all_nsets, random_nset)
 from monoidkit.errors import NotIso, PredicateClosureError
-from monoidkit.monoids import NatMonoid
+from monoidkit.monoids import FiniteMonoid, NatMonoid
 from monoidkit.serre import (IndexPoset, QuotientHom, SerrePredicate,
-                             WindowPair, canonical_window, check_condition_w,
+                             WindowPair, admissible_kernels, admissible_subs,
+                             canonical_window, check_condition_w,
                              check_filtered, compose_quotient, hom_quotient,
                              hom_quotient_naive, identity_quotient,
-                             index_poset, is_iso_quotient, monic_representative,
+                             index_poset, is_iso_quotient, maximal_kernel,
+                             minimal_dense_sub, monic_representative,
                              quotient_equivalence_report, validate_serre,
                              zero_quotient)
 
@@ -75,6 +78,131 @@ def test_artificial_antichain_is_reported_unfiltered():
   report = check_filtered(poset)
   assert not report
   assert set(report.witness) == {a, b}
+
+
+def oracle_minimal_dense_sub(X, pred):
+  """The enumerate-and-intersect minimal_dense_sub: the window oracle."""
+  subs = admissible_subs(X, pred)
+  if not subs:
+    # even S = X is inadmissible, so C is missing the zero object
+    raise PredicateClosureError(
+        "no subobject of the source has cokernel in C; "
+        "the predicate does not describe a Serre subcategory")
+  out = frozenset.intersection(*map(frozenset, subs))
+  quo, _ = X.quotient_by(out)
+  if not pred.contains(quo):
+    raise PredicateClosureError(
+        "admissible subobjects are not closed under intersection; "
+        "the predicate is not Serre on this object")
+  return out
+
+
+def oracle_maximal_kernel(Y, pred):
+  """The enumerate-and-union maximal_kernel: the window oracle."""
+  kernels = admissible_kernels(Y, pred)
+  if not kernels:
+    # even the point is inadmissible, so C is missing the zero object
+    raise PredicateClosureError(
+        "no subobject of the target lies in C; "
+        "the predicate does not describe a Serre subcategory")
+  out = frozenset.union(*map(frozenset, kernels))
+  sub, _ = Y.sub_aset(out)
+  if not pred.contains(sub):
+    raise PredicateClosureError(
+        "admissible kernels are not closed under union; "
+        "the predicate is not Serre on this object")
+  return out
+
+
+def window_corpus():
+  """(object, predicate) pairs: N-sets, Γ₊-sets and N/(t³)-sets to 6 elements.
+
+  Over N: torsion, zero, support in (t), in all primes and in none, finite
+  length, and two explicit lists that are not Serre (one misses the
+  point).  Over the finite monoids: zero, everything, finite length and
+  support in each prime and in none.
+  """
+  nat_preds = [TORSION, SerrePredicate.zero(N),
+               SerrePredicate.support_in(N, ["(t)"]),
+               SerrePredicate.everything(N), SerrePredicate.support_in(N, []),
+               SerrePredicate.finite_length(N),
+               SerrePredicate.explicit(N, [point_aset(N), truncated_line(1)]),
+               SerrePredicate.explicit(N, [truncated_line(1)])]
+  pairs = [(X, p) for X in all_nsets(6) for p in nat_preds]
+  gammas = [FiniteMonoid.group_with_zero(o) for o in ([2], [3], [2, 2])]
+  t3 = FiniteMonoid.truncated_free(2)
+  corpora = [(G, [X for X, _ in all_gamma_asets(G, 6)]) for G in gammas]
+  corpora.append((t3, all_nilpotent_asets(t3, 6)))
+  for M, objects in corpora:
+    preds = [SerrePredicate.zero(M), SerrePredicate.everything(M),
+             SerrePredicate.finite_length(M), SerrePredicate.support_in(M, [])]
+    preds += [SerrePredicate.support_in(M, [p.label]) for p in M.primes()]
+    pairs += [(X, p) for X in objects for p in preds]
+  return pairs
+
+
+def outcome(fn, *args):
+  try:
+    return fn(*args)
+  except PredicateClosureError:
+    return PredicateClosureError
+
+
+def test_canonical_window_matches_the_enumerating_oracle():
+  pairs = window_corpus()
+  assert len(pairs) == 1948
+  raised = 0
+  for X, pred in pairs:
+    sub = outcome(oracle_minimal_dense_sub, X, pred)
+    ker = outcome(oracle_maximal_kernel, X, pred)
+    assert outcome(minimal_dense_sub, X, pred) == sub, (X, pred)
+    assert outcome(maximal_kernel, X, pred) == ker, (X, pred)
+    if PredicateClosureError in (sub, ker):
+      raised += 1
+      with pytest.raises(PredicateClosureError):
+        canonical_window(X, X, pred)
+      continue
+    w = canonical_window(X, X, pred)
+    assert w == WindowPair(sub, ker), (X, pred)
+    assert index_poset(X, X, pred).maximum() == w, (X, pred)
+  assert raised == 286
+
+
+def test_window_functions_never_list_the_lattice(monkeypatch):
+  lattice_calls = []
+  monkeypatch.setattr(FiniteASet, "subobject_sets",
+                      lambda self: lattice_calls.append(self))
+  contains = SerrePredicate.contains
+  pred_calls = []
+
+  def counted(self, X):
+    pred_calls.append(X)
+    return contains(self, X)
+
+  monkeypatch.setattr(SerrePredicate, "contains", counted)
+  fixed = nat_set({f"p{i}": f"p{i}" for i in range(24)})
+  preds = [TORSION, SerrePredicate.zero(N), SerrePredicate.everything(N),
+           SerrePredicate.finite_length(N)]
+  for X in all_nsets(5) + [fixed, truncated_line(30)]:
+    n = len(X.nonbase())
+    for pred in preds:
+      for fn in (minimal_dense_sub, maximal_kernel):
+        pred_calls.clear()
+        fn(X, pred)
+        # one test per non-base element at most, plus the closure check
+        assert len(pred_calls) <= n + 1, (fn.__name__, X, pred)
+      canonical_window(X, X, pred)
+  assert lattice_calls == []
+
+
+def test_canonical_window_on_24_fixed_points():
+  X = nat_set({f"p{i}": f"p{i}" for i in range(24)})
+  everything = SerrePredicate.everything(N)
+  assert canonical_window(X, X, TORSION) == \
+      WindowPair(X.elements, {X.base})
+  assert canonical_window(X, X, everything) == \
+      WindowPair({X.base}, X.elements)
+  assert len(hom_quotient(X, X, everything)) == 1
 
 
 # ------------------------------------------------------------------ hom-sets
