@@ -1,10 +1,18 @@
 """Finite pointed sets with a monoid action, and their quasi-exact category.
 
 Objects carry the action on a generating set only; everything else is
-recovered (and checked) by closing the generator maps inside the full
-transformation monoid of the carrier.  Morphisms are basepoint- and
+recovered by closing the generator maps inside the full transformation
+monoid of the carrier, and ``full_action`` checks that closure against the
+monoid's relations when it is first asked for.  Morphisms are basepoint- and
 action-preserving maps.  Exact sequences are injection/surjection pairs where
 the surjection collapses exactly the image and nothing else.
+
+The public constructors ``FiniteASet(...)`` and ``ASetMap(...)`` check their
+input in full.  Objects and maps derived from valid ones are built by the
+private ``_trusted`` constructors instead, which check nothing: subobjects
+and quotients (``sub_aset``, ``quotient_by``, after their admissibility
+check), the maps ``hom_maps`` finds (its search checks every equivariance
+square) and composites (``ASetMap.compose``, after its carrier check).
 
 The category is not abelian, but images, kernels, cokernels, fiber products,
 pushouts along monics and coequalizers all exist on finite carriers and are
@@ -25,6 +33,9 @@ class FiniteASet:
   ``action`` maps generator names to element maps; entries on the basepoint
   may be omitted (they are forced).  Over ``NatMonoid`` the single key is
   ``"t"`` and the object is just a pointed set with a successor map.
+
+  The constructor checks the carrier and the generator maps; ``_trusted``
+  takes fields that are already known to be valid and checks nothing.
   """
 
   def __init__(self, monoid, elements, action, base=STAR, name=None):
@@ -59,6 +70,23 @@ class FiniteASet:
         if gen not in known:
           raise InvalidStructure(f"action key {gen!r} is not a monoid element")
     self._full_action_cache = None
+
+  @classmethod
+  def _trusted(cls, monoid, elements, action, base, name=None):
+    """An object from fields derived from a valid one, unchecked.
+
+    ``elements`` is a fresh list and ``action`` maps every generator to a
+    total map on it that fixes ``base``; the caller guarantees both.
+    """
+    self = object.__new__(cls)
+    self.monoid = monoid
+    self.elements = elements
+    self.base = base
+    self.name = name
+    self._element_set = set(elements)
+    self.action = action
+    self._full_action_cache = None
+    return self
 
   # -- basic structure ---------------------------------------------------------
 
@@ -152,7 +180,8 @@ class FiniteASet:
     s = set(subset)
     if self.base not in s or not s <= self._element_set:
       return False
-    return all(gmap[x] in s for x in s for gmap in self.action.values())
+    return all(s.issuperset(map(gmap.__getitem__, s))
+               for gmap in self.action.values())
 
   def subobject_sets(self):
     """Every action-closed subset containing the basepoint, as frozensets.
@@ -204,8 +233,8 @@ class FiniteASet:
     s = set(subset)
     keep = [x for x in self.elements if x in s]
     action = {g: {x: gmap[x] for x in keep} for g, gmap in self.action.items()}
-    sub = FiniteASet(self.monoid, keep, action, self.base, name=name)
-    incl = ASetMap(sub, self, {x: x for x in keep})
+    sub = FiniteASet._trusted(self.monoid, keep, action, self.base, name=name)
+    incl = ASetMap._trusted(sub, self, {x: x for x in keep})
     return sub, incl
 
   def quotient_by(self, subset, name=None):
@@ -217,11 +246,10 @@ class FiniteASet:
       raise InvalidStructure("can only collapse an action-closed subset")
     dead = set(subset) - {self.base}
     keep = [x for x in self.elements if x not in dead]
-    def push(y):
-      return self.base if y in dead else y
-    action = {g: {x: push(gmap[x]) for x in keep} for g, gmap in self.action.items()}
-    quo = FiniteASet(self.monoid, keep, action, self.base, name=name)
-    proj = ASetMap(self, quo, {x: push(x) for x in self.elements})
+    push = {x: self.base if x in dead else x for x in self.elements}
+    action = {g: {x: push[gmap[x]] for x in keep} for g, gmap in self.action.items()}
+    quo = FiniteASet._trusted(self.monoid, keep, action, self.base, name=name)
+    proj = ASetMap._trusted(self, quo, push)
     return quo, proj
 
   # -- comparisons ------------------------------------------------------------------
@@ -297,7 +325,11 @@ class FiniteASet:
 
 
 class ASetMap:
-  """A morphism of pointed A-sets: basepoint- and action-preserving."""
+  """A morphism of pointed A-sets: basepoint- and action-preserving.
+
+  The constructor checks domain, images, basepoint and equivariance;
+  ``_trusted`` takes a mapping already known to be a morphism.
+  """
 
   def __init__(self, source, target, mapping):
     self.source = source
@@ -318,6 +350,18 @@ class ASetMap:
         if self.mapping[gmap[x]] != tmap[self.mapping[x]]:
           raise InvalidStructure(
               f"map is not equivariant at generator {g!r}, element {x!r}")
+
+  @classmethod
+  def _trusted(cls, source, target, mapping):
+    """A map the caller guarantees is a morphism source → target, unchecked.
+
+    ``mapping`` is a fresh dict and is kept, not copied.
+    """
+    self = object.__new__(cls)
+    self.source = source
+    self.target = target
+    self.mapping = mapping
+    return self
 
   def __call__(self, x):
     return self.mapping[x]
@@ -343,8 +387,8 @@ class ASetMap:
     """self followed by then (diagrammatic order)."""
     if not self.target.same_carrier(then.source):
       raise InvalidStructure("maps are not composable")
-    return ASetMap(self.source, then.target,
-                   {x: then.mapping[y] for x, y in self.mapping.items()})
+    return ASetMap._trusted(self.source, then.target,
+                            {x: then.mapping[y] for x, y in self.mapping.items()})
 
   def __eq__(self, other):
     return (isinstance(other, ASetMap)
@@ -648,38 +692,61 @@ def hom_maps(X, Y):
   """Every A-set map X → Y, by backtracking over images of nonbase elements.
 
   Intended for small carriers; the partial-equivariance prune keeps the
-  search far below |Y|^|X| in practice.
+  search far below |Y|^|X| in practice.  The prune checks every square
+  f(g·x) = g·f(x) as soon as both ends are assigned, so the maps found are
+  morphisms and are built unchecked.  The search is iterative: its depth
+  is the carrier size, not bounded by the recursion limit.  Maps come in
+  lexicographic order of their images, nonbase elements in order, each
+  image in the order of ``Y.elements``.
   """
   if set(X.action) != set(Y.action):
     raise InvalidStructure("hom needs a common acting generator set")
   xs = X.nonbase()
-  gens = list(X.action)
+  ys = Y.elements
+  # per generator: its maps on X and Y, and each x's nonbase preimages
+  gens = []
+  for g, xmap in X.action.items():
+    pre = {x: [] for x in xs}
+    for z in xs:
+      if xmap[z] != X.base:
+        pre[xmap[z]].append(z)
+    gens.append((xmap, Y.action[g], pre))
   out = []
   assignment = {X.base: Y.base}
 
   def consistent(x):
-    for g in gens:
-      gx = X.action[g][x]
-      if gx in assignment and assignment[gx] != Y.action[g][assignment[x]]:
+    fx = assignment[x]
+    for xmap, ymap, pre in gens:
+      gx = xmap[x]
+      if gx in assignment and assignment[gx] != ymap[fx]:
         return False
-      for z in xs:
-        if X.action[g][z] == x and z in assignment and \
-           Y.action[g][assignment[z]] != assignment[x]:
+      for z in pre[x]:
+        if z in assignment and ymap[assignment[z]] != fx:
           return False
     return True
 
-  def backtrack(i):
-    if i == len(xs):
-      out.append(ASetMap(X, Y, dict(assignment)))
-      return
-    x = xs[i]
-    for y in Y.elements:
-      assignment[x] = y
+  # tried[i]: how many images of xs[i] have been tried under the current
+  # assignment of xs[:i]
+  tried = [0] * len(xs)
+  depth = 0
+  while depth >= 0:
+    if depth == len(xs):
+      out.append(ASetMap._trusted(X, Y, dict(assignment)))
+      depth -= 1
+      continue
+    x = xs[depth]
+    k = tried[depth]
+    while k < len(ys):
+      assignment[x] = ys[k]
+      k += 1
       if consistent(x):
-        backtrack(i + 1)
-      del assignment[x]
-
-  backtrack(0)
+        tried[depth] = k
+        depth += 1
+        break
+    else:
+      assignment.pop(x, None)
+      tried[depth] = 0
+      depth -= 1
   return out
 
 

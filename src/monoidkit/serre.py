@@ -351,21 +351,44 @@ def canonical_window(X, Y, pred):
 # -------------------------------------------------------------- quotient homs
 
 
+def _lives_at(rep, source, target, window):
+  """Is rep a map from source's window subobject to target's window quotient?
+
+  rep's ends are valid objects, so equal actions on the window's carriers
+  make ``xsub`` action-closed; ``ykernel`` is checked directly, since the
+  quotient's action only reads the survivors.
+  """
+  sub, quo, kernel, base = rep.source, rep.target, window.ykernel, target.base
+  return (sub.monoid == source.monoid and quo.monoid == target.monoid
+          and sub.base == source.base and quo.base == base
+          and sub._element_set == window.xsub <= source._element_set
+          and target.is_admissible_subset(kernel)
+          and quo._element_set == (target._element_set - kernel) | {base}
+          and sub.action == {g: {x: m[x] for x in sub.elements}
+                             for g, m in source.action.items()}
+          and quo.action == {g: {y: base if m[y] in kernel else m[y]
+                                 for y in quo.elements}
+                             for g, m in target.action.items()})
+
+
 class QuotientHom:
-  """A morphism of M/C, given at the canonical window of (source, target)."""
+  """A morphism of M/C, given at the canonical window of (source, target).
+
+  The representative's source and target are the window's subobject X′
+  and quotient Y″; they are checked in place against the window.
+  """
 
   __slots__ = ("source", "target", "pred", "window", "sub", "quo", "rep")
 
   def __init__(self, source, target, pred, rep, window):
+    if not _lives_at(rep, source, target, window):
+      raise InvalidStructure("representative does not live at the window")
     self.source = source
     self.target = target
     self.pred = pred
     self.window = window
-    self.sub, _ = source.sub_aset(self.window.xsub)
-    self.quo, _ = target.quotient_by(self.window.ykernel)
-    if not rep.source.same_carrier(self.sub) or \
-       not rep.target.same_carrier(self.quo):
-      raise InvalidStructure("representative does not live at the window")
+    self.sub = rep.source
+    self.quo = rep.target
     self.rep = rep
 
   @classmethod
@@ -378,12 +401,9 @@ class QuotientHom:
            else dict(mapping_or_map))
     sub, _ = source.sub_aset(can.xsub)
     quo, proj = target.quotient_by(can.ykernel)
-    wquo, _ = target.quotient_by(window.ykernel)
-    mapping = {}
-    for x in sub.elements:
-      y = raw[x]
-      mapping[x] = quo.base if y == wquo.base else proj(y)
-    rep = ASetMap(sub, quo, mapping)
+    # raw lands in target/window.ykernel, whose survivors keep their names
+    # and whose basepoint is target.base, which proj fixes
+    rep = ASetMap(sub, quo, {x: proj(raw[x]) for x in sub.elements})
     return cls(source, target, pred, rep, can)
 
   @classmethod

@@ -7,7 +7,7 @@ from monoidkit import corpora
 from monoidkit.asets import (ASetMap, ExactSeq, FiniteASet, NotFiniteLength,
                              aset_length, codim_support, coequalizer,
                              cokernel, cycle_nset, exact_seq_from_sub,
-                             fiber_product, free_aset, identity_map,
+                             fiber_product, free_aset, hom_maps, identity_map,
                              image_factorization, is_exact, is_pc_aset,
                              is_rooted_tree, kernel, length_filtration,
                              nat_set, orbit_decomposition, point_aset,
@@ -52,6 +52,23 @@ def test_structural_errors():
     FiniteASet(NatMonoid(), [STAR, "a"], {"t": {"a": "a", STAR: "a"}})
   with pytest.raises(InvalidStructure):
     FiniteASet(NatMonoid(), [STAR, "a"], {"s": {"a": "a"}})   # wrong generator
+
+
+def test_map_constructor_rejects_bad_input():
+  X = truncated_line(2)                       # 1 -> t -> *
+  ident = {x: x for x in X.elements}
+  with pytest.raises(InvalidStructure, match="not equivariant"):
+    ASetMap(X, X, {STAR: STAR, "1": "1", "t": "1"})
+  with pytest.raises(InvalidStructure, match="outside the target"):
+    ASetMap(X, X, dict(ident, t="t^2"))
+  with pytest.raises(InvalidStructure, match="exactly the source carrier"):
+    ASetMap(X, X, {STAR: STAR, "1": "1"})
+  with pytest.raises(InvalidStructure, match="exactly the source carrier"):
+    ASetMap(X, X, dict(ident, extra="t"))
+  # the constant map onto a fixed point is equivariant but moves ∗
+  fixed = nat_set({"p": "p"})
+  with pytest.raises(InvalidStructure, match="basepoint"):
+    ASetMap(fixed, fixed, {STAR: "p", "p": "p"})
 
 
 def test_kernel_cokernel_image():
@@ -222,6 +239,112 @@ def test_witness_on_many_fixed_points():
 def test_length_of_a_very_long_line():
   # deeper than the default recursion limit
   assert aset_length(truncated_line(1200)) == 1200
+
+
+# ------------------------------------------------- trusted constructions
+
+
+def trusted_corpus():
+  """N-sets to 5 elements, Γ₊-sets of Z/2 and Z/3 and N/(t³)-sets to 6."""
+  out = [corpora.all_nsets(5), corpora.all_nilpotent_asets(A3, 6)]
+  for orders in ([2], [3]):
+    gamma = FiniteMonoid.group_with_zero(orders)
+    out.append([X for X, _ in corpora.all_gamma_asets(gamma, 6)])
+  return out
+
+
+def check_object(T, elements, action):
+  """T is valid and is the object on ``elements`` with ``action``."""
+  rebuilt = FiniteASet(T.monoid, T.elements, T.action, T.base)
+  expected = FiniteASet(T.monoid, elements, action, T.base)
+  assert rebuilt.same_carrier(T) and expected.same_carrier(T), T
+  assert T.elements == elements
+
+
+def check_map(f, mapping):
+  """f is a valid morphism and has ``mapping``."""
+  rebuilt = ASetMap(f.source, f.target, f.mapping)
+  assert rebuilt.mapping == f.mapping == mapping
+
+
+def test_trusted_constructions_pass_the_public_constructors():
+  """Every object and map sub_aset, quotient_by, hom_maps and compose build
+  unchecked is rebuilt through the validating constructors and compared
+  with what it is by definition."""
+  maps = 0
+  for corpus in trusted_corpus():
+    projections = {}
+    for X in corpus:
+      projections[X] = []
+      for s in X.subobject_sets():
+        sub, incl = X.sub_aset(s)
+        keep = [x for x in X.elements if x in s]
+        check_object(sub, keep, {g: {x: m[x] for x in keep}
+                                 for g, m in X.action.items()})
+        check_map(incl, {x: x for x in keep})
+        quo, proj = X.quotient_by(s)
+        push = {x: X.base if x in s else x for x in X.elements}
+        keep = [x for x in X.elements if x not in s or x == X.base]
+        check_object(quo, keep, {g: {x: push[m[x]] for x in keep}
+                                 for g, m in X.action.items()})
+        check_map(proj, push)
+        check_map(incl.compose(proj), {x: X.base for x in sub.elements})
+        projections[X].append(proj)
+    for X in corpus:
+      for Y in corpus:
+        # each map is composed with one projection of Y, in rotation
+        for f, p in zip(hom_maps(X, Y), itertools.cycle(projections[Y])):
+          check_map(f, f.mapping)
+          check_map(f.compose(p), {x: p(f(x)) for x in X.elements})
+          maps += 1
+  assert maps == 149001
+
+
+def recursive_hom_maps(X, Y):
+  """The recursive search hom_maps ran before it was made iterative."""
+  xs = X.nonbase()
+  gens = list(X.action)
+  out = []
+  assignment = {X.base: Y.base}
+
+  def consistent(x):
+    for g in gens:
+      gx = X.action[g][x]
+      if gx in assignment and assignment[gx] != Y.action[g][assignment[x]]:
+        return False
+      for z in xs:
+        if X.action[g][z] == x and z in assignment and \
+           Y.action[g][assignment[z]] != assignment[x]:
+          return False
+    return True
+
+  def backtrack(i):
+    if i == len(xs):
+      out.append(ASetMap(X, Y, dict(assignment)))
+      return
+    x = xs[i]
+    for y in Y.elements:
+      assignment[x] = y
+      if consistent(x):
+        backtrack(i + 1)
+      del assignment[x]
+
+  backtrack(0)
+  return out
+
+
+def test_hom_maps_match_the_recursive_search_in_order():
+  sets = corpora.all_nsets(4)
+  for X in sets:
+    for Y in sets:
+      assert [f.mapping for f in hom_maps(X, Y)] == \
+          [f.mapping for f in recursive_hom_maps(X, Y)], (X, Y)
+
+
+def test_hom_maps_from_a_very_long_line():
+  # deeper than the default recursion limit
+  maps = hom_maps(truncated_line(1200), point_aset(NatMonoid()))
+  assert len(maps) == 1
 
 
 def test_smash_counts_over_f1():

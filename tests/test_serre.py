@@ -1,13 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoidkit.asets import (ASetMap, FiniteASet, cycle_nset, hom_maps,
                              nat_set, point_aset, truncated_line)
 from monoidkit.corpora import (all_gamma_asets, all_nilpotent_asets,
                                all_nsets, random_nset)
-from monoidkit.errors import NotIso, PredicateClosureError
-from monoidkit.monoids import FiniteMonoid, NatMonoid
+from monoidkit.errors import InvalidStructure, NotIso, PredicateClosureError
+from monoidkit.monoids import STAR, FiniteMonoid, NatMonoid
 from monoidkit.serre import (IndexPoset, QuotientHom, SerrePredicate,
                              WindowPair, admissible_kernels, admissible_subs,
                              canonical_window, check_condition_w,
@@ -231,6 +233,65 @@ def test_hom_sets_match_the_all_window_colimit_count():
     for Y in sets:
       assert len(hom_quotient(X, Y, TORSION)) == \
           hom_quotient_naive(X, Y, TORSION)
+
+
+@st.composite
+def relabelled_nsets(draw, max_nonbase=4):
+  """A random N-set and a copy with its elements renamed and reordered."""
+  n = draw(st.integers(0, max_nonbase))
+  succ = draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n))
+  perm = draw(st.permutations(range(n)))
+
+  def build(name):
+    return nat_set({name(i): STAR if j < 0 else name(j)
+                    for i, j in enumerate(succ)})
+
+  return build(lambda i: f"x{i}"), build(lambda i: f"y{perm[i]}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_nsets(), relabelled_nsets())
+def test_hom_counts_are_unchanged_under_relabelling(xs, ys):
+  (X, X2), (Y, Y2) = xs, ys
+  assert len(hom_maps(X, Y)) == len(hom_maps(X2, Y2))
+  for pred in (TORSION, SerrePredicate.support_in(N, ["(t)"]),
+               SerrePredicate.finite_length(N)):
+    assert len(hom_quotient(X, Y, pred)) == len(hom_quotient(X2, Y2, pred))
+
+
+def test_quotient_hom_rejects_a_representative_at_the_wrong_window():
+  X = truncated_line(2)                     # 1 -> t -> *
+  zero = SerrePredicate.zero(N)
+  w = canonical_window(X, X, zero)
+  assert w == WindowPair(X.elements, {STAR})
+  QuotientHom(X, X, zero, ASetMap(X, X, {x: x for x in X.elements}), w)
+  # wrong carrier: the representative starts at the subobject {∗, t}
+  _, incl = X.sub_aset({STAR, "t"})
+  with pytest.raises(InvalidStructure):
+    QuotientHom(X, X, zero, incl, w)
+  # the right carrier with another action: 1 falls straight to ∗
+  flat = nat_set({"1": STAR, "t": STAR})
+  with pytest.raises(InvalidStructure):
+    QuotientHom(X, X, zero, ASetMap(flat, X, {STAR: STAR, "1": "t",
+                                              "t": STAR}), w)
+  # a window holding an element X does not have
+  extra = nat_set({"1": "t", "t": STAR, "z": STAR})
+  with pytest.raises(InvalidStructure):
+    QuotientHom(X, X, zero, ASetMap(extra, X, {STAR: STAR, "1": "1", "t": "t",
+                                               "z": STAR}),
+                WindowPair(extra.elements, {STAR}))
+  # on the target side: X/{∗, t} is 1 -> ∗, not the fixed point 1 -> 1
+  w = WindowPair(X.elements, {STAR, "t"})
+  quo, _ = X.quotient_by(w.ykernel)
+  QuotientHom(X, X, zero, ASetMap(X, quo, {x: STAR for x in X.elements}), w)
+  loop = nat_set({"1": "1"})
+  with pytest.raises(InvalidStructure):
+    QuotientHom(X, X, zero, ASetMap(X, loop, {x: STAR for x in X.elements}), w)
+  # {∗, 1} is not action-closed, though 1 -> ∗ on {∗, t} looks the part
+  w = WindowPair(X.elements, {STAR, "1"})
+  stub = nat_set({"t": STAR})
+  with pytest.raises(InvalidStructure):
+    QuotientHom(X, X, zero, ASetMap(X, stub, {x: STAR for x in X.elements}), w)
 
 
 def test_ambient_maps_equal_in_quotient_iff_equal_on_canonical_window():
