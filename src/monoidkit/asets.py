@@ -14,6 +14,12 @@ and quotients (``sub_aset``, ``quotient_by``, after their admissibility
 check), the maps ``hom_maps`` finds (its search checks every equivariance
 square) and composites (``ASetMap.compose``, after its carrier check).
 
+Maps and isomorphisms come from one backtracking search,
+``_equivariant_maps``.  ``hom_maps`` lists every map it finds;
+``find_isomorphism`` first compares the objects' ``iso_key`` (an invariant
+each object computes once and keeps) and then takes the first one-to-one map
+that sends each element to one of equal invariant.
+
 The category is not abelian, but images, kernels, cokernels, fiber products,
 pushouts along monics and coequalizers all exist on finite carriers and are
 constructed here explicitly.
@@ -70,6 +76,7 @@ class FiniteASet:
         if gen not in known:
           raise InvalidStructure(f"action key {gen!r} is not a monoid element")
     self._full_action_cache = None
+    self._iso_cache = None
 
   @classmethod
   def _trusted(cls, monoid, elements, action, base, name=None):
@@ -86,6 +93,7 @@ class FiniteASet:
     self._element_set = set(elements)
     self.action = action
     self._full_action_cache = None
+    self._iso_cache = None
     return self
 
   # -- basic structure ---------------------------------------------------------
@@ -259,62 +267,55 @@ class FiniteASet:
             and self._element_set == other._element_set
             and self.action == other.action)
 
+  def iso_key(self):
+    """An isomorphism invariant, computed once and kept on the object.
+
+    (size, generator names, sorted multiset of the element invariants).  An
+    element's invariant records, per generator in name order, whether the
+    generator kills, fixes or moves it and how many non-base elements it
+    sends there, plus the size of the element's orbit.
+    """
+    if self._iso_cache is None:
+      gens = sorted(self.action)
+      maps = [self.action[g] for g in gens]
+      rest = self.nonbase()
+      base = self.base
+      hits = []
+      for gmap in maps:
+        h = dict.fromkeys(rest, 0)
+        for x in rest:
+          if gmap[x] != base:
+            h[gmap[x]] += 1
+        hits.append(h)
+      invariants = [
+          (tuple([0 if gmap[x] == base else 1 if gmap[x] == x else 2
+                  for gmap in maps]),
+           tuple([h[x] for h in hits]), len(self.orbit(x)))
+          for x in rest]
+      key = (len(self.elements), tuple(gens), tuple(sorted(invariants)))
+      self._iso_cache = (key, invariants)
+    return self._iso_cache[0]
+
   def find_isomorphism(self, other):
-    """A basepoint/action-preserving bijection self → other, or None."""
-    if self.monoid != other.monoid or self.size() != other.size():
+    """A basepoint/action-preserving bijection self → other, or None.
+
+    Objects of different size (checked first, so that neither computes its
+    key) or different ``iso_key`` are rejected at once.  Otherwise the
+    search is the hom search restricted to one-to-one maps that send each
+    element to one of equal invariant; an equivariant bijection is an
+    isomorphism, so the first map found is returned.  Candidates are tried
+    in the order of ``other.nonbase()``, so the result is the first
+    isomorphism in that lexicographic order.
+    """
+    if (self.monoid != other.monoid or self.size() != other.size()
+        or self.iso_key() != other.iso_key()):
       return None
-
-    def profile(aset, x):
-      hits = sum(1 for g in aset.action.values() for y in aset.elements
-                 if g[y] == x)
-      img = tuple(sorted(str(g[x]) == str(aset.base) for g in aset.action.values()))
-      return (hits, img, len(aset.orbit(x)))
-
-    mine = self.nonbase()
-    theirs = other.nonbase()
-    mine_profile = {x: profile(self, x) for x in mine}
-    their_profile = {y: profile(other, y) for y in theirs}
-    if sorted(mine_profile.values()) != sorted(their_profile.values()):
-      return None
-    gens = list(self.action)
-    if set(gens) != set(other.action):
-      return None
-
-    assignment = {self.base: other.base}
-    used = {other.base}
-
-    def ok(x, y):
-      # partial equivariance: wherever the image of g·x is already decided,
-      # it must match g·y
-      for g in gens:
-        gx = self.action[g][x]
-        if gx in assignment and assignment[gx] != other.action[g][y]:
-          return False
-      return True
-
-    def backtrack(i):
-      if i == len(mine):
-        # final full equivariance check
-        for g in gens:
-          for x in self.elements:
-            if assignment[self.action[g][x]] != other.action[g][assignment[x]]:
-              return False
-        return True
-      x = mine[i]
-      for y in theirs:
-        if y in used or mine_profile[x] != their_profile[y]:
-          continue
-        assignment[x] = y
-        used.add(y)
-        if ok(x, y) and backtrack(i + 1):
-          return True
-        del assignment[x]
-        used.discard(y)
-      return False
-
-    if backtrack(0):
-      return dict(assignment)
-    return None
+    same = {}
+    for y, inv in zip(other.nonbase(), other._iso_cache[1]):
+      same.setdefault(inv, []).append(y)
+    choices = {x: same[inv]
+               for x, inv in zip(self.nonbase(), self._iso_cache[1])}
+    return next(_equivariant_maps(self, other, choices, True), None)
 
   def is_isomorphic(self, other):
     return self.find_isomorphism(other) is not None
@@ -688,21 +689,17 @@ def pushout_monics(i, j, name=None):
   return Q, inc_x.compose(proj), inc_y.compose(proj)
 
 
-def hom_maps(X, Y):
-  """Every A-set map X → Y, by backtracking over images of nonbase elements.
+def _equivariant_maps(X, Y, choices, injective):
+  """Each equivariant pointed map X → Y as a dict, x sent into ``choices[x]``.
 
-  Intended for small carriers; the partial-equivariance prune keeps the
-  search far below |Y|^|X| in practice.  The prune checks every square
-  f(g·x) = g·f(x) as soon as both ends are assigned, so the maps found are
-  morphisms and are built unchecked.  The search is iterative: its depth
-  is the carrier size, not bounded by the recursion limit.  Maps come in
-  lexicographic order of their images, nonbase elements in order, each
-  image in the order of ``Y.elements``.
+  Backtracking over the non-base elements of X in order, each image in the
+  order of ``choices[x]``; with ``injective``, an image already used is
+  skipped.  The partial-equivariance prune checks every square
+  f(g·x) = g·f(x) as soon as both ends are assigned, so every dict yielded
+  is a morphism.  The search is iterative: its depth is the carrier size,
+  not bounded by the recursion limit.  The generator sets must agree.
   """
-  if set(X.action) != set(Y.action):
-    raise InvalidStructure("hom needs a common acting generator set")
   xs = X.nonbase()
-  ys = Y.elements
   # per generator: its maps on X and Y, and each x's nonbase preimages
   gens = []
   for g, xmap in X.action.items():
@@ -711,8 +708,8 @@ def hom_maps(X, Y):
       if xmap[z] != X.base:
         pre[xmap[z]].append(z)
     gens.append((xmap, Y.action[g], pre))
-  out = []
   assignment = {X.base: Y.base}
+  used = set()
 
   def consistent(x):
     fx = assignment[x]
@@ -731,15 +728,23 @@ def hom_maps(X, Y):
   depth = 0
   while depth >= 0:
     if depth == len(xs):
-      out.append(ASetMap._trusted(X, Y, dict(assignment)))
+      yield dict(assignment)
       depth -= 1
       continue
     x = xs[depth]
+    ys = choices[x]
+    if injective:
+      used.discard(assignment.get(x))
     k = tried[depth]
     while k < len(ys):
-      assignment[x] = ys[k]
+      y = ys[k]
       k += 1
+      if injective and y in used:
+        continue
+      assignment[x] = y
       if consistent(x):
+        if injective:
+          used.add(y)
         tried[depth] = k
         depth += 1
         break
@@ -747,7 +752,24 @@ def hom_maps(X, Y):
       assignment.pop(x, None)
       tried[depth] = 0
       depth -= 1
-  return out
+
+
+def hom_maps(X, Y):
+  """Every A-set map X → Y, by backtracking over images of nonbase elements.
+
+  Intended for small carriers; the partial-equivariance prune keeps the
+  search far below |Y|^|X| in practice.  The search (shared with
+  ``find_isomorphism``, which restricts it to one-to-one maps between
+  elements of equal invariant) checks every equivariance square, so the
+  maps found are built unchecked.  Maps come in lexicographic order of
+  their images, nonbase elements in order, each image in the order of
+  ``Y.elements``.
+  """
+  if set(X.action) != set(Y.action):
+    raise InvalidStructure("hom needs a common acting generator set")
+  choices = dict.fromkeys(X.nonbase(), Y.elements)
+  return [ASetMap._trusted(X, Y, m)
+          for m in _equivariant_maps(X, Y, choices, False)]
 
 
 # -- structure predicates --------------------------------------------------------------
@@ -867,9 +889,10 @@ def _irreducible_chain(X):
   target = frozenset(X.elements)
   start = frozenset({X.base})
   dead = set()
+  order = sorted(map(str, X.elements))
 
   def candidates(cur):
-    return iter(sorted(map(str, target - cur)))
+    return (x for x in order if x not in cur)
 
   def extend():
     """DFS for a chain start -> ... -> full carrier; returns the orbits added.
@@ -904,7 +927,7 @@ def _irreducible_chain(X):
     grow = True
     while grow:
       grow = False
-      for x in sorted(map(str, target - stuck)):
+      for x in candidates(stuck):
         orb = unit_orbit(x)
         if not (orb & stuck) and len(orb) == unit_count and \
            nonunit_images(x) <= stuck:

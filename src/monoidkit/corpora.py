@@ -268,6 +268,18 @@ def coset_orbit_aset(monoid, subgroup, tag=""):
                     name=f"orbit of index {len(cosets)}")
 
 
+def _orbit_wedge(monoid, subgroups, chosen, name=None):
+  """The Γ₊-set with one coset orbit Γ/subgroups[i] for each i in `chosen`."""
+  elements = [STAR]
+  action = {g: {} for g in monoid.generators()}
+  for k, i in enumerate(chosen):
+    part = coset_orbit_aset(monoid, subgroups[i], tag=f"o{k}")
+    elements += part.nonbase()
+    for g, gmap in part.action.items():
+      action[g].update({x: y for x, y in gmap.items() if x != STAR})
+  return FiniteASet(monoid, elements, action, STAR, name=name)
+
+
 def all_gamma_asets(monoid, max_elements):
   """Every Γ₊-set class with ≤ max_elements carrier; with stabilizer orders.
 
@@ -280,24 +292,9 @@ def all_gamma_asets(monoid, max_elements):
   sizes = [n_units // len(H) for H in subgroups]
   out = []
 
-  def assemble(chosen):
-    if not chosen:
-      elements = [STAR]
-      action = {g: {} for g in monoid.generators()}
-      return FiniteASet(monoid, elements, action, STAR, name="point")
-    parts = [coset_orbit_aset(monoid, subgroups[i], tag=f"o{k}")
-             for k, i in enumerate(chosen)]
-    elements = [STAR]
-    action = {g: {} for g in monoid.generators()}
-    for part in parts:
-      elements += list(part.nonbase())
-      for g, gmap in part.action.items():
-        action[g].update({x: y for x, y in gmap.items() if x != STAR})
-    return FiniteASet(monoid, elements, action, STAR,
-                      name=f"{len(parts)} orbit(s)")
-
   def extend(budget, start, chosen):
-    out.append((assemble(chosen),
+    name = f"{len(chosen)} orbit(s)" if chosen else "point"
+    out.append((_orbit_wedge(monoid, subgroups, chosen, name),
                 tuple(len(subgroups[i]) for i in chosen)))
     for i in range(start, len(subgroups)):
       if sizes[i] <= budget:
@@ -333,31 +330,15 @@ def brute_force_asets(monoid, max_elements):
   return out
 
 
-def _fingerprint(X):
-  gens = sorted(X.action)
-  local = []
-  for x in X.nonbase():
-    row = []
-    for g in gens:
-      y = X.action[g].get(x, STAR)
-      row.append("*" if y == STAR else ("fix" if y == x else "move"))
-    indeg = sum(1 for g in gens for z in X.nonbase()
-                if X.action[g].get(z, STAR) == x)
-    local.append((tuple(row), indeg))
-  return (X.size(), tuple(sorted(local)))
-
-
 def dedup_up_to_iso(asets):
+  """The first object of each isomorphism class, in input order."""
   buckets = {}
-  for X in asets:
-    buckets.setdefault(_fingerprint(X), []).append(X)
   out = []
-  for group in buckets.values():
-    reps = []
-    for X in group:
-      if not any(X.is_isomorphic(R) for R in reps):
-        reps.append(X)
-    out.extend(reps)
+  for X in asets:
+    bucket = buckets.setdefault(X.iso_key(), [])
+    if not any(X.is_isomorphic(R) for R in bucket):
+      bucket.append(X)
+      out.append(X)
   return out
 
 
@@ -374,7 +355,7 @@ def subquotient_relations(seeds, bound=64):
   work = []
 
   def index(X):
-    bucket = buckets.setdefault(_fingerprint(X), [])
+    bucket = buckets.setdefault(X.iso_key(), [])
     for i in bucket:
       if X.is_isomorphic(reps[i]):
         return i
@@ -436,15 +417,7 @@ def random_gamma_aset(rng, monoid, max_nonbase):
     i = rng.choice(fits)
     chosen.append(i)
     budget -= n_units // len(subgroups[i])
-  parts = [coset_orbit_aset(monoid, subgroups[i], tag=f"o{k}")
-           for k, i in enumerate(chosen)]
-  elements = [STAR]
-  action = {g: {} for g in monoid.generators()}
-  for part in parts:
-    elements += list(part.nonbase())
-    for g, gmap in part.action.items():
-      action[g].update({x: y for x, y in gmap.items() if x != STAR})
-  return FiniteASet(monoid, elements, action, STAR)
+  return _orbit_wedge(monoid, subgroups, chosen)
 
 
 def random_aset(rng, monoid, max_nonbase, attempts=200):

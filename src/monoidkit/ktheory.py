@@ -125,7 +125,7 @@ class K0Result:
 
   def index_of(self, X):
     for i, rep in enumerate(self.reps):
-      if rep.size() == X.size() and rep.is_isomorphic(X):
+      if rep.is_isomorphic(X):
         return i
     raise InvalidStructure("object is not in the closed corpus")
 

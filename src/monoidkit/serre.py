@@ -455,23 +455,6 @@ def hom_quotient(X, Y, pred):
   return out
 
 
-def hom_quotient_naive(X, Y, pred):
-  """Oracle: germ count over ALL windows, identified by canonicalization.
-
-  Every window's hom-set maps into the canonical one (restrict then project);
-  the colimit cardinality is the number of distinct canonical images, since
-  the canonical window is the poset maximum (cofinal).
-  """
-  seen = set()
-  for w in index_poset(X, Y, pred).pairs:
-    sub, _ = X.sub_aset(w.xsub)
-    quo, _ = Y.quotient_by(w.ykernel)
-    for m in hom_maps(sub, quo):
-      canon = QuotientHom.from_window(X, Y, pred, w, m)
-      seen.add(frozenset(canon.rep.mapping.items()))
-  return len(seen)
-
-
 def compose_quotient(f, g):
   """g ∘ f for f: X → Y, g: Y → Z in M/C (diagrammatic argument order).
 

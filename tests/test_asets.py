@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoidkit import corpora
 from monoidkit.asets import (ASetMap, ExactSeq, FiniteASet, NotFiniteLength,
@@ -481,6 +483,148 @@ def test_isomorphism_detection():
   assert a.is_isomorphic(b)
   assert not a.is_isomorphic(cycle_nset(2))
   assert not truncated_line(3).is_isomorphic(truncated_line(4))
+
+
+# ------------------------------------------------------- isomorphism search
+
+
+def recursive_find_isomorphism(self, other):
+  """find_isomorphism as it was before it became the one-to-one hom search."""
+  if self.monoid != other.monoid or self.size() != other.size():
+    return None
+
+  def profile(aset, x):
+    hits = sum(1 for g in aset.action.values() for y in aset.elements
+               if g[y] == x)
+    img = tuple(sorted(str(g[x]) == str(aset.base) for g in aset.action.values()))
+    return (hits, img, len(aset.orbit(x)))
+
+  mine = self.nonbase()
+  theirs = other.nonbase()
+  mine_profile = {x: profile(self, x) for x in mine}
+  their_profile = {y: profile(other, y) for y in theirs}
+  if sorted(mine_profile.values()) != sorted(their_profile.values()):
+    return None
+  gens = list(self.action)
+  if set(gens) != set(other.action):
+    return None
+
+  assignment = {self.base: other.base}
+  used = {other.base}
+
+  def ok(x, y):
+    # partial equivariance: wherever the image of g·x is already decided,
+    # it must match g·y
+    for g in gens:
+      gx = self.action[g][x]
+      if gx in assignment and assignment[gx] != other.action[g][y]:
+        return False
+    return True
+
+  def backtrack(i):
+    if i == len(mine):
+      # final full equivariance check
+      for g in gens:
+        for x in self.elements:
+          if assignment[self.action[g][x]] != other.action[g][assignment[x]]:
+            return False
+      return True
+    x = mine[i]
+    for y in theirs:
+      if y in used or mine_profile[x] != their_profile[y]:
+        continue
+      assignment[x] = y
+      used.add(y)
+      if ok(x, y) and backtrack(i + 1):
+        return True
+      del assignment[x]
+      used.discard(y)
+    return False
+
+  if backtrack(0):
+    return dict(assignment)
+  return None
+
+
+def fingerprint(X):
+  """The bucket key the corpora used before ``iso_key``."""
+  gens = sorted(X.action)
+  local = []
+  for x in X.nonbase():
+    row = []
+    for g in gens:
+      y = X.action[g].get(x, STAR)
+      row.append("*" if y == STAR else ("fix" if y == x else "move"))
+    indeg = sum(1 for g in gens for z in X.nonbase()
+                if X.action[g].get(z, STAR) == x)
+    local.append((tuple(row), indeg))
+  return (X.size(), tuple(sorted(local)))
+
+
+def relabel(X, rng):
+  """X with its non-base elements renamed and the carrier shuffled."""
+  rest = X.nonbase()
+  names = [f"r{k}" for k in range(len(rest))]
+  rng.shuffle(names)
+  ren = dict(zip(rest, names))
+  ren[X.base] = X.base
+  elements = [ren[x] for x in X.elements]
+  rng.shuffle(elements)
+  action = {g: {ren[x]: ren[y] for x, y in gmap.items()}
+            for g, gmap in X.action.items()}
+  return FiniteASet(X.monoid, elements, action, X.base)
+
+
+def iso_corpora():
+  """N-sets to 6 elements, Γ₊-sets of Z/2, Z/3, Z/2×Z/2 to 8, N/(t³)-sets to 6."""
+  out = [corpora.all_nsets(6), corpora.all_nilpotent_asets(A3, 6)]
+  for orders in ([2], [3], [2, 2]):
+    gamma = FiniteMonoid.group_with_zero(orders)
+    out.append([X for X, _ in corpora.all_gamma_asets(gamma, 8)])
+  return out
+
+
+def test_find_isomorphism_matches_the_recursive_search():
+  rng = random.Random(61018)
+  classes = searched = 0
+  for corpus in iso_corpora():
+    classes += len(corpus)
+    copies = [relabel(Y, rng) for Y in corpus]
+    for X in corpus:
+      for Y in copies:
+        expected = recursive_find_isomorphism(X, Y)
+        assert X.find_isomorphism(Y) == expected, (X, Y)
+        searched += X.iso_key() == Y.iso_key()
+  # every class meets its own copy, and some distinct classes share a key
+  assert searched > classes
+
+
+def test_equal_iso_keys_have_equal_fingerprints():
+  for corpus in iso_corpora():
+    seen = {}
+    for X in corpus:
+      for s in X.subobject_sets():
+        seq = exact_seq_from_sub(X, s)
+        for Z in (seq.sub, seq.middle, seq.quotient):
+          assert seen.setdefault(Z.iso_key(), fingerprint(Z)) == fingerprint(Z)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_iso_key_is_unchanged_under_relabelling(data):
+  n = data.draw(st.integers(0, 8))
+  succ = data.draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n))
+  X = nat_set({f"x{i}": STAR if j < 0 else f"x{j}" for i, j in enumerate(succ)})
+  Y = relabel(X, random.Random(data.draw(st.integers(0, 2**32))))
+  assert X.iso_key() == Y.iso_key()
+  assert ASetMap(X, Y, X.find_isomorphism(Y)).is_isomorphism()
+
+
+def test_a_very_long_line_is_isomorphic_to_a_relabelled_copy():
+  # deeper than the default recursion limit
+  X = truncated_line(1200)
+  Y = relabel(X, random.Random(7))
+  assert ASetMap(X, Y, X.find_isomorphism(Y)).is_isomorphism()
 
 
 def test_pc_two_out_of_three_on_sequences():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from monoidkit.asets import STAR, is_rooted_tree
+from monoidkit.asets import STAR, is_rooted_tree, nat_set
 from monoidkit.corpora import (all_gamma_asets, all_nilpotent_asets,
                                all_nsets, all_nshapes, all_pointed_sets,
                                brute_force_asets, close_under_subquotients,
@@ -28,6 +28,17 @@ def test_nset_classes_match_raw_enumeration():
   raw = brute_force_asets(NatMonoid(), 6)
   assert len(structural) == len(raw)
   assert len(dedup_up_to_iso(structural)) == len(structural)
+
+
+def test_dedup_keeps_the_first_of_each_class_in_input_order():
+  classes = all_nsets(5)
+  copies = [nat_set(X.action["t"]) for X in reversed(classes)]
+  mixed = [X for pair in zip(copies, classes) for X in pair]
+  kept = []
+  for X in mixed:
+    if not any(X.is_isomorphic(R) for R in kept):
+      kept.append(X)
+  assert [id(X) for X in dedup_up_to_iso(mixed)] == [id(X) for X in kept]
 
 
 def test_tree_shapes_know_pc():

@@ -14,7 +14,7 @@ from monoidkit.serre import (IndexPoset, QuotientHom, SerrePredicate,
                              WindowPair, admissible_kernels, admissible_subs,
                              canonical_window, check_condition_w,
                              check_filtered, compose_quotient, hom_quotient,
-                             hom_quotient_naive, identity_quotient,
+                             identity_quotient,
                              index_poset, is_iso_quotient, maximal_kernel,
                              minimal_dense_sub, monic_representative,
                              quotient_equivalence_report, validate_serre,
@@ -225,6 +225,23 @@ def test_torsion_object_has_exactly_one_endomorphism_in_the_quotient():
   # and the zero map is the identity here: X is killed by the quotient
   assert homs[0] == identity_quotient(X, TORSION)
   assert is_iso_quotient(homs[0])
+
+
+def hom_quotient_naive(X, Y, pred):
+  """Oracle: germ count over ALL windows, identified by canonicalization.
+
+  Every window's hom-set maps into the canonical one (restrict then project);
+  the colimit cardinality is the number of distinct canonical images, since
+  the canonical window is the poset maximum (cofinal).
+  """
+  seen = set()
+  for w in index_poset(X, Y, pred).pairs:
+    sub, _ = X.sub_aset(w.xsub)
+    quo, _ = Y.quotient_by(w.ykernel)
+    for m in hom_maps(sub, quo):
+      canon = QuotientHom.from_window(X, Y, pred, w, m)
+      seen.add(frozenset(canon.rep.mapping.items()))
+  return len(seen)
 
 
 def test_hom_sets_match_the_all_window_colimit_count():
