@@ -886,61 +886,31 @@ def _irreducible_chain(X):
     return {table[a][x] for a in X.monoid.elements
             if a not in units and a != X.monoid.one}
 
+  # Units permute X∖{∗} and freeness does not depend on the stage, so an
+  # orbit that can be adjoined stays adjoinable as the stage grows: adjoining
+  # the first eligible orbit (in string order) either reaches the carrier or
+  # stops at a stage no chain gets past, with no backtracking.
   target = frozenset(X.elements)
-  start = frozenset({X.base})
-  dead = set()
   order = sorted(map(str, X.elements))
-
-  def candidates(cur):
-    return (x for x in order if x not in cur)
-
-  def extend():
-    """DFS for a chain start -> ... -> full carrier; returns the orbits added.
-
-    Iterative, so the depth is not bounded by the recursion limit.  Each
-    frame is (stage, its untried elements, the orbit that reached it).
-    """
-    stack = [(start, candidates(start), None)]
-    while stack:
-      cur, todo, _ = stack[-1]
-      if cur == target:
-        return [orb for _, _, orb in stack[1:]]
-      for x in todo:
-        orb = unit_orbit(x)
-        if orb & cur or len(orb) != unit_count:
-          continue
-        if not nonunit_images(x) <= cur:
-          continue
-        nxt = cur | orb
-        if nxt not in dead:
-          stack.append((nxt, candidates(nxt), orb))
-          break
-      else:
-        dead.add(cur)
-        stack.pop()
-    return None
-
-  chain = extend()
-  if chain is None:
-    # witness: a smallest admissible extension of a stuck stage
-    stuck = start
-    grow = True
-    while grow:
-      grow = False
-      for x in candidates(stuck):
-        orb = unit_orbit(x)
-        if not (orb & stuck) and len(orb) == unit_count and \
-           nonunit_images(x) <= stuck:
-          stuck = stuck | orb
-          grow = True
-          break
-    # stuck is action-closed, so each smallest subobject above it is stuck
-    # plus one orbit; ties go to the first in subobject_sets() order
-    pos = {x: i for i, x in enumerate(X.nonbase())}
-    blocking = min({stuck | X.orbit(x) for x in target - stuck},
-                   key=lambda s: (len(s), sorted(pos[y] for y in s - start)),
-                   default=target)
-    return NotFiniteLength(stuck, blocking)
+  cur = frozenset({X.base})
+  chain = []
+  while cur != target:
+    for x in order:
+      if x in cur:
+        continue
+      orb = unit_orbit(x)
+      if not (orb & cur) and len(orb) == unit_count and \
+         nonunit_images(x) <= cur:
+        chain.append(orb)
+        cur = cur | orb
+        break
+    else:
+      # witness: cur is action-closed, so each smallest subobject above it
+      # is cur plus one orbit; ties go to the first in subobject_sets() order
+      pos = {x: i for i, x in enumerate(X.nonbase())}
+      blocking = min((cur | X.orbit(x) for x in target - cur),
+                     key=lambda s: (len(s), sorted(pos[y] for y in s - cur)))
+      return NotFiniteLength(cur, blocking)
   return chain
 
 

@@ -20,11 +20,10 @@ it exists to cross-check the structural generators on small sizes.
 from __future__ import annotations
 
 import itertools
-import random
 
 from .asets import STAR, FiniteASet, exact_seq_from_sub, nat_set
 from .errors import ClosureBoundExceeded, InvalidStructure
-from .monoids import FiniteMonoid, NatMonoid
+from .monoids import NatMonoid
 
 # --------------------------------------------------------------- tree shapes
 #

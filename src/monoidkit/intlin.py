@@ -12,8 +12,6 @@ isomorphism type).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def dims(M):
   """Return (#rows, #cols) of a rectangular list-of-rows matrix."""
@@ -311,13 +309,3 @@ def cokernel_invariants(relation_rows, n):
   torsion = [d for d in facs if d > 1]
   return free_rank, torsion
 
-
-def solve_mod_lattice(M, b, lattice_rows):
-  """One x with M x = b modulo the row span of lattice_rows, or None."""
-  m, n = dims(M)
-  if not lattice_rows:
-    return solve(M, b)
-  ext = [list(M[i]) + [-lattice_rows[k][i] for k in range(len(lattice_rows))]
-         for i in range(m)]
-  sol = solve(ext, b)
-  return sol[:n] if sol is not None else None

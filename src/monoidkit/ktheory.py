@@ -3,21 +3,25 @@
 Everything here is truncated to degree ≤ 1. Group K-theory enters through
 two constants — K₀ of a group is ℤ, K₁ is the group plus a configured
 stable summand — and all category-level K₀ groups are presented by
-generators (iso classes) and relations (one per exact sequence), reduced
-by Smith normal form.  On the geometric side, an affine monoid yields its
-divisor matrix, class group, higher class groups W_p, and the units-lattice
-shadow of the coniveau spectral sequence.
+generators (iso classes) and relations (one per exact sequence).  Each
+presentation is reduced once, by one Smith normal form D = U·R·V in
+``K0Result``; the class of generator i is row i of V, so class maps and
+additivity checks are reads.  The localization check K₀(C) → K₀(M) →
+K₀(M/C) reuses M's one closure walk: every row must obey two-out-of-three
+for C, and exactness at the middle is decided by comparing K₀(M)/⟨C⟩ with
+K₀(M/C), onto which it surjects.  On the geometric side, an affine monoid
+yields its divisor matrix, class group, higher class groups W_p, and the
+units-lattice shadow of the coniveau spectral sequence.
 """
 
 from __future__ import annotations
 
 from . import intlin
-from .affine import AffineMonoid
 from .asets import aset_length, is_pc_aset
 from .corpora import (all_gamma_asets, all_nilpotent_asets, all_pointed_sets,
                       subquotient_relations)
 from .errors import (InvalidStructure, NotNormal, NotZeroSmooth,
-                     UnsupportedDegree)
+                     PredicateClosureError, UnsupportedDegree)
 from .groups import (AbelianGroupPresentation, FiniteAbelianGroup,
                      invariants_from_abelian_group)
 from .intlin import smith_normal_form
@@ -72,56 +76,36 @@ def burnside_rank(gamma):
 class K0Result:
   """K₀ of a subquotient-closed list of objects, with the class map.
 
-  ``group`` is the cokernel of the relation matrix in canonical form;
-  ``class_of(X)`` locates X among the representatives and returns its class
-  as (free coordinates, torsion coordinates) in that canonical form.
+  One Smith normal form D = U·R·V of the relation matrix R is the whole
+  reduction: ``group`` is read off D's diagonal, and x ↦ x·V carries the
+  cokernel onto its canonical form, so the class of generator i is row i
+  of V, read in the free slots (zero diagonal) and in the torsion slots
+  (diagonal d > 1, modulo d).  Each free coordinate is oriented once so that
+  the first class using it is positive, and every class is stored:
+  ``class_vector``, ``class_of`` and ``additivity_holds`` only read them.
   """
 
   def __init__(self, reps, relations):
     self.reps = reps
     self.relations = relations
-    self._free_slots, self._torsion_slots, self._basis = \
-        self._coordinates(relations, len(reps))
-    self.group = AbelianGroupPresentation(
-        len(self._free_slots), [d for _, d in self._torsion_slots])
-
-  @staticmethod
-  def _coordinates(rows, n):
-    if not rows:
-      vt = intlin.identity_matrix(n)
-      return list(range(n)), [], vt
-    D, _, V = smith_normal_form(rows)
-    vt = intlin.transpose(V)
-    diag = intlin.diagonal(D)
+    n = len(reps)
+    if relations:
+      D, _, V = smith_normal_form(relations)
+      diag = intlin.diagonal(D)
+    else:
+      V, diag = intlin.identity_matrix(n), []
     diag += [0] * (n - len(diag))
     free = [j for j, d in enumerate(diag) if d == 0]
     torsion = [(j, d) for j, d in enumerate(diag) if d > 1]
-    return free, torsion, vt
-
-  def _raw_class(self, index):
-    e = [0] * len(self.reps)
-    e[index] = 1
-    y = intlin.mat_vec(self._basis, e)
-    return ([y[j] for j in self._free_slots],
-            [y[j] % d for j, d in self._torsion_slots])
-
-  def _sign_table(self):
-    # orient each free coordinate so the first object using it is positive
-    signs = [0] * len(self._free_slots)
-    for i in range(len(self.reps)):
-      free, _ = self._raw_class(i)
-      for k, v in enumerate(free):
-        if signs[k] == 0 and v != 0:
-          signs[k] = 1 if v > 0 else -1
-      if all(signs):
-        break
-    return [s or 1 for s in signs]
+    signs = [next((1 if row[j] > 0 else -1 for row in V if row[j]), 1)
+             for j in free]
+    self._classes = [(tuple(s * row[j] for s, j in zip(signs, free)),
+                      tuple(row[j] % d for j, d in torsion)) for row in V]
+    self._moduli = [d for _, d in torsion]
+    self.group = AbelianGroupPresentation(len(free), self._moduli)
 
   def class_vector(self, index):
-    free, torsion = self._raw_class(index)
-    signs = self._sign_table()
-    free = [s * v for s, v in zip(signs, free)]
-    return tuple(free), tuple(torsion)
+    return self._classes[index]
 
   def index_of(self, X):
     for i, rep in enumerate(self.reps):
@@ -132,23 +116,20 @@ class K0Result:
   def class_of(self, X):
     return self.class_vector(self.index_of(X))
 
-  def additivity_holds(self):
-    """Re-check every relation through the canonical class map."""
-    signs = self._sign_table()
-    for row in self.relations:
-      free = [0] * len(self._free_slots)
-      tors = [0] * len(self._torsion_slots)
-      for i, c in enumerate(row):
-        if not c:
-          continue
-        f, t = self._raw_class(i)
+  def is_zero(self, combination):
+    """Is Σ cᵢ[repᵢ] zero in K₀, for the coefficient vector c?"""
+    free = [0] * self.group.free_rank
+    tors = [0] * len(self._moduli)
+    for i, c in enumerate(combination):
+      if c:
+        f, t = self._classes[i]
         free = [a + c * b for a, b in zip(free, f)]
         tors = [a + c * b for a, b in zip(tors, t)]
-      if any(s * v != 0 for s, v in zip(signs, free)):
-        return False
-      if any(v % d for v, (_, d) in zip(tors, self._torsion_slots)):
-        return False
-    return True
+    return not any(free) and not any(v % d for v, d in zip(tors, self._moduli))
+
+  def additivity_holds(self):
+    """Re-check every relation through the canonical class map."""
+    return all(self.is_zero(row) for row in self.relations)
 
 
 def k0_of_catspec(objects, closure_bound=64):
@@ -175,24 +156,24 @@ class QuotientK0Result:
 
   The relations are the M-relations pushed onto the M/C classes (each
   M/C column is the sum of the M-columns it merges), without zero or
-  repeated rows.
+  repeated rows.  One ``K0Result``, ``k0``, over the first M-object of each
+  class reduces them; it is the class map of K₀(M/C).
   """
 
   def __init__(self, reps, pred, m_relations):
     self.pred = pred
     self.reps = reps
     self.class_index = self._partition(reps, pred)
-    n = max(self.class_index) + 1 if self.class_index else 0
+    self.n_classes = max(self.class_index) + 1 if self.class_index else 0
     rows = {}
     for rel in m_relations:
-      row = [0] * n
-      for i, c in enumerate(rel):
-        row[self.class_index[i]] += c
+      row = self.push(rel)
       if any(row):
         rows.setdefault(tuple(row), row)
-    self.n_classes = n
     self.relations = list(rows.values())
-    self.group = AbelianGroupPresentation.from_relations(self.relations, n)
+    self.k0 = K0Result([reps[self.class_index.index(c)]
+                        for c in range(self.n_classes)], self.relations)
+    self.group = self.k0.group
 
   @staticmethod
   def _partition(reps, pred):
@@ -208,52 +189,73 @@ class QuotientK0Result:
         leaders.append(i)
     return [owner[i] for i in range(len(reps))]
 
+  def push(self, vec):
+    """A vector over the M-objects, summed onto the M/C classes."""
+    row = [0] * self.n_classes
+    for i, c in enumerate(vec):
+      row[self.class_index[i]] += c
+    return row
+
+  def is_zero(self, vec):
+    """Is Σ cᵢ[repsᵢ] zero in K₀(M/C)?"""
+    return self.k0.is_zero(self.push(vec))
+
 
 def localization_exactness_k0(objects, pred, closure_bound=64):
   """π₀ shadow of the localization fibration: K₀(C) → K₀(M) → K₀(M/C).
 
-  Verifies that the composite is zero, that the kernel of the right map is
-  exactly the image of the left one (as subgroups of K₀(M)), and that the
-  right map is surjective — all by integer lattice computations.
+  One closure walk gives M's representatives and rows, and each group is
+  one ``K0Result`` reduction of them:
+
+  - K₀(M): every row;
+  - K₀(C): the representatives in C and the rows whose terms all lie in C.
+    Every row must obey two-out-of-three: its positive term lies in C
+    exactly when its negative terms do (so the row −[∗] asks for the point
+    to be in C).  A row that breaks it raises PredicateClosureError;
+  - K₀(M/C): the rows pushed onto the M/C classes (``QuotientK0Result``).
+
+  The composite is zero when every C generator and every row has class
+  zero in K₀(M/C).  The right map is onto, since each M/C class is the
+  class of an M-object.  Once the composite is zero, it induces a
+  surjection K₀(M)/⟨[X] : X ∈ C⟩ → K₀(M/C), and the middle is exact when
+  that surjection is injective.  A surjection between isomorphic finitely
+  generated abelian groups is injective, so exactness is decided by
+  comparing the two groups: one more reduction, of M's rows plus the unit
+  rows of C.
   """
   reps, m_rel = subquotient_relations(objects, bound=closure_bound)
-  m_k0 = K0Result(reps, m_rel)
-  c_indices = [i for i, X in enumerate(reps) if pred.contains(X)]
+  in_c = [pred.contains(X) for X in reps]
+  c_indices = [i for i, inside in enumerate(in_c) if inside]
+  c_rows = []
+  for row in m_rel:
+    pos, neg = (all(in_c[i] for i, c in enumerate(row) if sign * c > 0)
+                for sign in (1, -1))
+    if pos != neg:
+      terms = " ".join(f"{c:+}[{reps[i].name or f'#{i}'}]"
+                       for i, c in enumerate(row) if c)
+      raise PredicateClosureError(f"the predicate is not Serre: the "
+                                  f"relation {terms} breaks two-out-of-three")
+    if neg:
+      c_rows.append([row[i] for i in c_indices])
+  c_k0 = K0Result([reps[i] for i in c_indices], c_rows)
   quot = QuotientK0Result(reps, pred, m_rel)
-
-  n_m = len(reps)
-  # the right map sends the i-th M-generator to its M/C class generator
-  to_q = [[0] * n_m for _ in range(quot.n_classes)]
-  for i in range(n_m):
-    to_q[quot.class_index[i]][i] = 1
-
-  def q_zero(vec):
-    img = intlin.mat_vec(to_q, vec)
-    return intlin.lattice_contains(quot.relations, img)
-
-  composite_zero = all(q_zero([1 if j == i else 0 for j in range(n_m)])
-                       for i in c_indices)
-  m_rels_die = all(q_zero(r) for r in m_rel)
-
-  # kernel of K0(M) -> K0(M/C), as a sublattice of Z^{n_m} containing m_rel
-  ext = [to_q[r][:] + [-rel[r] for rel in quot.relations]
-         for r in range(quot.n_classes)]
-  kernel_vecs = [v[:n_m] for v in intlin.kernel_basis(ext)]
-  image_vecs = [[1 if j == i else 0 for j in range(n_m)] for i in c_indices]
-  middle_exact = intlin.lattice_equal(kernel_vecs + m_rel,
-                                      image_vecs + m_rel,
-                                      ambient_dim=n_m)
-
-  c_objects = [reps[i] for i in c_indices]
-  c_k0 = k0_of_catspec(c_objects, closure_bound) if c_objects else \
-      K0Result([], [])
-
+  composite_zero, middle_exact = _exactness(m_rel, quot, c_indices)
   return LocalizationReport(
-      c_group=c_k0.group, m_group=m_k0.group, q_group=quot.group,
-      composite_zero=composite_zero and m_rels_die,
+      c_group=c_k0.group, m_group=K0Result(reps, m_rel).group,
+      q_group=quot.group, composite_zero=composite_zero,
       middle_exact=middle_exact,
       right_surjective=True,  # M/C generators are classes of M objects
-      n_classes_m=n_m, n_classes_q=quot.n_classes, pred=pred)
+      n_classes_m=len(reps), n_classes_q=quot.n_classes, pred=pred)
+
+
+def _exactness(m_rel, quot, c_indices):
+  """(composite zero, exact at the middle), as localization_exactness_k0
+  decides them."""
+  n = len(quot.class_index)
+  c_units = [[int(j == i) for j in range(n)] for i in c_indices]
+  composite_zero = all(quot.is_zero(v) for v in c_units + m_rel)
+  return composite_zero, composite_zero and \
+      K0Result(quot.reps, m_rel + c_units).group == quot.group
 
 
 class LocalizationReport:

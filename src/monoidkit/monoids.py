@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import InvalidStructure, Undecidable
+from .errors import InvalidStructure
 from .groups import (AbelianGroupPresentation, FiniteAbelianGroup,
                      invariants_from_abelian_group)
 

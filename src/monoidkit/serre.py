@@ -684,7 +684,7 @@ class EquivalenceReport:
     return "\n".join(lines)
 
 
-def quotient_equivalence_report(monoid, z_labels, corpus=None, pair_bound=None):
+def quotient_equivalence_report(monoid, z_labels, corpus=None):
   """Compare |Hom_{M/C}| with the localized hom count over a corpus.
 
   C is the support-in-Z subcategory; the localized side is computed by the
@@ -697,10 +697,7 @@ def quotient_equivalence_report(monoid, z_labels, corpus=None, pair_bound=None):
     corpus = all_nsets(4)
   pred = SerrePredicate.support_in(monoid, z_labels)
   rows = []
-  pairs = itertools.product(corpus, corpus)
-  if pair_bound is not None:
-    pairs = itertools.islice(pairs, pair_bound)
-  for X, Y in pairs:
+  for X, Y in itertools.product(corpus, corpus):
     q = len(hom_quotient(X, Y, pred))
     loc = localized_hom_count(X, Y, z_labels)
     rows.append({"X": X.name or "?", "Y": Y.name or "?",

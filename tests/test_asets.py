@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -236,6 +237,19 @@ def test_witness_on_many_fixed_points():
   res = length_filtration(X)
   assert isinstance(res, NotFiniteLength)
   assert res.blocking_extension == frozenset({STAR, "p0"})
+
+
+def test_witness_on_many_leaves_and_a_fixed_point():
+  # every leaf is adjoinable, the fixed point never is: a backtracking
+  # search would visit all 2^24 stages of leaves before giving up
+  X = nat_set({**{f"l{i:02}": STAR for i in range(24)}, "f": "f"})
+  start = time.perf_counter()
+  res = length_filtration(X)
+  assert time.perf_counter() - start < 1.0
+  assert aset_length(X) is None
+  assert isinstance(res, NotFiniteLength)
+  assert res.stuck_subset == frozenset(X.elements) - {"f"}
+  assert res.blocking_extension == frozenset(X.elements)
 
 
 def test_length_of_a_very_long_line():

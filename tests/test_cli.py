@@ -68,6 +68,17 @@ def test_aset_check_tree_and_loop(capsys):
   assert "pc: false" in out and "length: not finite" in out
 
 
+def test_aset_check_on_many_leaves_and_a_fixed_point(tmp_path, capsys):
+  path = tmp_path / "leaves.json"
+  leaves = {f"l{i:02}": "*" for i in range(24)}
+  path.write_text(json.dumps(
+      {"monoid": "N", "elements": ["*", "f", *leaves], "base": "*",
+       "action": {"t": {**leaves, "f": "f"}}}))
+  code, out, _ = run(capsys, "aset-check", "N", str(path))
+  assert code == 0
+  assert "length: not finite" in out
+
+
 def test_point_has_length_zero(tmp_path, capsys):
   path = tmp_path / "pt.json"
   path.write_text(json.dumps(

@@ -132,11 +132,3 @@ def test_cokernel_invariants():
   assert intlin.cokernel_invariants([[1, 0]], 2) == (1, [])
   assert intlin.cokernel_invariants([], 2) == (2, [])
 
-
-def test_solve_mod_lattice():
-  M = [[1, 0], [0, 1]]
-  # x = (1,1) works for b=(3,1) modulo the lattice generated by (2,0)
-  x = intlin.solve_mod_lattice(M, [3, 1], [[2, 0]])
-  assert x is not None
-  assert (x[0] - 3) % 2 == 0 and x[1] == 1
-  assert intlin.solve_mod_lattice(M, [0, 1], [[2, 0]]) == [0, 1]

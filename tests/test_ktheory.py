@@ -2,22 +2,24 @@ import random
 
 import pytest
 
-from monoidkit import intlin
+from monoidkit import intlin, ktheory, selftest
 from monoidkit.affine import AffineMonoid
 from monoidkit.asets import (aset_length, cycle_nset, is_pc_aset, nat_set,
-                             truncated_line)
+                             point_aset, truncated_line)
 from monoidkit.corpora import (all_gamma_asets, all_nilpotent_asets,
                                all_pointed_sets, random_nset,
                                subquotient_relations)
 from monoidkit.errors import (ClosureBoundExceeded, InvalidStructure,
-                              NotNormal, NotZeroSmooth, UnsupportedDegree)
+                              MonoidKitError, NotNormal, NotZeroSmooth,
+                              PredicateClosureError, UnsupportedDegree)
 from monoidkit.groups import AbelianGroupPresentation
 from monoidkit.ktheory import (K0Result, LatticeComplex, QuotientK0Result,
                                StableConstants, burnside_rank, class_group,
                                coniveau_k0_report, devissage_check_k0,
                                div_matrix, dvm_report, gersten_complex,
                                gersten_exactness_check, k0_of_catspec, k_gamma,
-                               localization_exactness_k0, w_group)
+                               _exactness, localization_exactness_k0,
+                               w_group)
 from monoidkit.monoids import FiniteMonoid, NatMonoid, UnitGroupDescriptor
 from monoidkit.serre import SerrePredicate
 
@@ -415,3 +417,305 @@ def test_localized_k0_rank_counts_cycle_lengths():
                             quot.n_classes)
     assert intlin.lattice_equal(quot.relations, [list(r) for r in want_rows],
                                 ambient_dim=quot.n_classes)
+
+
+# ------------------------------------------ one reduction per presentation
+
+
+class PerCallClassMap:
+  """The class map K0Result read before it stored its classes: the
+  transposed V, one matrix-vector product per class, and the sign table
+  rebuilt on every call."""
+
+  def __init__(self, reps, relations):
+    self.reps = reps
+    n = len(reps)
+    if not relations:
+      self._free_slots, self._torsion_slots = list(range(n)), []
+      self._basis = intlin.identity_matrix(n)
+      return
+    D, _, V = intlin.smith_normal_form(relations)
+    diag = intlin.diagonal(D)
+    diag += [0] * (n - len(diag))
+    self._free_slots = [j for j, d in enumerate(diag) if d == 0]
+    self._torsion_slots = [(j, d) for j, d in enumerate(diag) if d > 1]
+    self._basis = intlin.transpose(V)
+
+  def _raw_class(self, index):
+    e = [0] * len(self.reps)
+    e[index] = 1
+    y = intlin.mat_vec(self._basis, e)
+    return ([y[j] for j in self._free_slots],
+            [y[j] % d for j, d in self._torsion_slots])
+
+  def _sign_table(self):
+    signs = [0] * len(self._free_slots)
+    for i in range(len(self.reps)):
+      free, _ = self._raw_class(i)
+      for k, v in enumerate(free):
+        if signs[k] == 0 and v != 0:
+          signs[k] = 1 if v > 0 else -1
+      if all(signs):
+        break
+    return [s or 1 for s in signs]
+
+  def class_vector(self, index):
+    free, torsion = self._raw_class(index)
+    signs = self._sign_table()
+    free = [s * v for s, v in zip(signs, free)]
+    return tuple(free), tuple(torsion)
+
+
+def k0_corpora():
+  """The Γ₊-set presentations of the k0 benchmark (Z/2, Z/3, Z/2×Z/2, Z/4
+  and Z/5 at every cap from |Γ| + 1 to 8) and of selftest case 07."""
+  for orders in ([2], [3], [2, 2], [4], [5]):
+    G = FiniteMonoid.group_with_zero(orders)
+    for cap in range(len(G.unit_elements()) + 1, 9):
+      yield [X for X, _ in all_gamma_asets(G, cap)]
+  for top in (1, 2, 3):
+    t = FiniteMonoid.truncated_free(top)
+    yield [X for X in all_nilpotent_asets(t, 5)
+           if is_pc_aset(X) and aset_length(X) is not None]
+
+
+def test_class_vectors_are_the_per_call_reading():
+  classes = 0
+  for corpus in k0_corpora():
+    reps, rows = subquotient_relations(corpus, bound=128)
+    k0, oracle = K0Result(reps, rows), PerCallClassMap(reps, rows)
+    for i in range(len(reps)):
+      assert k0.class_vector(i) == oracle.class_vector(i)
+    assert k0.additivity_holds()
+    classes += len(reps)
+  assert classes == 446
+  # those presentations are all free; random relations bring torsion
+  rng = random.Random(7)
+  torsion_seen = 0
+  for _ in range(150):
+    n = rng.randint(1, 6)
+    rows = [[rng.randint(-3, 3) for _ in range(n)]
+            for _ in range(rng.randint(0, 5))]
+    k0, oracle = K0Result([None] * n, rows), PerCallClassMap([None] * n, rows)
+    assert k0.group == AbelianGroupPresentation.from_relations(rows, n)
+    torsion_seen += bool(k0.group.invariant_factors)
+    for i in range(n):
+      assert k0.class_vector(i) == oracle.class_vector(i)
+    assert k0.additivity_holds()
+    assert all(k0.is_zero(r) for r in rows)
+  assert torsion_seen >= 30
+
+
+def test_is_zero_reads_the_class_map():
+  # Z^2 / <(2, 2)> = Z + Z/2: [a] + [b] is not zero, but twice it is
+  k0 = K0Result([None, None], [[2, 2]])
+  assert k0.group == CYC([0, 2])
+  assert not k0.is_zero([1, 1])
+  assert k0.is_zero([2, 2]) and k0.is_zero([0, 0])
+  assert not k0.is_zero([1, -1]) and not k0.is_zero([2, 0])
+
+
+def lattice_verdicts(n_m, m_rel, class_index, c_indices):
+  """Composite zero and middle exactness as localization_exactness_k0
+  decided them before it compared groups: the M/C relations pushed from
+  m_rel, one lattice_contains per vector, and the kernel of the right map
+  from kernel_basis compared with the image by lattice_equal."""
+  n_q = max(class_index) + 1 if class_index else 0
+  rows = {}
+  for rel in m_rel:
+    row = [0] * n_q
+    for i, c in enumerate(rel):
+      row[class_index[i]] += c
+    if any(row):
+      rows.setdefault(tuple(row), row)
+  q_rel = list(rows.values())
+  to_q = [[0] * n_m for _ in range(n_q)]
+  for i in range(n_m):
+    to_q[class_index[i]][i] = 1
+
+  def q_zero(vec):
+    img = intlin.mat_vec(to_q, vec)
+    return intlin.lattice_contains(q_rel, img)
+
+  composite_zero = all(q_zero([1 if j == i else 0 for j in range(n_m)])
+                       for i in c_indices)
+  m_rels_die = all(q_zero(r) for r in m_rel)
+  ext = [to_q[r][:] + [-rel[r] for rel in q_rel] for r in range(n_q)]
+  kernel_vecs = [v[:n_m] for v in intlin.kernel_basis(ext)]
+  image_vecs = [[1 if j == i else 0 for j in range(n_m)] for i in c_indices]
+  middle_exact = intlin.lattice_equal(kernel_vecs + m_rel,
+                                      image_vecs + m_rel, ambient_dim=n_m)
+  return composite_zero and m_rels_die, middle_exact, q_rel
+
+
+def localization_oracle(objects, pred, closure_bound=64):
+  """The report fields of the lattice computation above, with K₀(C) from a
+  second closure walk over the objects in C."""
+  reps, m_rel = subquotient_relations(objects, bound=closure_bound)
+  c_indices = [i for i, X in enumerate(reps) if pred.contains(X)]
+  class_index = QuotientK0Result._partition(reps, pred)
+  composite_zero, middle_exact, q_rel = lattice_verdicts(
+      len(reps), m_rel, class_index, c_indices)
+  c_objects = [reps[i] for i in c_indices]
+  c_group = AbelianGroupPresentation.trivial()
+  if c_objects:
+    c_reps, c_rel = subquotient_relations(c_objects, bound=closure_bound)
+    c_group = AbelianGroupPresentation.from_relations(c_rel, len(c_reps))
+  group = AbelianGroupPresentation.from_relations
+  return (c_group, group(m_rel, len(reps)),
+          group(q_rel, len(set(class_index))), composite_zero, middle_exact)
+
+
+def localization_fields(objects, pred):
+  rep = localization_exactness_k0(objects, pred)
+  return (rep.c_group, rep.m_group, rep.q_group, rep.composite_zero,
+          rep.middle_exact)
+
+
+def outcome(fn, *args):
+  try:
+    return fn(*args)
+  except MonoidKitError as err:
+    return type(err)
+
+
+def breaks_two_out_of_three(objects, pred):
+  """Does a row of the closure have its positive term in C but not its
+  negative terms, or the other way round?"""
+  reps, rows = subquotient_relations(objects)
+  in_c = [pred.contains(X) for X in reps]
+  return any(all(in_c[i] for i, c in enumerate(row) if c > 0) !=
+             all(in_c[i] for i, c in enumerate(row) if c < 0)
+             for row in rows)
+
+
+@pytest.fixture
+def shared_partition(monkeypatch):
+  """Both sides of the oracle tests sort the same closure into M/C classes
+  with the same unchanged function; compute each partition once."""
+  partition = QuotientK0Result._partition
+  memo = {}
+
+  def content(X):
+    return (X.base, tuple(X.elements),
+            tuple(sorted((g, tuple(sorted(m.items())))
+                         for g, m in X.action.items())))
+
+  def cached(reps, pred):
+    key = (id(pred), tuple(content(X) for X in reps))
+    if key not in memo:
+      memo[key] = partition(reps, pred)
+    return memo[key]
+
+  monkeypatch.setattr(QuotientK0Result, "_partition", staticmethod(cached))
+
+
+def seed_sets():
+  for seed in range(60):
+    rng = random.Random(seed)
+    yield [random_nset(rng, 4) for _ in range(2)]
+
+
+def test_localization_matches_the_lattice_oracle_on_nsets(shared_partition):
+  preds = [SerrePredicate.torsion(N), SerrePredicate.zero(N),
+           SerrePredicate.everything(N), SerrePredicate.support_in(N, ["(t)"]),
+           SerrePredicate.support_in(N, []), SerrePredicate.finite_length(N)]
+  verdicts = set()
+  for seeds in seed_sets():
+    for pred in preds:
+      want = outcome(localization_oracle, seeds, pred)
+      assert outcome(localization_fields, seeds, pred) == want, (seeds, pred)
+      verdicts.add(want if isinstance(want, type) else want[3:])
+  assert verdicts == {(True, True)}
+
+
+def test_localization_matches_the_lattice_oracle_on_finite_monoids(
+    shared_partition):
+  corpora = [(G, [X for X, _ in all_gamma_asets(G, 5)])
+             for G in map(FiniteMonoid.group_with_zero, ([2], [3], [2, 2]))]
+  t3 = FiniteMonoid.truncated_free(2)
+  corpora.append((t3, all_nilpotent_asets(t3, 5)))
+  cases = 0
+  for M, objects in corpora:
+    preds = [SerrePredicate.zero(M), SerrePredicate.everything(M),
+             SerrePredicate.finite_length(M)]
+    preds += [SerrePredicate.support_in(M, [p.label]) for p in M.primes()]
+    for pred in preds:
+      want = outcome(localization_oracle, objects, pred)
+      assert not isinstance(want, type), (M, pred)
+      assert localization_fields(objects, pred) == want, (M, pred)
+      cases += 1
+  assert cases == 16
+
+
+def test_non_serre_lists_either_match_the_oracle_or_are_refused(
+    shared_partition):
+  preds = [SerrePredicate.explicit(N, [point_aset(N), truncated_line(1)]),
+           SerrePredicate.explicit(N, [truncated_line(1)])]
+  refused = 0
+  for seeds in seed_sets():
+    for pred in preds:
+      want = outcome(localization_oracle, seeds, pred)
+      got = outcome(localization_fields, seeds, pred)
+      if got != want:
+        assert got is PredicateClosureError, (seeds, pred)
+        assert breaks_two_out_of_three(seeds, pred), (seeds, pred)
+        refused += 1
+  assert refused == 6
+
+
+def test_explicit_list_without_its_subquotients_is_refused():
+  # line(2) is in C, its subobject and quotient line(1) are not; a second
+  # walk from line(2) used to count line(1) and report K0(C) = Z, exact
+  pred = SerrePredicate.explicit(N, [point_aset(N), truncated_line(2)])
+  with pytest.raises(PredicateClosureError, match="two-out-of-three"):
+    localization_exactness_k0([truncated_line(2)], pred)
+
+
+class GivenPartition(QuotientK0Result):
+  """QuotientK0Result over a given class partition of bare generators."""
+
+  def __init__(self, class_index, m_relations):
+    self._partition = lambda reps, pred: class_index
+    super().__init__([None] * len(class_index), None, m_relations)
+
+
+def test_exactness_matches_the_lattice_oracle_on_random_lattices():
+  rng = random.Random(11)
+  tally = {}
+  for _ in range(400):
+    n = rng.randint(1, 6)
+    rows = [[rng.choice((-1, -1, 0, 0, 0, 1, 2)) for _ in range(n)]
+            for _ in range(rng.randint(0, 5))]
+    rows = [r for r in rows if any(r)]
+    k = rng.randint(1, n)
+    labels = [rng.randrange(k) for _ in range(n)]
+    first = list(dict.fromkeys(labels))
+    class_index = [first.index(c) for c in labels]
+    c_indices = sorted(rng.sample(range(n), rng.randint(0, n)))
+    quot = GivenPartition(class_index, rows)
+    want = lattice_verdicts(n, rows, class_index, c_indices)
+    assert quot.relations == want[2]
+    got = _exactness(rows, quot, c_indices)
+    assert got == want[:2], (rows, class_index, c_indices)
+    tally[got] = tally.get(got, 0) + 1
+  assert set(tally) == {(True, True), (True, False), (False, False)}, tally
+
+
+def test_case_08_runs_four_reductions_and_one_walk(monkeypatch):
+  snf, walks = [], []
+  smith, walk = intlin.smith_normal_form, ktheory.subquotient_relations
+
+  def counted_snf(M):
+    snf.append(M)
+    return smith(M)
+
+  def counted_walk(*args, **kw):
+    walks.append(args)
+    return walk(*args, **kw)
+
+  monkeypatch.setattr(intlin, "smith_normal_form", counted_snf)
+  monkeypatch.setattr(ktheory, "smith_normal_form", counted_snf)
+  monkeypatch.setattr(ktheory, "subquotient_relations", counted_walk)
+  assert selftest.case_08_localization().passed
+  assert (len(snf), len(walks)) == (4, 1)

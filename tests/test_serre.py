@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from monoidkit.asets import (ASetMap, FiniteASet, cycle_nset, hom_maps,
                              nat_set, point_aset, truncated_line)
 from monoidkit.corpora import (all_gamma_asets, all_nilpotent_asets,
-                               all_nsets, random_nset)
+                               all_nsets, random_gamma_aset, random_nset)
 from monoidkit.errors import InvalidStructure, NotIso, PredicateClosureError
 from monoidkit.monoids import STAR, FiniteMonoid, NatMonoid
 from monoidkit.serre import (IndexPoset, QuotientHom, SerrePredicate,
@@ -348,6 +348,58 @@ def test_randomized_category_laws():
     assert compose_quotient(compose_quotient(f, g), h) == \
         compose_quotient(f, compose_quotient(g, h))
     rounds += 1
+
+
+@st.composite
+def nsets(draw, max_nonbase=4):
+  n = draw(st.integers(0, max_nonbase))
+  succ = draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n))
+  return nat_set({f"x{i}": STAR if j < 0 else f"x{j}"
+                  for i, j in enumerate(succ)})
+
+
+Z2 = FiniteMonoid.group_with_zero([2])
+
+
+def z2_sets(max_nonbase=4):
+  return st.integers(0, 2 ** 32).map(
+      lambda seed: random_gamma_aset(random.Random(seed), Z2, max_nonbase))
+
+
+def check_category_laws(X, Y, Z, pred, data):
+  """Identities, associativity on one drawn triple of maps, and an
+  injective monic representative for every iso X → Y."""
+  fs = hom_quotient(X, Y, pred)
+  for f in fs:
+    assert compose_quotient(identity_quotient(X, pred), f) == f
+    assert compose_quotient(f, identity_quotient(Y, pred)) == f
+    if is_iso_quotient(f):
+      assert monic_representative(f).is_injective()
+  f = data.draw(st.sampled_from(fs))
+  g = data.draw(st.sampled_from(hom_quotient(Y, Z, pred)))
+  h = data.draw(st.sampled_from(hom_quotient(Z, X, pred)))
+  assert compose_quotient(compose_quotient(f, g), h) == \
+      compose_quotient(f, compose_quotient(g, h))
+
+
+@pytest.mark.parametrize("pred", [SerrePredicate.support_in(N, ["(t)"]),
+                                  SerrePredicate.finite_length(N),
+                                  SerrePredicate.support_in(N, [])],
+                         ids=["support_in_t", "finite_length", "support_none"])
+@settings(max_examples=60, deadline=None)
+@given(X=nsets(), Y=nsets(), Z=nsets(), data=st.data())
+def test_category_laws_beyond_torsion_on_nsets(pred, X, Y, Z, data):
+  check_category_laws(X, Y, Z, pred, data)
+
+
+@pytest.mark.parametrize("pred", [SerrePredicate.finite_length(Z2)] +
+                         [SerrePredicate.support_in(Z2, [p.label])
+                          for p in Z2.primes()],
+                         ids=lambda pred: pred.kind)
+@settings(max_examples=30, deadline=None)
+@given(X=z2_sets(), Y=z2_sets(), Z=z2_sets(), data=st.data())
+def test_category_laws_on_z2_sets(pred, X, Y, Z, data):
+  check_category_laws(X, Y, Z, pred, data)
 
 
 def test_quotient_functor_preserves_composition():
