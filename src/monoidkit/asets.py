@@ -18,7 +18,9 @@ Maps and isomorphisms come from one backtracking search,
 ``_equivariant_maps``.  ``hom_maps`` lists every map it finds;
 ``find_isomorphism`` first compares the objects' ``iso_key`` (an invariant
 each object computes once and keeps) and then takes the first one-to-one map
-that sends each element to one of equal invariant.
+that sends each element to one of equal invariant.  ``IsoClasses`` is the one
+index of isomorphism classes: it buckets by ``iso_key`` and searches only
+inside a bucket.
 
 The category is not abelian, but images, kernels, cokernels, fiber products,
 pushouts along monics and coequalizers all exist on finite carriers and are
@@ -27,6 +29,7 @@ constructed here explicitly.
 
 from __future__ import annotations
 
+import heapq
 import math
 
 from .errors import InvalidStructure, Undecidable
@@ -323,6 +326,29 @@ class FiniteASet:
   def __repr__(self):
     label = self.name or f"{len(self.elements)} elements"
     return f"FiniteASet({label})"
+
+
+class IsoClasses:
+  """The isomorphism classes seen so far, one representative each.
+
+  ``index(X)`` is the number of X's class, counting classes in order of
+  first arrival: X is compared, by ``is_isomorphic``, only with the
+  representatives of equal ``iso_key``, and opens a new class (becoming its
+  representative) when none matches.
+  """
+
+  def __init__(self):
+    self.reps = []
+    self._buckets = {}
+
+  def index(self, X):
+    bucket = self._buckets.setdefault(X.iso_key(), [])
+    for i in bucket:
+      if X.is_isomorphic(self.reps[i]):
+        return i
+    bucket.append(len(self.reps))
+    self.reps.append(X)
+    return len(self.reps) - 1
 
 
 class ASetMap:
@@ -889,28 +915,44 @@ def _irreducible_chain(X):
   # Units permute X∖{∗} and freeness does not depend on the stage, so an
   # orbit that can be adjoined stays adjoinable as the stage grows: adjoining
   # the first eligible orbit (in string order) either reaches the carrier or
-  # stops at a stage no chain gets past, with no backtracking.
-  target = frozenset(X.elements)
-  order = sorted(map(str, X.elements))
-  cur = frozenset({X.base})
+  # stops at a stage no chain gets past, with no backtracking.  An element
+  # with a free orbit waits on its non-unit images outside the stage; once
+  # it waits on none it goes on a heap keyed by its string.
+  cur = {X.base}
+  name = {str(x): x for x in X.elements}
+  missing = {}
+  waiters = {}
+  ready = []
+  for x in X.nonbase():
+    if len(unit_orbit(x)) != unit_count:
+      continue
+    blockers = nonunit_images(x) - cur
+    missing[x] = len(blockers)
+    for y in blockers:
+      waiters.setdefault(y, []).append(x)
+    if not blockers:
+      ready.append(str(x))
+  heapq.heapify(ready)
   chain = []
-  while cur != target:
-    for x in order:
-      if x in cur:
-        continue
-      orb = unit_orbit(x)
-      if not (orb & cur) and len(orb) == unit_count and \
-         nonunit_images(x) <= cur:
-        chain.append(orb)
-        cur = cur | orb
-        break
-    else:
-      # witness: cur is action-closed, so each smallest subobject above it
-      # is cur plus one orbit; ties go to the first in subobject_sets() order
-      pos = {x: i for i, x in enumerate(X.nonbase())}
-      blocking = min((cur | X.orbit(x) for x in target - cur),
-                     key=lambda s: (len(s), sorted(pos[y] for y in s - cur)))
-      return NotFiniteLength(cur, blocking)
+  while ready:
+    x = name[heapq.heappop(ready)]
+    if x in cur:
+      continue
+    orb = unit_orbit(x)
+    chain.append(orb)
+    cur |= orb
+    for y in orb:
+      for w in waiters.get(y, ()):
+        missing[w] -= 1
+        if not missing[w]:
+          heapq.heappush(ready, str(w))
+  if len(cur) < len(X.elements):
+    # witness: cur is action-closed, so each smallest subobject above it
+    # is cur plus one orbit; ties go to the first in subobject_sets() order
+    pos = {x: i for i, x in enumerate(X.nonbase())}
+    blocking = min((cur | X.orbit(x) for x in X.elements if x not in cur),
+                   key=lambda s: (len(s), sorted(pos[y] for y in s - cur)))
+    return NotFiniteLength(cur, blocking)
   return chain
 
 

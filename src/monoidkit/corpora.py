@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 
-from .asets import STAR, FiniteASet, exact_seq_from_sub, nat_set
+from .asets import STAR, FiniteASet, IsoClasses, exact_seq_from_sub, nat_set
 from .errors import ClosureBoundExceeded, InvalidStructure
 from .monoids import NatMonoid
 
@@ -331,14 +331,10 @@ def brute_force_asets(monoid, max_elements):
 
 def dedup_up_to_iso(asets):
   """The first object of each isomorphism class, in input order."""
-  buckets = {}
-  out = []
+  classes = IsoClasses()
   for X in asets:
-    bucket = buckets.setdefault(X.iso_key(), [])
-    if not any(X.is_isomorphic(R) for R in bucket):
-      bucket.append(X)
-      out.append(X)
-  return out
+    classes.index(X)
+  return classes.reps
 
 
 def subquotient_relations(seeds, bound=64):
@@ -349,22 +345,19 @@ def subquotient_relations(seeds, bound=64):
   S >--> X -->> X/S with X a representative.  Each row sums to −1, so none
   is zero.  Raises ClosureBoundExceeded when the class count passes `bound`.
   """
-  reps = []
-  buckets = {}
+  classes = IsoClasses()
+  reps = classes.reps
   work = []
 
   def index(X):
-    bucket = buckets.setdefault(X.iso_key(), [])
-    for i in bucket:
-      if X.is_isomorphic(reps[i]):
-        return i
-    if len(reps) >= bound:
-      raise ClosureBoundExceeded(
-          f"subquotient closure exceeded {bound} classes")
-    bucket.append(len(reps))
-    work.append(len(reps))
-    reps.append(X)
-    return len(reps) - 1
+    known = len(reps)
+    i = classes.index(X)
+    if i == known:
+      if known >= bound:
+        raise ClosureBoundExceeded(
+            f"subquotient closure exceeded {bound} classes")
+      work.append(i)
+    return i
 
   for X in seeds:
     index(X)

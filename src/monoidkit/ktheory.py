@@ -6,18 +6,21 @@ stable summand — and all category-level K₀ groups are presented by
 generators (iso classes) and relations (one per exact sequence).  Each
 presentation is reduced once, by one Smith normal form D = U·R·V in
 ``K0Result``; the class of generator i is row i of V, so class maps and
-additivity checks are reads.  The localization check K₀(C) → K₀(M) →
-K₀(M/C) reuses M's one closure walk: every row must obey two-out-of-three
-for C, and exactness at the middle is decided by comparing K₀(M)/⟨C⟩ with
-K₀(M/C), onto which it surjects.  On the geometric side, an affine monoid
-yields its divisor matrix, class group, higher class groups W_p, and the
-units-lattice shadow of the coniveau spectral sequence.
+additivity checks are reads.  The M/C classes are the iso classes of the
+objects' reduced objects (``serre.reduced_object``), sorted by one
+``IsoClasses`` index, so no M/C morphism is ever searched for.  The
+localization check K₀(C) → K₀(M) → K₀(M/C) reuses M's one closure walk:
+every row must obey two-out-of-three for C, and exactness at the middle is
+decided by comparing K₀(M)/⟨C⟩ with K₀(M/C), onto which it surjects.  On
+the geometric side, an affine monoid yields its divisor matrix, class group,
+higher class groups W_p, and the units-lattice shadow of the coniveau
+spectral sequence.
 """
 
 from __future__ import annotations
 
 from . import intlin
-from .asets import aset_length, is_pc_aset
+from .asets import IsoClasses, aset_length, is_pc_aset
 from .corpora import (all_gamma_asets, all_nilpotent_asets, all_pointed_sets,
                       subquotient_relations)
 from .errors import (InvalidStructure, NotNormal, NotZeroSmooth,
@@ -26,7 +29,7 @@ from .groups import (AbelianGroupPresentation, FiniteAbelianGroup,
                      invariants_from_abelian_group)
 from .intlin import smith_normal_form
 from .monoids import UnitGroupDescriptor
-from .serre import _inverse, hom_quotient
+from .serre import reduced_object
 
 SCHEMA_VERSION = 1
 
@@ -146,18 +149,21 @@ def k0_of_catspec(objects, closure_bound=64):
 
 
 def are_iso_in_quotient(X, Y, pred):
-  """Is there an isomorphism X → Y in M/C?"""
-  return X.is_isomorphic(Y) or any(_inverse(f) is not None
-                                   for f in hom_quotient(X, Y, pred))
+  """Is there an isomorphism X → Y in M/C?  (Are the reduced objects
+  isomorphic A-sets?  See ``serre.reduced_object``.)"""
+  return reduced_object(X, pred).is_isomorphic(reduced_object(Y, pred))
 
 
 class QuotientK0Result:
   """K₀ of M/C on a closed corpus: M-objects, M/C iso classes, M-relations.
 
-  The relations are the M-relations pushed onto the M/C classes (each
-  M/C column is the sum of the M-columns it merges), without zero or
-  repeated rows.  One ``K0Result``, ``k0``, over the first M-object of each
-  class reduces them; it is the class map of K₀(M/C).
+  ``class_index[i]`` is the M/C class of ``reps[i]``: two objects share a
+  class exactly when their reduced objects are isomorphic A-sets, so one
+  reduction per object and one ``IsoClasses`` index sort them.  The
+  relations are the M-relations pushed onto the M/C classes (each M/C
+  column is the sum of the M-columns it merges), without zero or repeated
+  rows.  One ``K0Result``, ``k0``, over the first M-object of each class
+  reduces them; it is the class map of K₀(M/C).
   """
 
   def __init__(self, reps, pred, m_relations):
@@ -177,17 +183,8 @@ class QuotientK0Result:
 
   @staticmethod
   def _partition(reps, pred):
-    owner = {}
-    leaders = []
-    for i, X in enumerate(reps):
-      for cls, leader in enumerate(leaders):
-        if are_iso_in_quotient(X, reps[leader], pred):
-          owner[i] = cls
-          break
-      else:
-        owner[i] = len(leaders)
-        leaders.append(i)
-    return [owner[i] for i in range(len(reps))]
+    classes = IsoClasses()
+    return [classes.index(reduced_object(X, pred)) for X in reps]
 
   def push(self, vec):
     """A vector over the M-objects, summed onto the M/C classes."""

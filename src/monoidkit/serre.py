@@ -10,6 +10,12 @@ and germ equality is literal equality after refining to it.  Closure of C
 under subobjects, quotients and extensions gives that maximum one element at
 a time: X′ is ∗ and each x with X/U_x ∉ C (U_x the largest subobject missing
 x), and Y″ collapses each orbit whose cyclic subobject lies in C.
+
+Isomorphism in M/C is decided without a morphism search: ``reduced_object``
+cuts X down to its minimal dense subobject and collapses that one's largest
+subobject in C, and two objects are isomorphic in M/C exactly when their
+reduced objects are isomorphic A-sets.  ``is_iso_quotient`` still answers
+whether a given morphism is invertible.
 """
 
 from __future__ import annotations
@@ -346,6 +352,26 @@ def maximal_kernel(Y, pred):
 
 def canonical_window(X, Y, pred):
   return WindowPair(minimal_dense_sub(X, pred), maximal_kernel(Y, pred))
+
+
+def reduced_object(X, pred):
+  """X′/K, with X′ = minimal_dense_sub(X) and K = maximal_kernel(X′).
+
+  X ≅ Y in M/C exactly when their reduced objects are isomorphic A-sets:
+
+  1. X ≅ X′/K in M/C: the dense inclusion X′ ↪ X and the projection
+     X′ ↠ X′/K, whose kernel is in C, are both invertible in M/C.
+  2. X′ has no proper dense subobject: if X′/S ∈ C, then X/S is an
+     extension of X/X′ by X′/S, so X/S ∈ C and S ⊇ X′.  Hence X′/K has none
+     either (a dense S/K would make S dense in X′).
+  3. X′/K has no nonzero subobject in C: the preimage in X′ of one is an
+     extension of it by K, so the preimage lies in C, hence inside K.
+  4. So the canonical window between two reduced objects is trivial: their
+     M/C maps, composites and identities are plain A-set maps, and an M/C
+     isomorphism between them is an A-set isomorphism.
+  """
+  sub, _ = X.sub_aset(minimal_dense_sub(X, pred))
+  return sub.quotient_by(maximal_kernel(sub, pred))[0]
 
 
 # -------------------------------------------------------------- quotient homs

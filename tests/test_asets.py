@@ -257,6 +257,13 @@ def test_length_of_a_very_long_line():
   assert aset_length(truncated_line(1200)) == 1200
 
 
+def test_chain_search_is_linear():
+  X = truncated_line(20000)
+  start = time.perf_counter()
+  assert aset_length(X) == 20000
+  assert time.perf_counter() - start < 1.0
+
+
 # ------------------------------------------------- trusted constructions
 
 

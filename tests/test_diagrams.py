@@ -5,6 +5,7 @@ import pytest
 from monoidkit.asets import (ASetMap, ExactSeq, FiniteASet, STAR,
                              exact_seq_from_sub, fiber_product, identity_map,
                              point_aset, pushout_monics, truncated_line, wedge)
+from monoidkit.corpora import all_nilpotent_asets, all_pointed_sets
 from monoidkit.diagrams import (KeyDiagram, induced_cokernel_map,
                                 is_distinguished_square, key_diagram)
 from monoidkit.errors import InvalidStructure
@@ -163,3 +164,20 @@ def test_key_diagram_exhaustive_small_nset():
   for s1 in subs:
     for s2 in subs:
       all_checks(KeyDiagram(X, s1, s2))
+
+
+def test_key_diagram_maps_pass_the_public_constructor():
+  # the eight inclusions and collapses are built unchecked
+  t3, f1 = FiniteMonoid.truncated_free(2), FiniteMonoid.f1()
+  corpus = all_pointed_sets(f1, 5) + all_nilpotent_asets(t3, 5)
+  diagrams = 0
+  for X in corpus:
+    subs = X.subobject_sets()
+    for s1 in subs:
+      for s2 in subs:
+        kd = KeyDiagram(X, s1, s2)
+        for m in (kd.i12_1, kd.i12_2, kd.i1_u, kd.i2_u,
+                  kd.q12_1, kd.q12_2, kd.q1_u, kd.q2_u):
+          assert m == ASetMap(m.source, m.target, m.mapping)
+        diagrams += 1
+  assert diagrams == 1323

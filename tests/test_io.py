@@ -3,11 +3,12 @@ import os
 
 import pytest
 
-from monoidkit import io
+from monoidkit import corpora, io
 from monoidkit.affine import AffineMonoid
 from monoidkit.asets import cycle_nset, nat_set, truncated_line
 from monoidkit.errors import InvalidStructure, ParseError
 from monoidkit.monoids import FiniteMonoid, NatMonoid
+from monoidkit.serre import SerrePredicate
 
 FIXTURES = os.path.join(os.path.dirname(io.__file__), "fixtures")
 
@@ -155,3 +156,71 @@ def test_predicate_file_round_trip(tmp_path):
 def test_nat_monoid_itself_has_no_file_form():
   with pytest.raises(InvalidStructure):
     io.monoid_to_json(NatMonoid())
+
+
+# --------------------------------------------------------- JSON round trips
+
+
+def through_json(data):
+  return json.loads(json.dumps(data))
+
+
+def round_trip_monoids():
+  yield from map(FiniteMonoid.group_with_zero, ([2], [3], [2, 2]))
+  yield from map(FiniteMonoid.truncated_free, (1, 2, 3))
+  yield FiniteMonoid.f1()
+  yield from map(AffineMonoid.free, (1, 2, 3))
+  yield AffineMonoid.class_group_order_two()
+  yield AffineMonoid.dvm()
+  yield AffineMonoid.dvm(torsion=(2,), free_rank=1)
+
+
+def test_monoids_round_trip_through_json():
+  for m in round_trip_monoids():
+    first = io.monoid_to_json(m)
+    again = io.monoid_to_json(io.monoid_from_json(through_json(first)))
+    assert again == first, m.name
+
+
+def round_trip_asets():
+  """(A-set, its monoid, the monoid's reference) for every corpus kind."""
+  for X in corpora.all_nsets(5):
+    yield X, None, "N"
+  for orders in ([2], [3], [2, 2]):
+    G = FiniteMonoid.group_with_zero(orders)
+    for X, _ in corpora.all_gamma_asets(G, 6):
+      yield X, G, "gamma.json"
+  t3, f1 = FiniteMonoid.truncated_free(2), FiniteMonoid.f1()
+  for X in corpora.all_nilpotent_asets(t3, 5):
+    yield X, t3, "t3.json"
+  for X in corpora.all_pointed_sets(f1, 5):
+    yield X, f1, "F1"
+
+
+def test_asets_round_trip_through_json():
+  count = 0
+  for X, monoid, ref in round_trip_asets():
+    first = io.aset_to_json(X, ref)
+    back = io.aset_from_json(through_json(first), monoid=monoid)
+    assert io.aset_to_json(back, ref) == first, X
+    count += 1
+  assert count == 144
+
+
+def test_predicates_round_trip_through_json():
+  n = NatMonoid()
+  t3, z2 = FiniteMonoid.truncated_free(2), FiniteMonoid.group_with_zero([2])
+  preds = [SerrePredicate.torsion(n), SerrePredicate.finite_length(n),
+           SerrePredicate.support_in(n, []),
+           SerrePredicate.support_in(n, ["(t)"]), SerrePredicate.everything(n),
+           SerrePredicate.zero(n),
+           SerrePredicate.explicit(n, [truncated_line(2), cycle_nset(2, 1)]),
+           SerrePredicate.torsion(t3, ["t"]), SerrePredicate.everything(t3),
+           SerrePredicate.explicit(t3, corpora.all_nilpotent_asets(t3, 4)),
+           SerrePredicate.zero(z2), SerrePredicate.finite_length(z2)]
+  assert {p.kind for p in preds} == set(SerrePredicate.KINDS)
+  for pred in preds:
+    first = pred.to_json()
+    back = io.predicate_from_json(pred.monoid, through_json(first))
+    assert back.to_json() == first, pred
+    assert back == pred

@@ -1,27 +1,31 @@
 import random
+import time
 
 import pytest
 
-from monoidkit import intlin, ktheory, selftest
+from monoidkit import intlin, ktheory, selftest, serre
 from monoidkit.affine import AffineMonoid
 from monoidkit.asets import (aset_length, cycle_nset, is_pc_aset, nat_set,
                              point_aset, truncated_line)
 from monoidkit.corpora import (all_gamma_asets, all_nilpotent_asets,
-                               all_pointed_sets, random_nset,
+                               all_nsets, all_pointed_sets, random_nset,
                                subquotient_relations)
 from monoidkit.errors import (ClosureBoundExceeded, InvalidStructure,
                               MonoidKitError, NotNormal, NotZeroSmooth,
                               PredicateClosureError, UnsupportedDegree)
 from monoidkit.groups import AbelianGroupPresentation
 from monoidkit.ktheory import (K0Result, LatticeComplex, QuotientK0Result,
-                               StableConstants, burnside_rank, class_group,
+                               StableConstants, are_iso_in_quotient,
+                               burnside_rank, class_group,
                                coniveau_k0_report, devissage_check_k0,
                                div_matrix, dvm_report, gersten_complex,
                                gersten_exactness_check, k0_of_catspec, k_gamma,
                                _exactness, localization_exactness_k0,
                                w_group)
 from monoidkit.monoids import FiniteMonoid, NatMonoid, UnitGroupDescriptor
-from monoidkit.serre import SerrePredicate
+from monoidkit.serre import (SerrePredicate, canonical_window,
+                             compose_quotient, hom_quotient,
+                             identity_quotient, reduced_object)
 
 Z = AbelianGroupPresentation.free
 CYC = AbelianGroupPresentation.from_cyclic_orders
@@ -351,6 +355,12 @@ def test_devissage_group_with_zero_both_modes():
 N = NatMonoid()
 
 
+def n_predicates():
+  return [SerrePredicate.torsion(N), SerrePredicate.zero(N),
+          SerrePredicate.everything(N), SerrePredicate.support_in(N, ["(t)"]),
+          SerrePredicate.support_in(N, []), SerrePredicate.finite_length(N)]
+
+
 def nset_cycle_lengths(closure):
   """Distinct cycle lengths of the t-action over a corpus (the simple
   objects of the localized category, hence the rank of its K0)."""
@@ -548,12 +558,46 @@ def lattice_verdicts(n_m, m_rel, class_index, c_indices):
   return composite_zero and m_rels_die, middle_exact, q_rel
 
 
+def hom_search_iso(X, Y, pred):
+  """Is there an isomorphism X → Y in M/C?  The morphism search
+  are_iso_in_quotient ran before it compared reduced objects: a map of
+  Hom(X, Y) with a two-sided inverse in Hom(Y, X), with the reverse hom-set
+  and both identities computed once per pair.  It calls the window and
+  composition functions in the order the per-map inverse search did, so it
+  gives the same verdicts and raises the same errors."""
+  if X.is_isomorphic(Y):
+    return True
+  forward = hom_quotient(X, Y, pred)
+  if not forward:
+    return False
+  ident_x, ident_y = identity_quotient(X, pred), identity_quotient(Y, pred)
+  backward = hom_quotient(Y, X, pred)
+  return any(compose_quotient(f, g) == ident_x
+             and compose_quotient(g, f) == ident_y
+             for f in forward for g in backward)
+
+
+def hom_search_partition(reps, pred):
+  """M/C class numbers in order of first arrival, each object compared by
+  hom_search_iso with the first object of every earlier class."""
+  leaders = []
+  out = []
+  for X in reps:
+    cls = next((c for c, L in enumerate(leaders)
+                if hom_search_iso(X, L, pred)), len(leaders))
+    if cls == len(leaders):
+      leaders.append(X)
+    out.append(cls)
+  return out
+
+
 def localization_oracle(objects, pred, closure_bound=64):
-  """The report fields of the lattice computation above, with K₀(C) from a
-  second closure walk over the objects in C."""
+  """The report fields of the lattice computation above, with the M/C
+  classes from the hom search and K₀(C) from a second closure walk over the
+  objects in C; then the closure and its M/C partition."""
   reps, m_rel = subquotient_relations(objects, bound=closure_bound)
   c_indices = [i for i, X in enumerate(reps) if pred.contains(X)]
-  class_index = QuotientK0Result._partition(reps, pred)
+  class_index = hom_search_partition(reps, pred)
   composite_zero, middle_exact, q_rel = lattice_verdicts(
       len(reps), m_rel, class_index, c_indices)
   c_objects = [reps[i] for i in c_indices]
@@ -562,8 +606,13 @@ def localization_oracle(objects, pred, closure_bound=64):
     c_reps, c_rel = subquotient_relations(c_objects, bound=closure_bound)
     c_group = AbelianGroupPresentation.from_relations(c_rel, len(c_reps))
   group = AbelianGroupPresentation.from_relations
-  return (c_group, group(m_rel, len(reps)),
-          group(q_rel, len(set(class_index))), composite_zero, middle_exact)
+  return ((c_group, group(m_rel, len(reps)),
+           group(q_rel, len(set(class_index))), composite_zero, middle_exact),
+          reps, class_index)
+
+
+def oracle_fields(objects, pred):
+  return localization_oracle(objects, pred)[0]
 
 
 def localization_fields(objects, pred):
@@ -589,48 +638,24 @@ def breaks_two_out_of_three(objects, pred):
              for row in rows)
 
 
-@pytest.fixture
-def shared_partition(monkeypatch):
-  """Both sides of the oracle tests sort the same closure into M/C classes
-  with the same unchanged function; compute each partition once."""
-  partition = QuotientK0Result._partition
-  memo = {}
-
-  def content(X):
-    return (X.base, tuple(X.elements),
-            tuple(sorted((g, tuple(sorted(m.items())))
-                         for g, m in X.action.items())))
-
-  def cached(reps, pred):
-    key = (id(pred), tuple(content(X) for X in reps))
-    if key not in memo:
-      memo[key] = partition(reps, pred)
-    return memo[key]
-
-  monkeypatch.setattr(QuotientK0Result, "_partition", staticmethod(cached))
-
-
 def seed_sets():
   for seed in range(60):
     rng = random.Random(seed)
     yield [random_nset(rng, 4) for _ in range(2)]
 
 
-def test_localization_matches_the_lattice_oracle_on_nsets(shared_partition):
-  preds = [SerrePredicate.torsion(N), SerrePredicate.zero(N),
-           SerrePredicate.everything(N), SerrePredicate.support_in(N, ["(t)"]),
-           SerrePredicate.support_in(N, []), SerrePredicate.finite_length(N)]
+def test_localization_matches_the_lattice_oracle_on_nsets():
   verdicts = set()
   for seeds in seed_sets():
-    for pred in preds:
-      want = outcome(localization_oracle, seeds, pred)
-      assert outcome(localization_fields, seeds, pred) == want, (seeds, pred)
-      verdicts.add(want if isinstance(want, type) else want[3:])
+    for pred in n_predicates():
+      want, reps, classes = localization_oracle(seeds, pred)
+      assert QuotientK0Result._partition(reps, pred) == classes, (seeds, pred)
+      assert localization_fields(seeds, pred) == want, (seeds, pred)
+      verdicts.add(want[3:])
   assert verdicts == {(True, True)}
 
 
-def test_localization_matches_the_lattice_oracle_on_finite_monoids(
-    shared_partition):
+def test_localization_matches_the_lattice_oracle_on_finite_monoids():
   corpora = [(G, [X for X, _ in all_gamma_asets(G, 5)])
              for G in map(FiniteMonoid.group_with_zero, ([2], [3], [2, 2]))]
   t3 = FiniteMonoid.truncated_free(2)
@@ -641,21 +666,20 @@ def test_localization_matches_the_lattice_oracle_on_finite_monoids(
              SerrePredicate.finite_length(M)]
     preds += [SerrePredicate.support_in(M, [p.label]) for p in M.primes()]
     for pred in preds:
-      want = outcome(localization_oracle, objects, pred)
-      assert not isinstance(want, type), (M, pred)
+      want, reps, classes = localization_oracle(objects, pred)
+      assert QuotientK0Result._partition(reps, pred) == classes, (M, pred)
       assert localization_fields(objects, pred) == want, (M, pred)
       cases += 1
   assert cases == 16
 
 
-def test_non_serre_lists_either_match_the_oracle_or_are_refused(
-    shared_partition):
+def test_non_serre_lists_either_match_the_oracle_or_are_refused():
   preds = [SerrePredicate.explicit(N, [point_aset(N), truncated_line(1)]),
            SerrePredicate.explicit(N, [truncated_line(1)])]
   refused = 0
   for seeds in seed_sets():
     for pred in preds:
-      want = outcome(localization_oracle, seeds, pred)
+      want = outcome(oracle_fields, seeds, pred)
       got = outcome(localization_fields, seeds, pred)
       if got != want:
         assert got is PredicateClosureError, (seeds, pred)
@@ -719,3 +743,90 @@ def test_case_08_runs_four_reductions_and_one_walk(monkeypatch):
   monkeypatch.setattr(ktheory, "subquotient_relations", counted_walk)
   assert selftest.case_08_localization().passed
   assert (len(snf), len(walks)) == (4, 1)
+
+
+# ------------------------------------- M/C isomorphism through reduced objects
+
+
+def small_quotient_cases():
+  """(objects, predicates): N-sets up to 4 elements under the six N
+  predicates, and the Γ₊-sets of Z/2, Z/3 and Z/2×Z/2, the N/(t³)-sets and
+  the F1-sets up to 4 elements under zero, everything, finite length and
+  support in each prime and in none."""
+  yield all_nsets(4), n_predicates()
+  t3, f1 = FiniteMonoid.truncated_free(2), FiniteMonoid.f1()
+  corpora = [(G, [X for X, _ in all_gamma_asets(G, 4)])
+             for G in map(FiniteMonoid.group_with_zero, ([2], [3], [2, 2]))]
+  corpora += [(t3, all_nilpotent_asets(t3, 4)), (f1, all_pointed_sets(f1, 4))]
+  for M, objects in corpora:
+    preds = [SerrePredicate.zero(M), SerrePredicate.everything(M),
+             SerrePredicate.finite_length(M), SerrePredicate.support_in(M, [])]
+    preds += [SerrePredicate.support_in(M, [p.label]) for p in M.primes()]
+    yield objects, preds
+
+
+def test_iso_in_quotient_matches_the_hom_search():
+  pairs = isomorphic = 0
+  for objects, preds in small_quotient_cases():
+    for pred in preds:
+      for X in objects:
+        for Y in objects:
+          want = hom_search_iso(X, Y, pred)
+          assert are_iso_in_quotient(X, Y, pred) == want, (X, Y, pred)
+          pairs += 1
+          isomorphic += want
+  assert (pairs, isomorphic) == (4955, 1777)
+
+
+def test_reduced_objects_have_trivial_windows():
+  reduced = 0
+  for objects, preds in small_quotient_cases():
+    for pred in preds:
+      for X in objects:
+        R = reduced_object(X, pred)
+        window = canonical_window(R, R, pred)
+        assert window.xsub == frozenset(R.elements), (X, pred)
+        assert window.ykernel == {R.base}, (X, pred)
+        reduced += 1
+  assert reduced == 315
+
+
+def test_quotient_classes_search_no_morphisms(monkeypatch):
+  calls = []
+
+  def counted(name):
+    original = getattr(serre, name)
+
+    def wrapper(*args):
+      calls.append(name)
+      return original(*args)
+    return wrapper
+
+  for name in ("hom_quotient", "_inverse", "compose_quotient"):
+    monkeypatch.setattr(serre, name, counted(name))
+  G = FiniteMonoid.group_with_zero([2, 2])
+  reps, _ = subquotient_relations([X for X, _ in all_gamma_asets(G, 5)])
+  for pred in (SerrePredicate.zero(G), SerrePredicate.finite_length(G)):
+    classes = QuotientK0Result._partition(reps, pred)
+    assert are_iso_in_quotient(reps[0], reps[-1], pred) == \
+        (classes[0] == classes[-1])
+  for pred in n_predicates():
+    objects = all_nsets(4)
+    QuotientK0Result._partition(objects, pred)
+    are_iso_in_quotient(objects[1], objects[2], pred)
+  assert calls == []
+
+
+def test_localization_of_klein_four_sets_at_cap_8():
+  G = FiniteMonoid.group_with_zero([2, 2])
+  objects = [X for X, _ in all_gamma_asets(G, 8)]
+  start = time.perf_counter()
+  reports = [localization_exactness_k0(objects, pred(G), closure_bound=128)
+             for pred in (SerrePredicate.finite_length, SerrePredicate.zero,
+                          SerrePredicate.everything)]
+  assert time.perf_counter() - start < 15
+  length, zero, everything = reports
+  assert (length.c_group, length.m_group, length.q_group) == (Z(1), Z(5), Z(4))
+  assert zero.q_group == Z(5)
+  assert everything.q_group.is_trivial()
+  assert all(rep.ok for rep in reports)
