@@ -11,6 +11,13 @@ under subobjects, quotients and extensions gives that maximum one element at
 a time: X′ is ∗ and each x with X/U_x ∉ C (U_x the largest subobject missing
 x), and Y″ collapses each orbit whose cyclic subobject lies in C.
 
+X′ depends only on (X, C) and Y″ only on (Y, C), so each half is computed
+once per (object, predicate), sets and objects alike, and kept in a weak
+memo for as long as the object lives; every hom-set, representative and
+reduced object reads it.  Objects are never mutated, so an entry cannot go
+stale.  A ``PredicateClosureError`` is not kept: it is raised again on
+every call.
+
 Isomorphism in M/C is decided without a morphism search: ``reduced_object``
 cuts X down to its minimal dense subobject and collapses that one's largest
 subobject in C, and two objects are isomorphic in M/C exactly when their
@@ -21,6 +28,7 @@ whether a given morphism is invertible.
 from __future__ import annotations
 
 import itertools
+import weakref
 
 from .asets import (ASetMap, FiniteASet, aset_length, coequalizer,
                     exact_seq_from_sub, hom_maps, identity_map, is_rooted_tree,
@@ -115,14 +123,16 @@ class SerrePredicate:
                for x in X.nonbase())
 
   def __eq__(self, other):
+    if self is other:               # skips the isomorphism tests of a list
+      return True
     return (isinstance(other, SerrePredicate)
+            and self.monoid == other.monoid
             and self.kind == other.kind
             and self.primes == other.primes
             and self.mult_set == other.mult_set
             and len(self.objects) == len(other.objects)
             and all(a.is_isomorphic(b)
-                    for a, b in zip(self.objects, other.objects))
-            and type(self.monoid) is type(other.monoid))
+                    for a, b in zip(self.objects, other.objects)))
 
   def __hash__(self):
     return hash((self.kind, self.primes, self.mult_set, len(self.objects)))
@@ -312,6 +322,27 @@ def check_filtered(poset):
   return FilterReport(True)
 
 
+# X -> {weak ref to pred: memo}.  A memo holds X's window halves under pred,
+# each stored on first use: "dense" (the carrier of X′), "sub" (X′),
+# "kernel" (the set Y″ collapses) and "quo" (Y″).  Both keys are weak, so
+# an entry keeps neither X nor pred alive, not even when an explicit pred
+# lists X; the memo of a dead pred goes with X.
+_WINDOWS = weakref.WeakKeyDictionary()
+
+
+def _memoised(X, pred, part, compute):
+  by_pred = _WINDOWS.get(X)
+  if by_pred is None:
+    by_pred = _WINDOWS[X] = {}
+  key = weakref.ref(pred)
+  memo = by_pred.get(key)
+  if memo is None:
+    memo = by_pred[key] = {}
+  if part not in memo:
+    memo[part] = compute(X, pred)
+  return memo[part]
+
+
 def minimal_dense_sub(X, pred):
   """The smallest subobject of X with cokernel in C.
 
@@ -320,6 +351,10 @@ def minimal_dense_sub(X, pred):
   S missing x, so by quotient closure exactly these x (orbits included) lie
   in every admissible S.  Subobject and extension closure make it admissible.
   """
+  return _memoised(X, pred, "dense", _dense_set)
+
+
+def _dense_set(X, pred):
   orbits = {x: X.orbit(x) for x in X.nonbase()}
   out = frozenset({X.base})
   for x in orbits:
@@ -338,6 +373,10 @@ def maximal_kernel(Y, pred):
   subobject lies in C.  By subobject closure nothing else lies in a kernel
   in C; by extension and quotient closure the union of these lies in C.
   """
+  return _memoised(Y, pred, "kernel", _kernel_set)
+
+
+def _kernel_set(Y, pred):
   out = frozenset({Y.base})
   for y in Y.nonbase():
     cyclic = Y.orbit(y)
@@ -350,12 +389,25 @@ def maximal_kernel(Y, pred):
   return out
 
 
+def _dense_sub(X, pred):
+  """X′, the subobject on ``minimal_dense_sub(X, pred)``."""
+  return _memoised(X, pred, "sub",
+                   lambda X, pred: X.sub_aset(minimal_dense_sub(X, pred))[0])
+
+
+def _collapsed(Y, pred):
+  """Y″, the quotient of Y by ``maximal_kernel(Y, pred)``."""
+  return _memoised(Y, pred, "quo",
+                   lambda Y, pred: Y.quotient_by(maximal_kernel(Y, pred))[0])
+
+
 def canonical_window(X, Y, pred):
   return WindowPair(minimal_dense_sub(X, pred), maximal_kernel(Y, pred))
 
 
 def reduced_object(X, pred):
-  """X′/K, with X′ = minimal_dense_sub(X) and K = maximal_kernel(X′).
+  """X′/K, with X′ = minimal_dense_sub(X) and K = maximal_kernel(X′): the
+  quotient half of X′, memoised with it.
 
   X ≅ Y in M/C exactly when their reduced objects are isomorphic A-sets:
 
@@ -370,8 +422,7 @@ def reduced_object(X, pred):
      M/C maps, composites and identities are plain A-set maps, and an M/C
      isomorphism between them is an A-set isomorphism.
   """
-  sub, _ = X.sub_aset(minimal_dense_sub(X, pred))
-  return sub.quotient_by(maximal_kernel(sub, pred))[0]
+  return _collapsed(_dense_sub(X, pred), pred)
 
 
 # -------------------------------------------------------------- quotient homs
@@ -425,11 +476,12 @@ class QuotientHom:
       raise InvalidStructure("window does not refine to the canonical window")
     raw = (mapping_or_map.mapping if isinstance(mapping_or_map, ASetMap)
            else dict(mapping_or_map))
-    sub, _ = source.sub_aset(can.xsub)
-    quo, proj = target.quotient_by(can.ykernel)
+    sub, quo = _dense_sub(source, pred), _collapsed(target, pred)
     # raw lands in target/window.ykernel, whose survivors keep their names
-    # and whose basepoint is target.base, which proj fixes
-    rep = ASetMap(sub, quo, {x: proj(raw[x]) for x in sub.elements})
+    # and whose basepoint is target.base; Y″ collapses the rest of the kernel
+    kernel, base = can.ykernel, target.base
+    rep = ASetMap(sub, quo, {x: base if raw[x] in kernel else raw[x]
+                             for x in sub.elements})
     return cls(source, target, pred, rep, can)
 
   @classmethod
@@ -463,20 +515,11 @@ def identity_quotient(X, pred):
   return QuotientHom.from_ambient(identity_map(X), pred)
 
 
-def zero_quotient(X, Y, pred):
-  w = canonical_window(X, Y, pred)
-  sub, _ = X.sub_aset(w.xsub)
-  quo, _ = Y.quotient_by(w.ykernel)
-  zero = ASetMap(sub, quo, {x: quo.base for x in sub.elements})
-  return QuotientHom(X, Y, pred, zero, w)
-
-
 def hom_quotient(X, Y, pred):
   """All morphisms X → Y in M/C: the literal hom-set at the canonical window."""
   w = canonical_window(X, Y, pred)
-  sub, _ = X.sub_aset(w.xsub)
-  quo, _ = Y.quotient_by(w.ykernel)
-  out = [QuotientHom(X, Y, pred, m, w) for m in hom_maps(sub, quo)]
+  out = [QuotientHom(X, Y, pred, m, w)
+         for m in hom_maps(_dense_sub(X, pred), _collapsed(Y, pred))]
   out.sort(key=lambda f: sorted(f.rep.mapping.items()))
   return out
 

@@ -1,9 +1,12 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monoidkit import serre
 from monoidkit.asets import (ASetMap, FiniteASet, cycle_nset, hom_maps,
                              nat_set, point_aset, truncated_line)
 from monoidkit.corpora import (all_gamma_asets, all_nilpotent_asets,
@@ -17,8 +20,8 @@ from monoidkit.serre import (IndexPoset, QuotientHom, SerrePredicate,
                              identity_quotient,
                              index_poset, is_iso_quotient, maximal_kernel,
                              minimal_dense_sub, monic_representative,
-                             quotient_equivalence_report, validate_serre,
-                             zero_quotient)
+                             quotient_equivalence_report, reduced_object,
+                             validate_serre)
 
 N = NatMonoid()
 TORSION = SerrePredicate.torsion(N)
@@ -51,6 +54,17 @@ def test_predicate_json_round_trip():
                SerrePredicate.finite_length(N),
                SerrePredicate.explicit(N, [truncated_line(1)])):
     assert SerrePredicate.from_json(N, pred.to_json()) == pred
+
+
+def test_predicates_over_different_monoids_are_unequal():
+  z2, z3 = FiniteMonoid.group_with_zero([2]), FiniteMonoid.group_with_zero([3])
+  makers = [lambda M: SerrePredicate.torsion(M, ["*"]),
+            SerrePredicate.finite_length,
+            lambda M: SerrePredicate.support_in(M, [])]
+  for make in makers:
+    assert make(z2) == make(z2)
+    assert make(z2) != make(z3)
+    assert make(z2) != make(N)
 
 
 # -------------------------------------------------------------- window poset
@@ -197,6 +211,106 @@ def test_window_functions_never_list_the_lattice(monkeypatch):
   assert lattice_calls == []
 
 
+def oracle_reduced_object(X, pred):
+  sub, _ = X.sub_aset(oracle_minimal_dense_sub(X, pred))
+  return sub.quotient_by(oracle_maximal_kernel(sub, pred))[0]
+
+
+def carrier(R):
+  return R.base, R._element_set, R.action
+
+
+def test_memoised_windows_equal_the_oracle_in_either_call_order():
+  # two fresh copies of the corpus, so that neither starts with a memo
+  first, second = window_corpus()[::5], window_corpus()[::5]
+  raised = 0
+  for (X, pred), (X2, pred2) in zip(first, second):
+    sub = outcome(oracle_minimal_dense_sub, X, pred)
+    ker = outcome(oracle_maximal_kernel, X, pred)
+    red = (PredicateClosureError if PredicateClosureError in (sub, ker)
+           else outcome(lambda: carrier(oracle_reduced_object(X, pred))))
+    raised += red is PredicateClosureError
+    for Y, p, order in [(X, pred, ("sub", "ker", "red")),
+                        (X2, pred2, ("red", "ker", "sub"))]:
+      calls = {"sub": lambda: outcome(minimal_dense_sub, Y, p),
+               "ker": lambda: outcome(maximal_kernel, Y, p),
+               "red": lambda: outcome(lambda: carrier(reduced_object(Y, p)))}
+      for _ in range(2):
+        got = {name: calls[name]() for name in order}
+        assert got == {"sub": sub, "ker": ker, "red": red}, (Y, p, order)
+  assert len(first) == 390 and raised > 0
+
+
+def test_closure_errors_are_raised_on_every_call():
+  fork = nat_set({"a": STAR, "b": STAR})
+  no_point = SerrePredicate.explicit(N, [truncated_line(1)])
+  not_closed = SerrePredicate.explicit(N, [point_aset(N), truncated_line(1)])
+  for fn, pred in [(minimal_dense_sub, no_point), (maximal_kernel, no_point),
+                   (reduced_object, no_point), (reduced_object, not_closed)]:
+    for _ in range(3):
+      with pytest.raises(PredicateClosureError):
+        fn(fork, pred)
+  for _ in range(3):
+    with pytest.raises(PredicateClosureError):
+      hom_quotient(fork, fork, not_closed)
+
+
+def test_the_window_memo_pins_no_object():
+  gc.collect()
+  before = len(serre._WINDOWS)
+  X, Y = cycle_nset(2, tail=2), truncated_line(1)
+  # an explicit predicate listing Y itself must not keep Y alive either
+  listing_y = SerrePredicate.explicit(N, [point_aset(N), Y])
+  for pred in (TORSION, listing_y):
+    hom_quotient(X, Y, pred)
+    hom_quotient(Y, X, pred)
+    reduced_object(X, pred)
+  assert X in serre._WINDOWS and Y in serre._WINDOWS
+  refs = [weakref.ref(X), weakref.ref(Y), weakref.ref(listing_y)]
+  del X, Y, listing_y, pred
+  gc.collect()
+  assert [r() for r in refs] == [None, None, None]
+  assert len(serre._WINDOWS) == before
+
+
+def test_each_window_half_is_computed_once_per_object_and_predicate(
+    monkeypatch):
+  computed, builds = [], []
+
+  def counted(log, fn):
+    def wrapper(X, *args):
+      log.append((fn.__name__, X, args))
+      return fn(X, *args)
+    return wrapper
+
+  for name in ("_dense_set", "_kernel_set"):
+    monkeypatch.setattr(serre, name, counted(computed, getattr(serre, name)))
+  for name in ("sub_aset", "quotient_by"):
+    monkeypatch.setattr(FiniteASet, name,
+                        counted(builds, getattr(FiniteASet, name)))
+  X, Y = cycle_nset(2, tail=1), truncated_line(2)
+  for pred in (TORSION, SerrePredicate.support_in(N, ["(t)"])):
+    computed.clear()
+    assert check_condition_w(X, pred) is True
+    halves = {(name, id(A)) for name, A, _ in computed}
+    assert len(computed) == len(halves) > 0
+    computed.clear()
+    homs = hom_quotient(X, Y, pred)
+    # X's dense half is known from condition (W); only Y's kernel is new
+    assert [(name, A) for name, A, _ in computed] == [("_kernel_set", Y)]
+    R = reduced_object(X, pred)
+    computed.clear()
+    builds.clear()
+    # asked again, nothing is computed and neither X′ nor Y″ is rebuilt
+    for _ in range(3):
+      assert hom_quotient(X, Y, pred) == homs
+      assert canonical_window(X, Y, pred) == homs[0].window
+    for f in homs:
+      assert QuotientHom.from_window(X, Y, pred, f.window, f.rep) == f
+    assert reduced_object(X, pred) is R
+    assert computed == [] and builds == []
+
+
 def test_canonical_window_on_24_fixed_points():
   X = nat_set({f"p{i}": f"p{i}" for i in range(24)})
   everything = SerrePredicate.everything(N)
@@ -323,6 +437,15 @@ def test_ambient_maps_equal_in_quotient_iff_equal_on_canonical_window():
 
 
 # --------------------------------------------------------------- composition
+
+
+def zero_quotient(X, Y, pred):
+  """The zero morphism X → Y of M/C, at the canonical window."""
+  w = canonical_window(X, Y, pred)
+  sub, _ = X.sub_aset(w.xsub)
+  quo, _ = Y.quotient_by(w.ykernel)
+  zero = ASetMap(sub, quo, {x: quo.base for x in sub.elements})
+  return QuotientHom(X, Y, pred, zero, w)
 
 
 def test_identity_and_zero_laws():
