@@ -5,8 +5,9 @@ condition, finite length, or an explicit iso-closed list).  The quotient
 category has the same objects; a morphism X → Y is a germ of maps X′ → Y″
 over the poset of windows (X′ ↪ X with cokernel in C, Y ↠ Y″ with kernel in
 C).  The poset is finite and filtered with a maximum — the canonical window
-(smallest admissible X′, most-collapsed Y″) — so hom-sets are computed there
-and germ equality is literal equality after refining to it.  Closure of C
+(smallest admissible X′, most-collapsed Y″) — so a morphism *is* a map
+from the canonical X′ to the canonical Y″: hom-sets are computed there, and
+germ equality is literal equality after refining to it.  Closure of C
 under subobjects, quotients and extensions gives that maximum one element at
 a time: X′ is ∗ and each x with X/U_x ∉ C (U_x the largest subobject missing
 x), and Y″ collapses each orbit whose cyclic subobject lies in C.
@@ -16,7 +17,8 @@ once per (object, predicate), sets and objects alike, and kept in a weak
 memo for as long as the object lives; every hom-set, representative and
 reduced object reads it.  Objects are never mutated, so an entry cannot go
 stale.  A ``PredicateClosureError`` is not kept: it is raised again on
-every call.
+every call.  A ``QuotientHom`` holds a map between the memoised X′ and Y″
+and refuses any other representative.
 
 Isomorphism in M/C is decided without a morphism search: ``reduced_object``
 cuts X down to its minimal dense subobject and collapses that one's largest
@@ -265,6 +267,8 @@ class IndexPoset:
     return b.refines(a)
 
   def maximum(self):
+    if not self.pairs:
+      return None
     xs = frozenset.intersection(*(w.xsub for w in self.pairs))
     ks = frozenset.union(*(w.ykernel for w in self.pairs))
     top = WindowPair(xs, ks)
@@ -311,14 +315,18 @@ class FilterReport:
 
 
 def check_filtered(poset):
-  """Every pair of windows must have an upper bound in the poset.
+  """Does every pair of windows have an upper bound in the poset?
 
-  (The parallel-arrow condition is vacuous in a poset.)  Returns a report
-  carrying the offending pair on failure.
+  (The parallel-arrow condition is vacuous in a poset.)  A finite poset is
+  filtered exactly when it has at most one maximal element; otherwise the
+  report carries two distinct maximal elements, which have no upper bound.
   """
-  for a, b in itertools.combinations(poset.pairs, 2):
-    if not any(poset.leq(a, w) and poset.leq(b, w) for w in poset.pairs):
-      return FilterReport(False, (a, b))
+  maximal = []
+  for w in poset.pairs:
+    if not any(poset.leq(w, m) for m in maximal):
+      maximal = [m for m in maximal if not poset.leq(m, w)] + [w]
+  if len(maximal) > 1:
+    return FilterReport(False, tuple(maximal[:2]))
   return FilterReport(True)
 
 
@@ -428,61 +436,47 @@ def reduced_object(X, pred):
 # -------------------------------------------------------------- quotient homs
 
 
-def _lives_at(rep, source, target, window):
-  """Is rep a map from source's window subobject to target's window quotient?
-
-  rep's ends are valid objects, so equal actions on the window's carriers
-  make ``xsub`` action-closed; ``ykernel`` is checked directly, since the
-  quotient's action only reads the survivors.
-  """
-  sub, quo, kernel, base = rep.source, rep.target, window.ykernel, target.base
-  return (sub.monoid == source.monoid and quo.monoid == target.monoid
-          and sub.base == source.base and quo.base == base
-          and sub._element_set == window.xsub <= source._element_set
-          and target.is_admissible_subset(kernel)
-          and quo._element_set == (target._element_set - kernel) | {base}
-          and sub.action == {g: {x: m[x] for x in sub.elements}
-                             for g, m in source.action.items()}
-          and quo.action == {g: {y: base if m[y] in kernel else m[y]
-                                 for y in quo.elements}
-                             for g, m in target.action.items()})
-
-
 class QuotientHom:
-  """A morphism of M/C, given at the canonical window of (source, target).
+  """A morphism of M/C: a map X′ → Y″ between the memoised window halves.
 
-  The representative's source and target are the window's subobject X′
-  and quotient Y″; they are checked in place against the window.
+  The canonical window is the maximum of the window poset, so every germ
+  has exactly one representative there.  The representative's source must
+  be X′ = ``_dense_sub(source, pred)`` and its target Y″ =
+  ``_collapsed(target, pred)``: the memoised objects themselves, or, for a
+  map built outside the library, objects with the same carrier.  Any other
+  representative is refused; ``from_window`` canonicalizes one given at a
+  coarser window.
   """
 
-  __slots__ = ("source", "target", "pred", "window", "sub", "quo", "rep")
+  __slots__ = ("source", "target", "pred", "rep")
 
-  def __init__(self, source, target, pred, rep, window):
-    if not _lives_at(rep, source, target, window):
-      raise InvalidStructure("representative does not live at the window")
+  def __init__(self, source, target, pred, rep):
+    sub, quo = _dense_sub(source, pred), _collapsed(target, pred)
+    if not ((rep.source is sub or rep.source.same_carrier(sub))
+            and (rep.target is quo or rep.target.same_carrier(quo))):
+      raise InvalidStructure(
+          "representative is not a map X′ → Y″ at the canonical window")
     self.source = source
     self.target = target
     self.pred = pred
-    self.window = window
-    self.sub = rep.source
-    self.quo = rep.target
     self.rep = rep
 
+  @property
+  def window(self):
+    return canonical_window(self.source, self.target, self.pred)
+
   @classmethod
-  def from_window(cls, source, target, pred, window, mapping_or_map):
-    """Canonicalize a representative given at an arbitrary window."""
-    can = canonical_window(source, target, pred)
-    if not can.refines(window):
+  def from_window(cls, source, target, pred, window, m):
+    """Canonicalize a representative m: X_w′ → Y_w″ given at ``window``."""
+    if not canonical_window(source, target, pred).refines(window):
       raise InvalidStructure("window does not refine to the canonical window")
-    raw = (mapping_or_map.mapping if isinstance(mapping_or_map, ASetMap)
-           else dict(mapping_or_map))
-    sub, quo = _dense_sub(source, pred), _collapsed(target, pred)
-    # raw lands in target/window.ykernel, whose survivors keep their names
+    # m lands in target/window.ykernel, whose survivors keep their names
     # and whose basepoint is target.base; Y″ collapses the rest of the kernel
-    kernel, base = can.ykernel, target.base
+    sub, quo = _dense_sub(source, pred), _collapsed(target, pred)
+    kernel, base, raw = maximal_kernel(target, pred), target.base, m.mapping
     rep = ASetMap(sub, quo, {x: base if raw[x] in kernel else raw[x]
                              for x in sub.elements})
-    return cls(source, target, pred, rep, can)
+    return cls(source, target, pred, rep)
 
   @classmethod
   def from_ambient(cls, f, pred):
@@ -492,7 +486,7 @@ class QuotientHom:
     return cls.from_window(f.source, f.target, pred, trivial, f)
 
   def is_zero(self):
-    return all(v == self.quo.base for v in self.rep.mapping.values())
+    return all(v == self.rep.target.base for v in self.rep.mapping.values())
 
   def __eq__(self, other):
     return (isinstance(other, QuotientHom)
@@ -517,8 +511,7 @@ def identity_quotient(X, pred):
 
 def hom_quotient(X, Y, pred):
   """All morphisms X → Y in M/C: the literal hom-set at the canonical window."""
-  w = canonical_window(X, Y, pred)
-  out = [QuotientHom(X, Y, pred, m, w)
+  out = [QuotientHom(X, Y, pred, m)
          for m in hom_maps(_dense_sub(X, pred), _collapsed(Y, pred))]
   out.sort(key=lambda f: sorted(f.rep.mapping.items()))
   return out
@@ -535,26 +528,25 @@ def compose_quotient(f, g):
   """
   if not f.target.same_carrier(g.source) or f.pred != g.pred:
     raise InvalidStructure("quotient morphisms do not compose")
-  y_sub = g.window.xsub          # canonical Y′ ⊆ Y
-  visible = {f.quo.base} | (y_sub - f.window.ykernel)
-  domain = frozenset(x for x in f.sub.elements
-                     if f.rep(x) in visible)
-  if domain != f.window.xsub:
+  sub, quo = f.rep.source, f.rep.target            # X′ and Y″
+  y_sub = minimal_dense_sub(g.source, g.pred)       # Y′ ⊆ Y
+  visible = {quo.base} | (y_sub - maximal_kernel(f.target, f.pred))
+  domain = frozenset(x for x in sub.elements if f.rep(x) in visible)
+  if domain != minimal_dense_sub(f.source, f.pred):
     raise PredicateClosureError(
         "composite window is not admissible: the predicate fails closure "
         f"at domain {sorted(domain)}")
   mapping = {}
-  for x in f.sub.elements:
+  for x in sub.elements:
     y = f.rep(x)
-    mapping[x] = g.quo.base if y == f.quo.base else g.rep(y)
+    mapping[x] = g.rep.target.base if y == quo.base else g.rep(y)
   try:
-    rep = ASetMap(f.sub, g.quo, mapping)
+    rep = ASetMap(sub, g.rep.target, mapping)
   except InvalidStructure as err:
     raise PredicateClosureError(
         f"composite representative is not equivariant ({err}); "
         "the predicate fails Serre closure") from err
-  return QuotientHom(f.source, g.target, f.pred, rep,
-                     WindowPair(f.window.xsub, g.window.ykernel))
+  return QuotientHom(f.source, g.target, f.pred, rep)
 
 
 def _inverse(f):

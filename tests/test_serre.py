@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 
@@ -94,6 +95,41 @@ def test_artificial_antichain_is_reported_unfiltered():
   report = check_filtered(poset)
   assert not report
   assert set(report.witness) == {a, b}
+
+
+def test_empty_poset_has_no_maximum():
+  X = truncated_line(2)
+  poset = index_poset(X, X, SerrePredicate.explicit(N, []))
+  assert len(poset) == 0
+  assert poset.maximum() is None
+  assert check_filtered(poset)
+
+
+def oracle_is_filtered(poset):
+  """The pairwise definition: every two windows have an upper bound."""
+  return all(any(poset.leq(a, w) and poset.leq(b, w) for w in poset.pairs)
+             for a, b in itertools.combinations(poset.pairs, 2))
+
+
+def test_check_filtered_matches_the_pairwise_oracle():
+  rng = random.Random(20261018)
+  posets = [index_poset(X, Y, TORSION)
+            for X in all_nsets(4) for Y in all_nsets(3)]
+  samples = []
+  for P in rng.sample(posets, 60):
+    for _ in range(4):
+      k = rng.randint(0, len(P))
+      samples.append(IndexPoset(P.X, P.Y, P.pred, rng.sample(P.pairs, k)))
+  unfiltered = 0
+  for P in posets + samples:
+    report = check_filtered(P)
+    assert bool(report) == oracle_is_filtered(P), P.pairs
+    if not report:
+      unfiltered += 1
+      a, b = report.witness
+      assert a != b
+      assert not any(P.leq(a, w) and P.leq(b, w) for w in P.pairs)
+  assert unfiltered > 0
 
 
 def oracle_minimal_dense_sub(X, pred):
@@ -393,36 +429,65 @@ def test_hom_counts_are_unchanged_under_relabelling(xs, ys):
 def test_quotient_hom_rejects_a_representative_at_the_wrong_window():
   X = truncated_line(2)                     # 1 -> t -> *
   zero = SerrePredicate.zero(N)
-  w = canonical_window(X, X, zero)
-  assert w == WindowPair(X.elements, {STAR})
-  QuotientHom(X, X, zero, ASetMap(X, X, {x: x for x in X.elements}), w)
+  assert canonical_window(X, X, zero) == WindowPair(X.elements, {STAR})
+  # under zero, X′ = Y″ = X: an outside map on X's carrier is accepted
+  QuotientHom(X, X, zero, ASetMap(X, X, {x: x for x in X.elements}))
   # wrong carrier: the representative starts at the subobject {∗, t}
   _, incl = X.sub_aset({STAR, "t"})
   with pytest.raises(InvalidStructure):
-    QuotientHom(X, X, zero, incl, w)
+    QuotientHom(X, X, zero, incl)
   # the right carrier with another action: 1 falls straight to ∗
   flat = nat_set({"1": STAR, "t": STAR})
   with pytest.raises(InvalidStructure):
     QuotientHom(X, X, zero, ASetMap(flat, X, {STAR: STAR, "1": "t",
-                                              "t": STAR}), w)
-  # a window holding an element X does not have
+                                              "t": STAR}))
+  # a source holding an element X does not have
   extra = nat_set({"1": "t", "t": STAR, "z": STAR})
   with pytest.raises(InvalidStructure):
     QuotientHom(X, X, zero, ASetMap(extra, X, {STAR: STAR, "1": "1", "t": "t",
-                                               "z": STAR}),
-                WindowPair(extra.elements, {STAR}))
-  # on the target side: X/{∗, t} is 1 -> ∗, not the fixed point 1 -> 1
-  w = WindowPair(X.elements, {STAR, "t"})
-  quo, _ = X.quotient_by(w.ykernel)
-  QuotientHom(X, X, zero, ASetMap(X, quo, {x: STAR for x in X.elements}), w)
-  loop = nat_set({"1": "1"})
+                                               "z": STAR}))
+  # on the target side: X's carrier with the action of flat
   with pytest.raises(InvalidStructure):
-    QuotientHom(X, X, zero, ASetMap(X, loop, {x: STAR for x in X.elements}), w)
+    QuotientHom(X, X, zero, ASetMap(X, flat, {STAR: STAR, "1": "1",
+                                              "t": STAR}))
   # {∗, 1} is not action-closed, though 1 -> ∗ on {∗, t} looks the part
-  w = WindowPair(X.elements, {STAR, "1"})
   stub = nat_set({"t": STAR})
   with pytest.raises(InvalidStructure):
-    QuotientHom(X, X, zero, ASetMap(X, stub, {x: STAR for x in X.elements}), w)
+    QuotientHom(X, X, zero, ASetMap(X, stub, {x: STAR for x in X.elements}))
+  # X/{∗, t} is a quotient of X, but its kernel line(1) is not in zero
+  quo, _ = X.quotient_by({STAR, "t"})
+  g = ASetMap(X, quo, {STAR: STAR, "1": "1", "t": STAR})
+  with pytest.raises(InvalidStructure):
+    QuotientHom(X, X, zero, g)
+  # its 1 ↦ 1 has no germ in M/C = M: it is no map X → X
+  assert g.mapping not in [f.rep.mapping for f in hom_quotient(X, X, zero)]
+
+
+def test_every_morphism_lives_at_the_memoised_window():
+  X, Y = cycle_nset(2, tail=1), cycle_nset(2, tail=2)
+  for pred in (TORSION, SerrePredicate.support_in(N, ["(t)"]),
+               SerrePredicate.zero(N), SerrePredicate.finite_length(N)):
+    xy = hom_quotient(X, Y, pred)
+    made = {"hom_quotient": xy,
+            "from_ambient": [QuotientHom.from_ambient(u, pred)
+                             for u in hom_maps(X, Y)],
+            "compose_quotient": [compose_quotient(identity_quotient(X, pred),
+                                                  f) for f in xy]
+                                + [compose_quotient(f, g) for f in xy
+                                   for g in hom_quotient(Y, Y, pred)]}
+    ref = xy[0]
+    assert ref.rep.source is serre._dense_sub(X, pred)
+    assert ref.rep.target is serre._collapsed(Y, pred)
+    for name, fs in made.items():
+      assert fs, (name, pred)
+      for f in fs:
+        assert f.rep.source is ref.rep.source, (name, pred)
+        assert f.rep.target is ref.rep.target, (name, pred)
+        assert f.window == canonical_window(X, Y, pred), (name, pred)
+    ident, xx = identity_quotient(X, pred), hom_quotient(X, X, pred)
+    assert ident.rep.source is xx[0].rep.source is ref.rep.source
+    assert ident.rep.target is xx[0].rep.target
+    assert ident.window == canonical_window(X, X, pred)
 
 
 def test_ambient_maps_equal_in_quotient_iff_equal_on_canonical_window():
@@ -445,7 +510,7 @@ def zero_quotient(X, Y, pred):
   sub, _ = X.sub_aset(w.xsub)
   quo, _ = Y.quotient_by(w.ykernel)
   zero = ASetMap(sub, quo, {x: quo.base for x in sub.elements})
-  return QuotientHom(X, Y, pred, zero, w)
+  return QuotientHom(X, Y, pred, zero)
 
 
 def test_identity_and_zero_laws():
