@@ -80,6 +80,7 @@ class FiniteASet:
           raise InvalidStructure(f"action key {gen!r} is not a monoid element")
     self._full_action_cache = None
     self._iso_cache = None
+    self._derived = None
 
   @classmethod
   def _trusted(cls, monoid, elements, action, base, name=None):
@@ -97,6 +98,7 @@ class FiniteASet:
     self.action = action
     self._full_action_cache = None
     self._iso_cache = None
+    self._derived = None
     return self
 
   # -- basic structure ---------------------------------------------------------
@@ -263,12 +265,36 @@ class FiniteASet:
     proj = ASetMap._trusted(self, quo, push)
     return quo, proj
 
+  # -- derived data kept on the object ----------------------------------------------
+
+  def _lattice_table(self):
+    """The derived-data slot: subobject S ↦ (S, X/S) once built, else None.
+    Nothing in it may refer to X, or X would live until a cyclic GC pass."""
+    if self._derived is None:
+      self._derived = dict.fromkeys(self.subobject_sets())
+    return self._derived
+
+  def subobject_lattice(self):
+    """The subobjects of ``subobject_sets()``, walked once and kept on X."""
+    return self._lattice_table().keys()
+
+  def subquotient(self, subset):
+    """(S, X/S) for an admissible frozenset S, built once and shared by all
+    callers (never rename them); ``sub_aset``/``quotient_by`` stay uncached."""
+    table = self._lattice_table()
+    pair = table.get(subset)
+    if pair is None:
+      pair = table[subset] = (self.sub_aset(subset)[0],
+                              self.quotient_by(subset)[0])
+    return pair
+
   # -- comparisons ------------------------------------------------------------------
 
   def same_carrier(self, other):
-    return (self.monoid == other.monoid and self.base == other.base
-            and self._element_set == other._element_set
-            and self.action == other.action)
+    return self is other or (
+        self.monoid == other.monoid and self.base == other.base
+        and self._element_set == other._element_set
+        and self.action == other.action)
 
   def iso_key(self):
     """An isomorphism invariant, computed once and kept on the object.
@@ -442,6 +468,7 @@ class ExactSeq:
       raise InvalidStructure("the two maps must share the middle object")
     self.i = i
     self.p = p
+    self._exact = None
 
   @property
   def sub(self):
@@ -463,18 +490,17 @@ def is_exact(seq):
   """Is p literally a cokernel of i and i a kernel of p?
 
   Requires i injective, p surjective, the fiber of p over the basepoint to be
-  exactly the image of i, and every other fiber to be a single point.
+  exactly the image of i, and every other fiber to be a single point.  The
+  verdict is kept on ``seq``, so each sequence is checked once.
   """
-  i, p = seq.i, seq.p
-  if not i.is_injective() or not p.is_surjective():
-    return False
-  image = i.image_set()
-  base_fiber = p.preimage({p.target.base})
-  if base_fiber != image:
-    return False
-  outside = [x for x in p.source.elements if x not in image]
-  vals = [p(x) for x in outside]
-  return len(set(vals)) == len(vals)
+  if seq._exact is None:
+    i, p = seq.i, seq.p
+    image = i.image_set()
+    outside = [p(x) for x in p.source.elements if x not in image]
+    seq._exact = (i.is_injective() and p.is_surjective()
+                  and p.preimage({p.target.base}) == image
+                  and len(set(outside)) == len(outside))
+  return seq._exact
 
 
 def kernel(p):
@@ -487,13 +513,6 @@ def cokernel(i):
   """(cokernel object, projection): the target with the image collapsed."""
   quo, proj = i.target.quotient_by(i.image_set())
   return proj
-
-
-def image_factorization(f):
-  """f = mono ∘ epi through the image subobject of the target."""
-  img, incl = f.target.sub_aset(f.image_set())
-  epi = ASetMap(f.source, img, dict(f.mapping))
-  return epi, incl
 
 
 def exact_seq_from_sub(X, subset):
@@ -517,11 +536,14 @@ def _fresh_names(first, second, base):
 
 
 def wedge(X, Y, name=None):
-  """(X ∨ Y, inclusion of X, inclusion of Y): disjoint union glued at ∗."""
-  if X.monoid != Y.monoid:
+  """(X ∨ Y, inclusion of X, inclusion of Y): disjoint union glued at ∗.
+  Built unchecked but for the distinctness of the new names."""
+  if X.monoid != Y.monoid or set(X.action) != set(Y.action):
     raise InvalidStructure("wedge needs a common acting monoid")
   ren_x, ren_y = _fresh_names(X.elements, Y.elements, X.base)
   elements = [X.base] + [ren_x[x] for x in X.nonbase()] + [ren_y[y] for y in Y.nonbase()]
+  if len(set(elements)) != len(elements):
+    raise InvalidStructure("the wedge's element names collide")
   action = {}
   for g in X.action:
     gx, gy = X.action[g], Y.action[g]
@@ -533,18 +555,23 @@ def wedge(X, Y, name=None):
       t = gy[y]
       m[ren_y[y]] = X.base if t == Y.base else ren_y[t]
     action[g] = m
-  W = FiniteASet(X.monoid, elements, action, X.base, name=name)
-  inc_x = ASetMap(X, W, {**{X.base: X.base}, **ren_x})
-  inc_y = ASetMap(Y, W, {**{Y.base: X.base}, **ren_y})
+  W = FiniteASet._trusted(X.monoid, elements, action, X.base, name)
+  inc_x = ASetMap._trusted(X, W, {X.base: X.base, **ren_x})
+  inc_y = ASetMap._trusted(Y, W, {Y.base: X.base, **ren_y})
   return W, inc_x, inc_y
 
 
 def wedge_list(sets, name=None):
+  """The wedge of ``sets`` as a fresh object (a copy of a lone input), so
+  naming it never renames an input, which may be shared."""
   if not sets:
     raise InvalidStructure("empty wedge needs an explicit basepoint object")
   acc = sets[0]
   for nxt in sets[1:]:
     acc, _, _ = wedge(acc, nxt)
+  if acc is sets[0]:
+    acc = FiniteASet._trusted(acc.monoid, list(acc.elements), acc.action,
+                              acc.base, acc.name)
   if name:
     acc.name = name
   return acc
@@ -574,23 +601,28 @@ def free_aset(monoid, rank=1, name=None):
   return out
 
 
-def product(X, Y, name=None):
-  """Cartesian product with diagonal action and basepoint pair; projections."""
-  if X.monoid != Y.monoid:
-    raise InvalidStructure("product needs a common acting monoid")
-  pairs = [(x, y) for x in X.elements for y in Y.elements]
+def _pair_object(X, Y, pairs, name):
+  """(P, to X, to Y) on ``pairs``, labelled "(x,y)", diagonal action; the
+  caller guarantees that ``pairs`` is an action-closed pointed subset."""
+  if X.monoid != Y.monoid or set(X.action) != set(Y.action):
+    raise InvalidStructure("a product needs a common acting monoid")
   label = {p: f"({p[0]},{p[1]})" for p in pairs}
-  base = label[(X.base, Y.base)]
-  action = {}
-  for g in X.action:
-    gx, gy = X.action[g], Y.action[g]
-    action[g] = {label[(x, y)]: label[(gx[x], gy[y])] for (x, y) in pairs}
-  P = FiniteASet(X.monoid, [label[p] for p in pairs], action, base, name=name)
-  # the pointed product keeps its projections, though they are not pointed-set
-  # sections; both are equivariant
-  proj_x = ASetMap(P, X, {label[(x, y)]: x for (x, y) in pairs})
-  proj_y = ASetMap(P, Y, {label[(x, y)]: y for (x, y) in pairs})
+  if len(set(label.values())) != len(label):
+    raise InvalidStructure("two pairs have the same label")
+  action = {g: {label[p]: label[(gx[p[0]], Y.action[g][p[1]])] for p in pairs}
+            for g, gx in X.action.items()}
+  P = FiniteASet._trusted(X.monoid, list(label.values()), action,
+                          label[(X.base, Y.base)], name)
+  proj_x = ASetMap._trusted(P, X, {label[p]: p[0] for p in pairs})
+  proj_y = ASetMap._trusted(P, Y, {label[p]: p[1] for p in pairs})
   return P, proj_x, proj_y
+
+
+def product(X, Y, name=None):
+  """Cartesian product with diagonal action and basepoint pair; projections
+  (equivariant, though not pointed-set sections)."""
+  return _pair_object(X, Y, [(x, y) for x in X.elements for y in Y.elements],
+                      name)
 
 
 class _UnionFind:
@@ -658,47 +690,52 @@ def coequalizer(f, g):
   """(Q, proj): the genuine coequalizer of f, g : X ⇉ Y in pointed A-sets.
 
   Identifies f(x) ~ g(x), closes under the action (u ~ v forces a·u ~ a·v),
-  and collapses the class of the basepoint.
+  and collapses the class of the basepoint; any other class is named by the
+  least ``str`` of its members.  The closure is the worklist congruence
+  closure (Downey, Sethi & Tarjan, JACM 27, 1980): each merge queues the
+  two roots' images under each generator, which suffices because the
+  images of one class already lie in one class.
   """
   if not f.source.same_carrier(g.source) or not f.target.same_carrier(g.target):
     raise InvalidStructure("coequalizer needs a parallel pair")
   Y = f.target
+  gmaps = list(Y.action.values())
   uf = _UnionFind(Y.elements)
-  for x in f.source.elements:
-    uf.union(f(x), g(x))
-  changed = True
-  while changed:
-    changed = False
-    for y in Y.elements:
-      for gmap in Y.action.values():
-        if uf.find(gmap[y]) != uf.find(gmap[uf.find(y)]):
-          changed = uf.union(gmap[y], gmap[uf.find(y)]) or changed
-    # rerun until action maps descend to classes
+  work = [(f(x), g(x)) for x in f.source.elements]
+  while work:
+    u, v = work.pop()
+    ru, rv = uf.find(u), uf.find(v)
+    if ru != rv:
+      uf.parent[ru] = rv
+      work += [(gmap[ru], gmap[rv]) for gmap in gmaps]
   classes = {}
   for y in Y.elements:
     classes.setdefault(uf.find(y), []).append(y)
   base_root = uf.find(Y.base)
-  names = {}
-  for root, members in classes.items():
-    names[root] = Y.base if root == base_root else sorted(map(str, members))[0]
-  elements = [names[r] for r in classes]
-  action = {}
-  for g, gmap in Y.action.items():
-    action[g] = {names[r]: names[uf.find(gmap[classes[r][0]])] for r in classes}
-  Q = FiniteASet(Y.monoid, elements, action, Y.base)
+  names = {r: Y.base if r == base_root else min(map(str, members))
+           for r, members in classes.items()}
+  action = {g: {names[r]: names[uf.find(gmap[members[0]])]
+                for r, members in classes.items()}
+            for g, gmap in Y.action.items()}
+  Q = FiniteASet(Y.monoid, list(names.values()), action, Y.base)
   proj = ASetMap(Y, Q, {y: names[uf.find(y)] for y in Y.elements})
   return Q, proj
 
 
 def fiber_product(f, g, name=None):
-  """(P, to_source_of_f, to_source_of_g) for maps f: X→Z ← Y :g."""
+  """(P, to_source_of_f, to_source_of_g) for maps f: X→Z ← Y :g.
+
+  P is the subobject of X × Y where f(x) = g(y), with the product's order
+  and labels, found by a hash join on Z.
+  """
   if not f.target.same_carrier(g.target):
     raise InvalidStructure("fiber product needs a common target")
-  P, px, py = product(f.source, g.source, name=name)
-  keep = frozenset(e for e in P.elements
-                   if f(px(e)) == g(py(e)))
-  sub, incl = P.sub_aset(keep)
-  return sub, incl.compose(px), incl.compose(py)
+  over = {}
+  for y in g.source.elements:
+    over.setdefault(g.mapping[y], []).append(y)
+  pairs = [(x, y) for x in f.source.elements
+           for y in over.get(f.mapping[x], ())]
+  return _pair_object(f.source, g.source, pairs, name)
 
 
 def pushout_monics(i, j, name=None):

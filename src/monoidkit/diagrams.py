@@ -1,4 +1,4 @@
-"""Distinguished squares and the nine-object subquotient diagram.
+"""The nine-object subquotient diagram and its squares.
 
 A square of horizontal monics and vertical comparison maps is distinguished
 when the induced map of cokernels is an isomorphism; distinguished squares of
@@ -12,7 +12,11 @@ universal property that actually holds in the ambient category, plus the
 poset-level (double-categorical) ones for the quotient square.  The quotient
 square is NOT an ambient fiber product in general — see ``KeyDiagram.verify``
 for the three-element counterexample — so the pullback property on that side
-is the kernel-comparison / lattice version.
+is the kernel comparison (the square is distinguished both ways) and the
+lattice version.
+
+Every diagram on X shares X's subquotient objects and subobject lattice
+(``FiniteASet.subquotient``); only the maps and the checks are per diagram.
 """
 
 from __future__ import annotations
@@ -22,48 +26,17 @@ from .asets import (ASetMap, ExactSeq, coequalizer, fiber_product, is_exact,
 from .errors import InvalidStructure
 
 
-def induced_cokernel_map(bottom, top, left, right):
-  """The map Y'/X' → Y/X induced by a commuting square.
-
-  Square layout (horizontal maps monic, verticals arbitrary comparison maps):
-
-      X  >--top-->  Y
-      ^             ^
-    left          right
-      |             |
-      X' >-bottom-> Y'
-
-  Returns (map, coker_bottom_seq, coker_top_seq).
-  """
-  if not (bottom.source.same_carrier(left.source)
-          and bottom.target.same_carrier(right.source)
-          and top.source.same_carrier(left.target)
-          and top.target.same_carrier(right.target)):
-    raise InvalidStructure("square corners do not match up")
-  for x in bottom.source.elements:
-    if right(bottom(x)) != top(left(x)):
-      raise InvalidStructure("square does not commute")
-  if not bottom.is_injective() or not top.is_injective():
-    raise InvalidStructure("horizontal maps must be monic")
-  qb, proj_b = bottom.target.quotient_by(bottom.image_set())
-  qt, proj_t = top.target.quotient_by(top.image_set())
-  # quotients keep survivor names, so the induced map reads off directly
-  mapping = {}
-  for y in bottom.target.elements:
-    mapping[proj_b(y)] = proj_t(right(y))
-  return ASetMap(qb, qt, mapping), proj_b, proj_t
-
-
-def is_distinguished_square(bottom, top, left, right):
-  """Is the induced map of cokernels an isomorphism?"""
-  cmp_map, _, _ = induced_cokernel_map(bottom, top, left, right)
-  return cmp_map.is_isomorphism()
-
-
 def _canonical_map(source, target, push):
   """An inclusion or collapse between subquotients of one object, unchecked:
   the key diagram's subsets are admissible and nested, so it is a map."""
   return ASetMap._trusted(source, target, {x: push(x) for x in source.elements})
+
+
+def _kernels_correspond(across, leave, enter):
+  """Does ``across`` send ker(leave) one-to-one onto ker(enter)?"""
+  image = [across(x) for x in leave.preimage({leave.target.base})]
+  dead = enter.preimage({enter.target.base})
+  return len(image) == len(dead) and set(image) == dead
 
 
 def _legs_factor_as_iso(Q, legs, target):
@@ -106,15 +79,11 @@ class KeyDiagram:
     self.s12 = self.s1 & self.s2
     self.su = self.s1 | self.s2
 
-    self.sub12, self.inc12 = X.sub_aset(self.s12)
-    self.sub1, self.inc1 = X.sub_aset(self.s1)
-    self.sub2, self.inc2 = X.sub_aset(self.s2)
-    self.sub_u, self.inc_u = X.sub_aset(self.su)
-
-    self.quo12, self.p12 = X.quotient_by(self.s12)
-    self.quo1, self.p1 = X.quotient_by(self.s1)
-    self.quo2, self.p2 = X.quotient_by(self.s2)
-    self.quo_u, self.pu = X.quotient_by(self.su)
+    # meets and joins of action-closed subsets are action-closed
+    self.sub12, self.quo12 = X.subquotient(self.s12)
+    self.sub1, self.quo1 = X.subquotient(self.s1)
+    self.sub2, self.quo2 = X.subquotient(self.s2)
+    self.sub_u, self.quo_u = X.subquotient(self.su)
 
     # monic square legs (all literal inclusions)
     ident = lambda x: x
@@ -131,8 +100,10 @@ class KeyDiagram:
     self.q1_u = _canonical_map(self.quo1, self.quo_u, collapse(self.su))
     self.q2_u = _canonical_map(self.quo2, self.quo_u, collapse(self.su))
 
-    self.seq_meet = ExactSeq(self.inc12, self.p12)
-    self.seq_join = ExactSeq(self.inc_u, self.pu)
+    self.seq_meet = ExactSeq(_canonical_map(self.sub12, X, ident),
+                             _canonical_map(X, self.quo12, collapse(self.s12)))
+    self.seq_join = ExactSeq(_canonical_map(self.sub_u, X, ident),
+                             _canonical_map(X, self.quo_u, collapse(self.su)))
 
   def objects(self):
     return {"X'12": self.sub12, "X'1": self.sub1, "X'2": self.sub2,
@@ -152,16 +123,18 @@ class KeyDiagram:
     distinguished in both directions) and the lattice universal property
     (a quotient X/K factors through the square iff K lies below both
     kernels iff it lies below their intersection).
+
+    Distinguished means that q12_2 restricts to a bijection of ker q12_1
+    onto ker q2_u, and q12_1 one of ker q12_2 onto ker q1_u.  The lattice is
+    X's ``subobject_lattice()``, walked once per object.
     """
     out = {}
 
     # -- commutativity of both squares
-    out["monic_square_commutes"] = all(
-        self.i12_1.compose(self.i1_u)(x) == self.i12_2.compose(self.i2_u)(x)
-        for x in self.sub12.elements)
-    out["epic_square_commutes"] = all(
-        self.q12_1.compose(self.q1_u)(x) == self.q12_2.compose(self.q2_u)(x)
-        for x in self.quo12.elements)
+    out["monic_square_commutes"] = (self.i12_1.compose(self.i1_u).mapping
+                                    == self.i12_2.compose(self.i2_u).mapping)
+    out["epic_square_commutes"] = (self.q12_1.compose(self.q1_u).mapping
+                                   == self.q12_2.compose(self.q2_u).mapping)
 
     # -- derived sequences
     out["meet_sequence_exact"] = is_exact(self.seq_meet)
@@ -189,7 +162,7 @@ class KeyDiagram:
     # the quotient side they are exactly the cone conditions: X/K admits a
     # cone over the cospan X''1 → X'' ← X''2 iff K ≤ S1 and K ≤ S2, and it
     # factors through X''12 iff K ≤ S12; dually for cocones under the span.
-    subs = self.X.subobject_sets()
+    subs = self.X.subobject_lattice()
     out["lattice_meet"] = all(
         (k <= self.s1 and k <= self.s2) == (k <= self.s12) for k in subs)
     out["lattice_join"] = all(
@@ -206,23 +179,10 @@ class KeyDiagram:
         Q, legs, self.quo_u)
 
     # -- epic square: kernel comparison (distinguished in both directions)
-    def kernel_set(pmap):
-      return pmap.preimage({pmap.target.base})
-
-    k_a = kernel_set(self.q12_1)                    # in quo12
-    k_b = kernel_set(self.q2_u)                     # in quo2
-    ka_obj, _ = self.quo12.sub_aset(k_a)
-    kb_obj, _ = self.quo2.sub_aset(k_b)
-    out["epic_square_kernel_comparison_1"] = (
-        ka_obj.is_isomorphic(kb_obj)
-        and all(self.q12_2(x) in k_b for x in k_a))
-    k_c = kernel_set(self.q12_2)
-    k_d = kernel_set(self.q1_u)
-    kc_obj, _ = self.quo12.sub_aset(k_c)
-    kd_obj, _ = self.quo1.sub_aset(k_d)
-    out["epic_square_kernel_comparison_2"] = (
-        kc_obj.is_isomorphic(kd_obj)
-        and all(self.q12_1(x) in k_d for x in k_c))
+    out["epic_square_kernel_comparison_1"] = _kernels_correspond(
+        self.q12_2, self.q12_1, self.q2_u)
+    out["epic_square_kernel_comparison_2"] = _kernels_correspond(
+        self.q12_1, self.q12_2, self.q1_u)
 
     # -- the quotient by the meet embeds in the product of the quotients
     P, pr1, pr2 = product(self.quo1, self.quo2)

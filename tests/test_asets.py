@@ -11,11 +11,11 @@ from monoidkit.asets import (ASetMap, ExactSeq, FiniteASet, NotFiniteLength,
                              aset_length, codim_support, coequalizer,
                              cokernel, cycle_nset, exact_seq_from_sub,
                              fiber_product, free_aset, hom_maps, identity_map,
-                             image_factorization, is_exact, is_pc_aset,
+                             is_exact, is_pc_aset,
                              is_rooted_tree, kernel, length_filtration,
                              nat_set, orbit_decomposition, point_aset,
                              product, pushout_monics, smash, support,
-                             truncated_line, wedge)
+                             truncated_line, wedge, wedge_list)
 from monoidkit.errors import InvalidStructure
 from monoidkit.monoids import STAR, FiniteMonoid, NatMonoid
 
@@ -97,6 +97,13 @@ def test_kernel_cokernel_image():
   assert epi.compose(mono) == f
 
 
+def image_factorization(f):
+  """f = mono ∘ epi through the image subobject of the target."""
+  img, incl = f.target.sub_aset(f.image_set())
+  epi = ASetMap(f.source, img, dict(f.mapping))
+  return epi, incl
+
+
 def test_exactness_judgement():
   X = truncated_line(2)
   Z = truncated_line(1)
@@ -124,6 +131,12 @@ def test_split_sequence_is_exact():
   # a non-surjective "projection" fails
   seq3 = ExactSeq(identity_map(pt), ASetMap(pt, X, {STAR: STAR}))
   assert not is_exact(seq3)
+  # a projection that merges two elements outside the image fails, and the
+  # verdict kept on the sequence says so again
+  Y = f1_set(2)
+  merge = ASetMap(Y, f1_set(1), {STAR: STAR, "x0": "x0", "x1": "x0"})
+  seq4 = ExactSeq(ASetMap(point_aset(F1), Y, {STAR: STAR}), merge)
+  assert not is_exact(seq4) and not is_exact(seq4)
 
 
 def test_subobjects_of_line():
@@ -394,6 +407,16 @@ def test_wedge_and_product():
   P, px, py = product(X, Y)
   assert P.size() == X.size() * Y.size()
   assert px.is_surjective() and py.is_surjective()
+
+
+def test_wedge_list_never_renames_an_input():
+  X, Y = truncated_line(1), truncated_line(2)
+  alone = wedge_list([X], name="w")
+  assert alone is not X and alone.same_carrier(X)
+  assert (alone.name, X.name) == ("w", "line(1)")
+  both = wedge_list([X, Y], name="v")
+  assert both.size() == 4 and both.name == "v"
+  assert (X.name, Y.name) == ("line(1)", "line(2)")
 
 
 def test_coequalizer_merges_and_closes():

@@ -1,20 +1,183 @@
-"""Distinguished squares and the nine-object diagram."""
+"""Distinguished squares and the nine-object diagram.
+
+The constructions ``KeyDiagram.verify`` stands on are checked here against
+their first, plain versions, kept as oracles: ``oracle_fiber_product``
+filters the whole product, ``oracle_coequalizer`` sweeps every element
+until nothing changes, and ``oracle_verify`` builds every kernel as an
+object and compares kernels by an isomorphism search.
+"""
+
+import gc
+import random
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from monoidkit.asets import (ASetMap, ExactSeq, FiniteASet, STAR,
-                             exact_seq_from_sub, fiber_product, identity_map,
-                             point_aset, pushout_monics, truncated_line, wedge)
-from monoidkit.corpora import all_nilpotent_asets, all_pointed_sets
-from monoidkit.diagrams import (KeyDiagram, induced_cokernel_map,
-                                is_distinguished_square, key_diagram)
+from monoidkit.asets import (ASetMap, ExactSeq, FiniteASet, STAR, _UnionFind,
+                             coequalizer, exact_seq_from_sub, fiber_product,
+                             hom_maps, identity_map, is_exact, point_aset,
+                             product, pushout_monics, truncated_line, wedge)
+from monoidkit.corpora import all_nilpotent_asets, all_nsets, all_pointed_sets
+from monoidkit.diagrams import KeyDiagram, _legs_factor_as_iso, key_diagram
 from monoidkit.errors import InvalidStructure
 from monoidkit.monoids import FiniteMonoid
+
+F1 = FiniteMonoid.f1()
+T3 = FiniteMonoid.truncated_free(2)          # N/(t^3)
+KERNEL_KEYS = {"epic_square_kernel_comparison_1",
+               "epic_square_kernel_comparison_2"}
 
 
 def pointed_set(*names):
   """A pointed set viewed as an F1-set (no generators, no action to give)."""
   return FiniteASet(FiniteMonoid.f1(), [STAR, *names], {}, STAR)
+
+
+def induced_cokernel_map(bottom, top, left, right):
+  """The map Y'/X' → Y/X induced by a commuting square.
+
+  Square layout (horizontal maps monic, verticals arbitrary comparison maps):
+
+      X  >--top-->  Y
+      ^             ^
+    left          right
+      |             |
+      X' >-bottom-> Y'
+
+  Returns (map, coker_bottom_seq, coker_top_seq).
+  """
+  if not (bottom.source.same_carrier(left.source)
+          and bottom.target.same_carrier(right.source)
+          and top.source.same_carrier(left.target)
+          and top.target.same_carrier(right.target)):
+    raise InvalidStructure("square corners do not match up")
+  for x in bottom.source.elements:
+    if right(bottom(x)) != top(left(x)):
+      raise InvalidStructure("square does not commute")
+  if not bottom.is_injective() or not top.is_injective():
+    raise InvalidStructure("horizontal maps must be monic")
+  qb, proj_b = bottom.target.quotient_by(bottom.image_set())
+  qt, proj_t = top.target.quotient_by(top.image_set())
+  # quotients keep survivor names, so the induced map reads off directly
+  mapping = {}
+  for y in bottom.target.elements:
+    mapping[proj_b(y)] = proj_t(right(y))
+  return ASetMap(qb, qt, mapping), proj_b, proj_t
+
+
+def is_distinguished_square(bottom, top, left, right):
+  """Is the induced map of cokernels an isomorphism?"""
+  cmp_map, _, _ = induced_cokernel_map(bottom, top, left, right)
+  return cmp_map.is_isomorphism()
+
+
+# -------------------------------------------------------------------- oracles
+
+
+def oracle_fiber_product(f, g):
+  """The whole product X × Y, filtered to the pairs that agree in Z."""
+  P, px, py = product(f.source, g.source)
+  keep = frozenset(e for e in P.elements if f(px(e)) == g(py(e)))
+  sub, incl = P.sub_aset(keep)
+  return sub, incl.compose(px), incl.compose(py)
+
+
+def oracle_coequalizer(f, g):
+  """Identify f(x) ~ g(x), then sweep every element and generator, merging
+  g·y with g·root(y), until a sweep merges nothing."""
+  Y = f.target
+  uf = _UnionFind(Y.elements)
+  for x in f.source.elements:
+    uf.union(f(x), g(x))
+  changed = True
+  while changed:
+    changed = False
+    for y in Y.elements:
+      for gmap in Y.action.values():
+        changed = uf.union(gmap[y], gmap[uf.find(y)]) or changed
+  classes = {}
+  for y in Y.elements:
+    classes.setdefault(uf.find(y), []).append(y)
+  base_root = uf.find(Y.base)
+  names = {r: Y.base if r == base_root else sorted(map(str, members))[0]
+           for r, members in classes.items()}
+  action = {g: {names[r]: names[uf.find(gmap[members[0]])]
+                for r, members in classes.items()}
+            for g, gmap in Y.action.items()}
+  Q = FiniteASet(Y.monoid, [names[r] for r in classes], action, Y.base)
+  return Q, ASetMap(Y, Q, {y: names[uf.find(y)] for y in Y.elements})
+
+
+def oracle_pushout_monics(i, j):
+  V, inc_x, inc_y = wedge(i.target, j.target)
+  Q, proj = oracle_coequalizer(i.compose(inc_x), j.compose(inc_y))
+  return Q, inc_x.compose(proj), inc_y.compose(proj)
+
+
+def oracle_verify(kd):
+  """``KeyDiagram.verify`` as first written: element-wise commutativity, the
+  product-then-filter pullback, the sweep coequalizers, X's lattice walked
+  anew, and each kernel comparison as an isomorphism of kernel objects plus
+  an image inclusion."""
+  out = {}
+  out["monic_square_commutes"] = all(
+      kd.i12_1.compose(kd.i1_u)(x) == kd.i12_2.compose(kd.i2_u)(x)
+      for x in kd.sub12.elements)
+  out["epic_square_commutes"] = all(
+      kd.q12_1.compose(kd.q1_u)(x) == kd.q12_2.compose(kd.q2_u)(x)
+      for x in kd.quo12.elements)
+  out["meet_sequence_exact"] = is_exact(
+      ExactSeq(kd.seq_meet.i, kd.seq_meet.p))
+  out["join_sequence_exact"] = is_exact(
+      ExactSeq(kd.seq_join.i, kd.seq_join.p))
+
+  FP, f1, f2 = oracle_fiber_product(kd.i1_u, kd.i2_u)
+  try:
+    witness = {(f1(e), f2(e)): e for e in FP.elements}
+    m = ASetMap(kd.sub12, FP, {x: witness[(x, x)] for x in kd.sub12.elements})
+    out["monic_square_ambient_pullback"] = m.is_isomorphism()
+  except (KeyError, InvalidStructure):
+    out["monic_square_ambient_pullback"] = False
+
+  PO, j1, j2 = oracle_pushout_monics(kd.i12_1, kd.i12_2)
+  out["monic_square_ambient_pushout"] = _legs_factor_as_iso(
+      PO, ((kd.sub1, j1, kd.i1_u), (kd.sub2, j2, kd.i2_u)), kd.sub_u)
+
+  subs = kd.X.subobject_sets()
+  out["lattice_meet"] = all(
+      (k <= kd.s1 and k <= kd.s2) == (k <= kd.s12) for k in subs)
+  out["lattice_join"] = all(
+      (k >= kd.s1 and k >= kd.s2) == (k >= kd.su) for k in subs)
+
+  V, a1, a2 = wedge(kd.quo1, kd.quo2)
+  Q, proj = oracle_coequalizer(kd.q12_1.compose(a1), kd.q12_2.compose(a2))
+  legs = ((kd.quo1, a1.compose(proj), kd.q1_u),
+          (kd.quo2, a2.compose(proj), kd.q2_u))
+  out["epic_square_ambient_pushout"] = _legs_factor_as_iso(
+      Q, legs, kd.quo_u)
+
+  def kernel_set(pmap):
+    return pmap.preimage({pmap.target.base})
+
+  for key, across, leave, enter in (
+      ("epic_square_kernel_comparison_1", kd.q12_2, kd.q12_1, kd.q2_u),
+      ("epic_square_kernel_comparison_2", kd.q12_1, kd.q12_2, kd.q1_u)):
+    k_in, k_out = kernel_set(leave), kernel_set(enter)
+    obj_in, _ = leave.source.sub_aset(k_in)
+    obj_out, _ = enter.source.sub_aset(k_out)
+    out[key] = (obj_in.is_isomorphic(obj_out)
+                and all(across(x) in k_out for x in k_in))
+
+  P, pr1, pr2 = product(kd.quo1, kd.quo2)
+  pair_of = {}
+  for e in P.elements:
+    pair_of.setdefault((pr1(e), pr2(e)), e)
+  emb = ASetMap(kd.quo12, P, {x: pair_of[(kd.q12_1(x), kd.q12_2(x))]
+                              for x in kd.quo12.elements})
+  out["meet_quotient_embeds_in_product"] = emb.is_injective()
+  return out
 
 
 def test_identity_square_is_distinguished():
@@ -181,3 +344,211 @@ def test_key_diagram_maps_pass_the_public_constructor():
           assert m == ASetMap(m.source, m.target, m.mapping)
         diagrams += 1
   assert diagrams == 1323
+
+
+# ----------------------------------------------------- the constructions vs oracles
+
+
+SMALL = {"F1": all_pointed_sets(F1, 4), "N": all_nsets(4),
+         "N/(t^3)": all_nilpotent_asets(T3, 4)}
+
+
+@st.composite
+def parallel_pairs(draw):
+  objects = SMALL[draw(st.sampled_from(sorted(SMALL)))]
+  X, Y = draw(st.sampled_from(objects)), draw(st.sampled_from(objects))
+  maps = hom_maps(X, Y)
+  return draw(st.sampled_from(maps)), draw(st.sampled_from(maps))
+
+
+@st.composite
+def function_pairs(draw):
+  """Two pointed functions X → Y, not necessarily morphisms.  For morphisms
+  the pairs (f(x), g(x)) already generate a congruence; only these make the
+  coequalizer close its classes under the action."""
+  objects = SMALL[draw(st.sampled_from(sorted(SMALL)))]
+  X, Y = draw(st.sampled_from(objects)), draw(st.sampled_from(objects))
+  return tuple(
+      ASetMap._trusted(X, Y, {x: draw(st.sampled_from(Y.elements))
+                              if x != X.base else Y.base for x in X.elements})
+      for _ in range(2))
+
+
+@st.composite
+def cospans(draw):
+  objects = SMALL[draw(st.sampled_from(sorted(SMALL)))]
+  X, Y, Z = (draw(st.sampled_from(objects)) for _ in range(3))
+  return (draw(st.sampled_from(hom_maps(X, Z))),
+          draw(st.sampled_from(hom_maps(Y, Z))))
+
+
+def assert_same_object(A, B):
+  assert A.elements == B.elements
+  assert A.base == B.base and A.action == B.action
+
+
+@settings(max_examples=200, deadline=None)
+@given(cospans())
+def test_fiber_product_is_the_filtered_product(cospan):
+  f, g = cospan
+  P, px, py = fiber_product(f, g)
+  P0, px0, py0 = oracle_fiber_product(f, g)
+  assert_same_object(P, P0)
+  assert px.mapping == px0.mapping and py.mapping == py0.mapping
+  # built unchecked, and the public constructors agree that it is valid
+  FiniteASet(P.monoid, P.elements, P.action, P.base)
+  ASetMap(P, f.source, px.mapping)
+  ASetMap(P, g.source, py.mapping)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(parallel_pairs(), function_pairs()))
+def test_coequalizer_is_the_sweep(pair):
+  f, g = pair
+  Q, proj = coequalizer(f, g)
+  Q0, proj0 = oracle_coequalizer(f, g)
+  assert_same_object(Q, Q0)
+  assert proj.mapping == proj0.mapping
+
+
+def test_products_and_wedges_pass_the_public_constructors():
+  # both are built unchecked
+  for objects in SMALL.values():
+    for X in objects[-3:]:
+      for Y in objects[-3:]:
+        P, px, py = product(X, Y)
+        assert P.size() == X.size() * Y.size()
+        FiniteASet(P.monoid, P.elements, P.action, P.base)
+        ASetMap(P, X, px.mapping)
+        ASetMap(P, Y, py.mapping)
+        W, ix, iy = wedge(X, Y)
+        assert W.size() == X.size() + Y.size() - 1
+        FiniteASet(W.monoid, W.elements, W.action, W.base)
+        ASetMap(X, W, ix.mapping)
+        ASetMap(Y, W, iy.mapping)
+
+
+def test_fiber_product_refuses_colliding_labels():
+  # (a, "b,c") and ("a,b", c) are different pairs with one label "(a,b,c)"
+  X = FiniteASet(F1, [STAR, "a", "a,b"], {}, STAR)
+  Y = FiniteASet(F1, [STAR, "b,c", "c"], {}, STAR)
+  Z = point_aset(F1)
+  f = ASetMap(X, Z, {x: STAR for x in X.elements})
+  g = ASetMap(Y, Z, {y: STAR for y in Y.elements})
+  with pytest.raises(InvalidStructure):
+    fiber_product(f, g)
+
+
+def sequence_pairs(X):
+  seqs = [exact_seq_from_sub(X, s) for s in X.subobject_sets()]
+  return [(s1, s2) for s1 in seqs for s2 in seqs]
+
+
+def assert_verdicts_agree(X, s1, s2):
+  kd = key_diagram(X, s1, s2)
+  assert kd.verify() == oracle_verify(kd)
+  # the shared subquotients and the derived sequences are what the
+  # uncached constructors build
+  for subset, sub, quo in ((kd.s12, kd.sub12, kd.quo12),
+                           (kd.s1, kd.sub1, kd.quo1), (kd.s2, kd.sub2, kd.quo2),
+                           (kd.su, kd.sub_u, kd.quo_u)):
+    assert sub.same_carrier(X.sub_aset(subset)[0])
+    assert quo.same_carrier(X.quotient_by(subset)[0])
+  for seq, subset in ((kd.seq_meet, kd.s12), (kd.seq_join, kd.su)):
+    want = exact_seq_from_sub(X, subset)
+    assert seq.i == want.i and seq.p == want.p
+
+
+def test_verify_agrees_with_the_oracle_up_to_five_elements():
+  corpus = all_pointed_sets(F1, 5) + all_nilpotent_asets(T3, 5)
+  pairs = 0
+  for X in corpus:
+    for s1, s2 in sequence_pairs(X):
+      assert_verdicts_agree(X, s1, s2)
+      pairs += 1
+  assert pairs == 1323
+
+
+def test_verify_agrees_with_the_oracle_on_six_element_samples():
+  rng = random.Random(11)
+  six = [X for X in all_pointed_sets(F1, 6) + all_nilpotent_asets(T3, 6)
+         if X.size() == 6]
+  pairs = [(X, s1, s2) for X in six for s1, s2 in sequence_pairs(X)]
+  assert len(pairs) == 6739 - 1323
+  for X, s1, s2 in rng.sample(pairs, 400):
+    assert_verdicts_agree(X, s1, s2)
+
+
+def corrupted(m, image_of):
+  """m with each nonbase x sent to image_of(x, m(x)), unchecked."""
+  mapping = {x: y if x == m.source.base else image_of(x, y)
+             for x, y in m.mapping.items()}
+  return ASetMap._trusted(m.source, m.target, mapping)
+
+
+LEGS = ("i12_1", "i12_2", "i1_u", "i2_u", "q12_1", "q12_2", "q1_u", "q2_u")
+
+
+@pytest.mark.parametrize("leg", LEGS)
+def test_a_corrupted_leg_fails_the_same_checks_under_both_versions(leg):
+  # over F1 any pointed map is a morphism: send every element to the
+  # first nonbase element of the target that it is not sent to already;
+  # the zero map is a morphism over any monoid
+  cases = [(pointed_set("a", "b", "c"), {STAR, "a", "b"}, {STAR, "b", "c"},
+            lambda m: corrupted(m, lambda x, y: next(
+                (z for z in m.target.nonbase() if z != y), y))),
+           (truncated_line(3), {STAR, "t", "t^2"}, {STAR, "t^2"},
+            lambda m: corrupted(m, lambda x, y: m.target.base)),
+           (all_nilpotent_asets(T3, 6)[-1], None, None,
+            lambda m: corrupted(m, lambda x, y: m.target.base))]
+  failed_somewhere = False
+  for X, set1, set2, corrupt in cases:
+    if set1 is None:
+      subs = X.subobject_sets()
+      set1, set2 = subs[len(subs) // 2], subs[-2]
+    kd = KeyDiagram(X, set1, set2)
+    bad = corrupt(getattr(kd, leg))
+    if bad.mapping == getattr(kd, leg).mapping:
+      continue
+    setattr(kd, leg, bad)
+    new = {k for k, v in kd.verify().items() if not v}
+    old = {k for k, v in oracle_verify(kd).items() if not v}
+    assert new - KERNEL_KEYS == old - KERNEL_KEYS
+    assert old & KERNEL_KEYS <= new & KERNEL_KEYS
+    failed_somewhere = failed_somewhere or bool(old)
+  assert failed_somewhere
+
+
+def test_the_kernel_comparison_needs_a_bijection():
+  # q12_2 folds ker q12_1 = {*, a, b} onto ker q2_u = {*, a}: onto, but not
+  # one-to-one
+  X = pointed_set("a", "b", "c")
+  kd = KeyDiagram(X, {STAR, "a", "b"}, {STAR})
+  kd.q12_2 = corrupted(kd.q12_2, lambda x, y: "a" if x == "b" else y)
+  kd.q2_u = corrupted(kd.q2_u, lambda x, y: "c" if x == "b" else y)
+  assert {kd.q12_2(x) for x in (STAR, "a", "b")} == {STAR, "a"}
+  assert kd.q2_u.preimage({STAR}) == {STAR, "a"}
+  assert not kd.verify()["epic_square_kernel_comparison_1"]
+
+
+def _diagrams_on(X):
+  for s1, s2 in sequence_pairs(X):
+    kd = key_diagram(X, s1, s2)
+    assert all(kd.verify().values())
+  assert X.subquotient(kd.s1)[0] is kd.sub1        # the table is filled
+
+
+def test_the_object_table_pins_nothing():
+  # with the cyclic collector off, X must die with its last reference: a
+  # table entry that refers back to X would keep it alive
+  enabled = gc.isenabled()
+  gc.disable()
+  try:
+    X = all_nilpotent_asets(T3, 5)[-1]
+    _diagrams_on(X)
+    alive = weakref.ref(X)
+    del X
+    assert alive() is None
+  finally:
+    if enabled:
+      gc.enable()
