@@ -11,8 +11,10 @@ The public constructors ``FiniteASet(...)`` and ``ASetMap(...)`` check their
 input in full.  Objects and maps derived from valid ones are built by the
 private ``_trusted`` constructors instead, which check nothing: subobjects
 and quotients (``sub_aset``, ``quotient_by``, after their admissibility
-check), the maps ``hom_maps`` finds (its search checks every equivariance
-square) and composites (``ASetMap.compose``, after its carrier check).
+check, or ``_sub_object``/``_quotient_object`` directly for a set of the
+lattice, closed by construction), the maps ``hom_maps`` finds (its search
+checks every equivariance square) and composites (``ASetMap.compose``,
+after its carrier check).
 
 Maps and isomorphisms come from one backtracking search,
 ``_equivariant_maps``.  ``hom_maps`` lists every map it finds;
@@ -243,12 +245,8 @@ class FiniteASet:
     """(subobject, inclusion) for an action-closed subset."""
     if not self.is_admissible_subset(subset):
       raise InvalidStructure("subset is not action-closed (or misses the basepoint)")
-    s = set(subset)
-    keep = [x for x in self.elements if x in s]
-    action = {g: {x: gmap[x] for x in keep} for g, gmap in self.action.items()}
-    sub = FiniteASet._trusted(self.monoid, keep, action, self.base, name=name)
-    incl = ASetMap._trusted(sub, self, {x: x for x in keep})
-    return sub, incl
+    sub = self._sub_object(set(subset), name)
+    return sub, ASetMap._trusted(sub, self, {x: x for x in sub.elements})
 
   def quotient_by(self, subset, name=None):
     """(quotient, projection) collapsing an admissible subset to the basepoint.
@@ -257,13 +255,24 @@ class FiniteASet:
     """
     if not self.is_admissible_subset(subset):
       raise InvalidStructure("can only collapse an action-closed subset")
-    dead = set(subset) - {self.base}
-    keep = [x for x in self.elements if x not in dead]
-    push = {x: self.base if x in dead else x for x in self.elements}
-    action = {g: {x: push[gmap[x]] for x in keep} for g, gmap in self.action.items()}
-    quo = FiniteASet._trusted(self.monoid, keep, action, self.base, name=name)
-    proj = ASetMap._trusted(self, quo, push)
-    return quo, proj
+    s = set(subset)
+    quo = self._quotient_object(s, name)
+    push = {x: self.base if x in s else x for x in self.elements}
+    return quo, ASetMap._trusted(self, quo, push)
+
+  def _sub_object(self, s, name=None):
+    """The subobject on an admissible set s, built unchecked."""
+    keep = [x for x in self.elements if x in s]
+    action = {g: {x: gmap[x] for x in keep} for g, gmap in self.action.items()}
+    return FiniteASet._trusted(self.monoid, keep, action, self.base, name)
+
+  def _quotient_object(self, s, name=None):
+    """X/s for an admissible set s (it holds the basepoint), unchecked."""
+    base = self.base
+    keep = [x for x in self.elements if x == base or x not in s]
+    action = {g: {x: base if gmap[x] in s else gmap[x] for x in keep}
+              for g, gmap in self.action.items()}
+    return FiniteASet._trusted(self.monoid, keep, action, base, name)
 
   # -- derived data kept on the object ----------------------------------------------
 

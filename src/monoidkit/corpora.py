@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 
-from .asets import STAR, FiniteASet, IsoClasses, exact_seq_from_sub, nat_set
+from .asets import STAR, FiniteASet, IsoClasses, nat_set
 from .errors import ClosureBoundExceeded, InvalidStructure
 from .monoids import NatMonoid
 
@@ -365,9 +365,10 @@ def subquotient_relations(seeds, bound=64):
   while work:
     i = work.pop()
     X = reps[i]
+    # the lattice's sets are closed by construction: build S and X/S
+    # unchecked, with no maps, and keep neither on X
     for s in X.subobject_sets():
-      seq = exact_seq_from_sub(X, s)
-      ends.append((i, index(seq.sub), index(seq.quotient)))
+      ends.append((i, index(X._sub_object(s)), index(X._quotient_object(s))))
   rows = {}
   for i, j, k in ends:
     row = [0] * len(reps)

@@ -1,13 +1,18 @@
-"""Exact integer linear algebra: Smith normal form, kernels, lattice tests.
+"""Exact integer linear algebra: Smith normal form, kernels, cokernels.
 
 Matrices are plain lists of rows of Python ints, so all arithmetic is
 arbitrary-precision and exact.  Everything here returns new objects and never
 mutates its arguments.
 
-The workhorse is ``smith_normal_form``, which also returns the unimodular
-transforms; those are what turn a relation matrix into an explicit isomorphism
-onto a direct sum of cyclic groups (needed for class maps, not just for the
-isomorphism type).
+A cokernel Z^n / ⟨rows⟩ is reduced in two phases.  ``eliminate_unit_pivots``
+works on sparse rows: it pivots on ±1 entries, which removes a column and a
+row at a time with no division, and writes each removed column as an integer
+combination of the columns that survive.  Only what is left, the Schur
+complement, goes to ``smith_normal_form``, the dense phase, which also
+returns the unimodular transforms; those are what turn a relation matrix
+into an explicit isomorphism onto a direct sum of cyclic groups (needed for
+class maps, not just for the isomorphism type).  ``solve`` and
+``kernel_basis`` use the dense phase alone.
 """
 
 from __future__ import annotations
@@ -23,10 +28,6 @@ def dims(M):
 
 def identity_matrix(n):
   return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(m, n):
-  return [[0] * n for _ in range(m)]
 
 
 def copy_matrix(M):
@@ -71,6 +72,70 @@ def _extgcd(a, b):
   if old_r < 0:
     old_r, old_s, old_t = -old_r, -old_s, -old_t
   return old_r, old_s, old_t
+
+
+def eliminate_unit_pivots(rows, n, weight):
+  """Sparse first phase of Smith normal form: pivot on the ±1 entries.
+
+  The rows are taken in order.  A row, once the pivots before it have been
+  cleared from it, pivots on its ±1 entry in the column j of largest
+  ``weight[j]``, and that column is cleared from every row not yet
+  pivoted.  Returns (survivors, residual, images):
+
+  - ``survivors``: the columns never pivoted on, in ascending order;
+  - ``residual``: the Schur complement, one dense row over the survivors
+    for each row that did not pivot (zero rows included);
+  - ``images[j]``: column j written over the survivors, as a dict from a
+    position in ``survivors`` to a nonzero coefficient.
+
+  Then e_j ↦ images[j] carries Z^n / ⟨rows⟩ isomorphically onto
+  Z^len(survivors) / ⟨residual⟩: a pivot row says that its pivot column
+  equals an integer combination of the columns still live, and every row
+  it was subtracted from keeps the same span.
+  """
+  live = [{j: a for j, a in enumerate(row) if a} for row in rows]
+  where = [set() for _ in range(n)]      # column -> live rows holding it
+  for r, row in enumerate(live):
+    for j in row:
+      where[j].add(r)
+  pivots = []
+  for r, row in enumerate(live):
+    units = [j for j, a in row.items() if a == 1 or a == -1]
+    if not units:
+      continue
+    c = max(units, key=weight.__getitem__)
+    a = row.pop(c)
+    for j in row:
+      where[j].discard(r)
+    where[c].discard(r)
+    for r2 in where[c]:
+      other = live[r2]
+      f = other.pop(c) * a               # other -= (other[c] / a) * pivot row
+      for j, b in row.items():
+        v = other.get(j, 0) - f * b
+        if v:
+          other[j] = v
+          where[j].add(r2)
+        else:
+          del other[j]
+          where[j].discard(r2)
+    where[c] = ()
+    live[r] = None
+    pivots.append((c, {j: -a * b for j, b in row.items()}))
+  pivoted = {c for c, _ in pivots}
+  survivors = [j for j in range(n) if j not in pivoted]
+  images = [None] * n
+  for p, j in enumerate(survivors):
+    images[j] = {p: 1}
+  for c, combination in reversed(pivots):
+    image = {}
+    for j, coefficient in combination.items():
+      for p, v in images[j].items():
+        image[p] = image.get(p, 0) + coefficient * v
+    images[c] = {p: v for p, v in image.items() if v}
+  residual = [[row.get(j, 0) for j in survivors]
+              for row in live if row is not None]
+  return survivors, residual, images
 
 
 def smith_normal_form(M):
@@ -207,36 +272,6 @@ def rank(M):
   return len(invariant_factors(M))
 
 
-def det(M):
-  """Exact determinant via fraction-free (Bareiss) elimination."""
-  m, n = dims(M)
-  assert m == n
-  if n == 0:
-    return 1
-  A = copy_matrix(M)
-  sign = 1
-  prev = 1
-  for k in range(n - 1):
-    if A[k][k] == 0:
-      for i in range(k + 1, n):
-        if A[i][k] != 0:
-          A[k], A[i] = A[i], A[k]
-          sign = -sign
-          break
-      else:
-        return 0
-    for i in range(k + 1, n):
-      for j in range(k + 1, n):
-        A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-    prev = A[k][k]
-  return sign * A[n - 1][n - 1]
-
-
-def is_unimodular(M):
-  m, n = dims(M)
-  return m == n and det(M) in (1, -1)
-
-
 def kernel_basis(M):
   """Basis of the right kernel {x : M x = 0} as a list of integer vectors.
 
@@ -281,21 +316,6 @@ def lattice_contains(spanning_rows, v):
     return all(x == 0 for x in v)
   assert all(len(r) == len(v) for r in spanning_rows)
   return solve(transpose(spanning_rows), list(v)) is not None
-
-
-def lattice_equal(rows_a, rows_b, ambient_dim=None):
-  """Do two spanning sets generate the same sublattice of Z^n?"""
-  if ambient_dim is None:
-    if rows_a:
-      ambient_dim = len(rows_a[0])
-    elif rows_b:
-      ambient_dim = len(rows_b[0])
-    else:
-      return True
-  zero = [0] * ambient_dim
-  a = [r for r in rows_a if list(r) != zero]
-  b = [r for r in rows_b if list(r) != zero]
-  return all(lattice_contains(b, r) for r in a) and all(lattice_contains(a, r) for r in b)
 
 
 def cokernel_invariants(relation_rows, n):

@@ -4,9 +4,10 @@ Everything here is truncated to degree ≤ 1. Group K-theory enters through
 two constants — K₀ of a group is ℤ, K₁ is the group plus a configured
 stable summand — and all category-level K₀ groups are presented by
 generators (iso classes) and relations (one per exact sequence).  Each
-presentation is reduced once, by one Smith normal form D = U·R·V in
-``K0Result``; the class of generator i is row i of V, so class maps and
-additivity checks are reads.  The M/C classes are the iso classes of the
+presentation is reduced once in ``K0Result``: unit pivots eliminate the
+classes that are sums of smaller ones, and one Smith normal form of what is
+left gives the group; every class is stored, so class maps and additivity
+checks are reads.  The M/C classes are the iso classes of the
 objects' reduced objects (``serre.reduced_object``), sorted by one
 ``IsoClasses`` index, so no M/C morphism is ever searched for.  The
 localization check K₀(C) → K₀(M) → K₀(M/C) reuses M's one closure walk:
@@ -79,40 +80,62 @@ def burnside_rank(gamma):
 class K0Result:
   """K₀ of a subquotient-closed list of objects, with the class map.
 
-  One Smith normal form D = U·R·V of the relation matrix R is the whole
-  reduction: ``group`` is read off D's diagonal, and x ↦ x·V carries the
-  cokernel onto its canonical form, so the class of generator i is row i
-  of V, read in the free slots (zero diagonal) and in the torsion slots
-  (diagonal d > 1, modulo d).  Each free coordinate is oriented once so that
-  the first class using it is positive, and every class is stored:
-  ``class_vector``, ``class_of`` and ``additivity_holds`` only read them.
+  The relation matrix R is reduced in two phases.  First
+  ``intlin.eliminate_unit_pivots`` pivots on ±1 entries, taking in each row
+  the largest object, so that the simple objects survive: a row
+  [X] − [S] − [X/S] says [X] = [S] + [X/S], the Jordan–Hölder step.  Each
+  eliminated class becomes an integer combination of the surviving ones.
+  Then the one Smith normal form D = U·R′·V of the Schur complement R′
+  (on every corpus presentation it is zero) gives ``group`` from D's
+  diagonal, and x ↦ x·V carries its cokernel onto the canonical form.  So
+  the class of generator i is its combination times V, read in the free
+  slots (zero diagonal) and in the torsion slots (diagonal d > 1, modulo
+  d).  Each free coordinate is oriented once so that the first class using
+  it is positive, and every class is stored: ``class_vector``,
+  ``class_of`` and ``additivity_holds`` only read them.
   """
 
   def __init__(self, reps, relations):
     self.reps = reps
     self.relations = relations
-    n = len(reps)
+    survivors, residual, images = intlin.eliminate_unit_pivots(
+        relations, len(reps), [X.size() for X in reps])
+    k = len(survivors)
     if relations:
-      D, _, V = smith_normal_form(relations)
+      # when every row pivoted, the zero row stands in for the 0×k residual
+      D, _, V = smith_normal_form(residual or [[0] * k])
       diag = intlin.diagonal(D)
     else:
-      V, diag = intlin.identity_matrix(n), []
-    diag += [0] * (n - len(diag))
+      V, diag = intlin.identity_matrix(k), []
+    diag += [0] * (k - len(diag))
     free = [j for j, d in enumerate(diag) if d == 0]
     torsion = [(j, d) for j, d in enumerate(diag) if d > 1]
-    signs = [next((1 if row[j] > 0 else -1 for row in V if row[j]), 1)
+    rows = []
+    for image in images:
+      row = [0] * k
+      for p, c in image.items():
+        row = [x + c * v for x, v in zip(row, V[p])]
+      rows.append(row)
+    signs = [next((1 if row[j] > 0 else -1 for row in rows if row[j]), 1)
              for j in free]
     self._classes = [(tuple(s * row[j] for s, j in zip(signs, free)),
-                      tuple(row[j] % d for j, d in torsion)) for row in V]
+                      tuple(row[j] % d for j, d in torsion)) for row in rows]
     self._moduli = [d for _, d in torsion]
     self.group = AbelianGroupPresentation(len(free), self._moduli)
+    self._buckets = None
 
   def class_vector(self, index):
     return self._classes[index]
 
   def index_of(self, X):
-    for i, rep in enumerate(self.reps):
-      if rep.is_isomorphic(X):
+    """The index of X's class: X is compared only with the reps of equal
+    ``iso_key``, bucketed once on first use."""
+    if self._buckets is None:
+      self._buckets = {}
+      for i, rep in enumerate(self.reps):
+        self._buckets.setdefault(rep.iso_key(), []).append(i)
+    for i in self._buckets.get(X.iso_key(), ()):
+      if self.reps[i].is_isomorphic(X):
         return i
     raise InvalidStructure("object is not in the closed corpus")
 

@@ -149,6 +149,22 @@ class FiniteMonoid:
         if (a, b) not in full:
           raise InvalidStructure(f"table is missing the product {a}*{b}")
     self.table = full
+    self._hash = None
+
+  def __eq__(self, other):
+    """Equal when the elements, one, zero and table are; the name is a
+    label.  Identity is checked first: objects compare their monoids on
+    every isomorphism test."""
+    return self is other or (
+        isinstance(other, FiniteMonoid) and self.elements == other.elements
+        and self.one == other.one and self.zero == other.zero
+        and self.table == other.table)
+
+  def __hash__(self):
+    if self._hash is None:
+      self._hash = hash((tuple(self.elements), self.one, self.zero,
+                         frozenset(self.table.items())))
+    return self._hash
 
   # -- basic structure ----------------------------------------------------
 

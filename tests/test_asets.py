@@ -419,6 +419,22 @@ def test_wedge_list_never_renames_an_input():
   assert (X.name, Y.name) == ("line(1)", "line(2)")
 
 
+def test_constructions_accept_objects_over_equal_monoids():
+  # two f1() calls build equal monoids, not one shared instance
+  X = FiniteASet(FiniteMonoid.f1(), [STAR, "a"], {}, STAR)
+  Y = FiniteASet(FiniteMonoid.f1(), [STAR, "b", "c"], {}, STAR)
+  assert X.monoid is not Y.monoid and X.monoid == Y.monoid
+  assert wedge(X, Y)[0].size() == 4
+  assert product(X, Y)[0].size() == 6
+  to_x = ASetMap(X, point_aset(FiniteMonoid.f1()),
+                 {STAR: STAR, "a": STAR})
+  to_y = ASetMap(Y, point_aset(FiniteMonoid.f1()),
+                 {STAR: STAR, "b": STAR, "c": STAR})
+  assert fiber_product(to_x, to_y)[0].size() == 6
+  copy = FiniteASet(FiniteMonoid.f1(), [STAR, "a"], {}, STAR)
+  assert copy.same_carrier(X) and copy.is_isomorphic(X)
+
+
 def test_coequalizer_merges_and_closes():
   Y = truncated_line(2)            # 1 -> t -> *
   ident = identity_map(Y)

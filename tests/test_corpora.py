@@ -4,12 +4,14 @@ import random
 
 import pytest
 
-from monoidkit.asets import STAR, is_rooted_tree, nat_set
+from monoidkit import corpora
+from monoidkit.asets import STAR, FiniteASet, is_rooted_tree, nat_set
 from monoidkit.corpora import (all_gamma_asets, all_nilpotent_asets,
                                all_nsets, all_nshapes, all_pointed_sets,
                                brute_force_asets, close_under_subquotients,
                                crown_shapes, dedup_up_to_iso, random_aset,
-                               random_nset, tree_shapes, unit_subgroups)
+                               random_nset, subquotient_relations,
+                               tree_shapes, unit_subgroups)
 from monoidkit.errors import ClosureBoundExceeded
 from monoidkit.monoids import FiniteMonoid, NatMonoid
 
@@ -106,3 +108,38 @@ def test_samplers_are_seeded_and_valid():
   for seed in range(10):
     X = random_aset(random.Random(seed), A, 5)
     assert X.validate().ok
+
+
+def test_the_closure_walk_builds_what_sub_aset_and_quotient_by_build(
+    monkeypatch):
+  """The walk indexes S, then X/S, for each subobject of each X it walks,
+  in lattice order; each must be the object the public, checking
+  constructors build, in the same element order."""
+  walked, indexed = [], []
+  lattice, index = FiniteASet.subobject_sets, corpora.IsoClasses.index
+
+  def spy_lattice(X):
+    subs = lattice(X)
+    walked.append((X, subs))
+    return subs
+
+  def spy_index(classes, X):
+    indexed.append(X)
+    return index(classes, X)
+
+  monkeypatch.setattr(FiniteASet, "subobject_sets", spy_lattice)
+  monkeypatch.setattr(corpora.IsoClasses, "index", spy_index)
+  G = FiniteMonoid.group_with_zero([2, 2])
+  seeds = [X for X, _ in all_gamma_asets(G, 6)] + all_nsets(4)
+  subquotient_relations(seeds, bound=128)
+  built = iter(indexed[len(seeds):])
+  pairs = 0
+  for X, subs in walked:
+    for s in subs:
+      for got, want in ((next(built), X.sub_aset(s)[0]),
+                        (next(built), X.quotient_by(s)[0])):
+        assert got.elements == want.elements and got.same_carrier(want)
+      pairs += 1
+    assert X._derived is None        # the walk keeps nothing on X
+  assert next(built, None) is None
+  assert pairs > 200

@@ -6,12 +6,67 @@ from hypothesis import strategies as st
 
 from monoidkit import intlin
 
+# ------------------------------------------------------ oracles (tests only)
+
+
+def zero_matrix(m, n):
+  return [[0] * n for _ in range(m)]
+
+
+def det(M):
+  """Exact determinant via fraction-free (Bareiss) elimination."""
+  m, n = intlin.dims(M)
+  assert m == n
+  if n == 0:
+    return 1
+  A = intlin.copy_matrix(M)
+  sign = 1
+  prev = 1
+  for k in range(n - 1):
+    if A[k][k] == 0:
+      for i in range(k + 1, n):
+        if A[i][k] != 0:
+          A[k], A[i] = A[i], A[k]
+          sign = -sign
+          break
+      else:
+        return 0
+    for i in range(k + 1, n):
+      for j in range(k + 1, n):
+        A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+    prev = A[k][k]
+  return sign * A[n - 1][n - 1]
+
+
+def is_unimodular(M):
+  m, n = intlin.dims(M)
+  return m == n and det(M) in (1, -1)
+
+
+def lattice_equal(rows_a, rows_b, ambient_dim=None):
+  """Do two spanning sets generate the same sublattice of Z^n?"""
+  if ambient_dim is None:
+    if rows_a:
+      ambient_dim = len(rows_a[0])
+    elif rows_b:
+      ambient_dim = len(rows_b[0])
+    else:
+      return True
+  zero = [0] * ambient_dim
+  a = [r for r in rows_a if list(r) != zero]
+  b = [r for r in rows_b if list(r) != zero]
+  return all(intlin.lattice_contains(b, r) for r in a) and \
+      all(intlin.lattice_contains(a, r) for r in b)
+
+
+# ------------------------------------------------------------------- the SNF
+
 
 def check_snf(M):
   D, U, V = intlin.smith_normal_form(M)
   m, n = intlin.dims(M)
-  assert intlin.is_unimodular(U)
-  assert intlin.is_unimodular(V)
+  assert is_unimodular(U)
+  assert is_unimodular(V)
   assert intlin.matmul(intlin.matmul(U, M), V) == D
   diag = intlin.diagonal(D)
   for i in range(m):
@@ -44,7 +99,7 @@ def test_hand_example():
 
 
 def test_zero_matrix():
-  D = check_snf(intlin.zero_matrix(2, 3))
+  D = check_snf(zero_matrix(2, 3))
   assert intlin.diagonal(D) == [0, 0]
 
 
@@ -121,9 +176,9 @@ def test_lattice_membership_and_equality():
   rows = [[2, 0], [0, 2]]
   assert intlin.lattice_contains(rows, [4, -2])
   assert not intlin.lattice_contains(rows, [1, 0])
-  assert intlin.lattice_equal([[1, 1], [0, 2]], [[1, -1], [0, 2]])
-  assert not intlin.lattice_equal([[1, 1]], [[1, -1]])
-  assert intlin.lattice_equal([], [[0, 0]], ambient_dim=2)
+  assert lattice_equal([[1, 1], [0, 2]], [[1, -1], [0, 2]])
+  assert not lattice_equal([[1, 1]], [[1, -1]])
+  assert lattice_equal([], [[0, 0]], ambient_dim=2)
 
 
 def test_cokernel_invariants():
@@ -132,3 +187,57 @@ def test_cokernel_invariants():
   assert intlin.cokernel_invariants([[1, 0]], 2) == (1, [])
   assert intlin.cokernel_invariants([], 2) == (2, [])
 
+
+
+# ------------------------------------------------ the sparse unit-pivot phase
+
+
+def check_elimination(rows, n, weight):
+  """The images carry Z^n/<rows> onto Z^k/<residual>: both have the same
+  invariants, every row maps into the residual's span, and the images of
+  the unit vectors span Z^k modulo it."""
+  survivors, residual, images = intlin.eliminate_unit_pivots(rows, n, weight)
+  k = len(survivors)
+  assert all(len(r) == k for r in residual)
+  assert len(residual) <= len(rows)
+  for j, p in zip(survivors, range(k)):
+    assert images[j] == {p: 1}
+  dense = [[image.get(p, 0) for p in range(k)] for image in images]
+  for row in rows:
+    assert intlin.lattice_contains(residual, intlin.vec_mat(row, dense))
+  assert intlin.cokernel_invariants(residual, k) == \
+      intlin.cokernel_invariants(rows, n)
+  if k:
+    assert intlin.invariant_factors(dense + residual) == [1] * k
+  return survivors, residual
+
+
+def test_elimination_pivots_on_the_largest_unit():
+  # x0 - x1 - x2 with x0 heaviest: x0 goes, x0 = x1 + x2
+  survivors, residual, images = intlin.eliminate_unit_pivots(
+      [[1, -1, -1]], 3, [3, 1, 1])
+  assert survivors == [1, 2] and residual == []
+  assert images[0] == {0: 1, 1: 1}
+  # with x2 heaviest it goes instead: x2 = x0 - x1
+  survivors, _, images = intlin.eliminate_unit_pivots(
+      [[1, -1, -1]], 3, [1, 1, 3])
+  assert survivors == [0, 1] and images[2] == {0: 1, 1: -1}
+
+
+def test_elimination_keeps_rows_without_a_unit():
+  survivors, residual = check_elimination([[2, 4], [0, 6]], 2, [0, 1])
+  assert survivors == [0, 1] and residual == [[2, 4], [0, 6]]
+  # a row cleared to zero stays, as a zero row of the Schur complement
+  survivors, residual, _ = intlin.eliminate_unit_pivots(
+      [[1, -1], [2, -2], [1, 1]], 2, [0, 1])
+  assert survivors == [0] and residual == [[0], [2]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 9), st.integers(0, 10 ** 6))
+def test_elimination_presents_the_same_cokernel(n, m, seed):
+  rng = random.Random(seed)
+  rows = [[rng.choice((-2, -1, -1, 0, 0, 0, 0, 1, 1, 3)) for _ in range(n)]
+          for _ in range(m)]
+  weight = [rng.randint(0, 3) for _ in range(n)]
+  check_elimination(rows, n, weight)

@@ -26,6 +26,7 @@ from monoidkit.monoids import FiniteMonoid, NatMonoid, UnitGroupDescriptor
 from monoidkit.serre import (SerrePredicate, canonical_window,
                              compose_quotient, hom_quotient,
                              identity_quotient, reduced_object)
+from test_intlin import lattice_equal
 
 Z = AbelianGroupPresentation.free
 CYC = AbelianGroupPresentation.from_cyclic_orders
@@ -425,55 +426,34 @@ def test_localized_k0_rank_counts_cycle_lengths():
     quot = QuotientK0Result(reps, torsion, rows)
     want_rows = oracle_rows(sequence_ends_oracle(reps), quot.class_index,
                             quot.n_classes)
-    assert intlin.lattice_equal(quot.relations, [list(r) for r in want_rows],
+    assert lattice_equal(quot.relations, [list(r) for r in want_rows],
                                 ambient_dim=quot.n_classes)
 
 
 # ------------------------------------------ one reduction per presentation
 
 
-class PerCallClassMap:
-  """The class map K0Result read before it stored its classes: the
-  transposed V, one matrix-vector product per class, and the sign table
-  rebuilt on every call."""
+def stand_ins(n, rng=None):
+  """n pointed sets to stand for bare generators: K0Result reads only their
+  sizes, which rank its pivots (random sizes when an rng is given)."""
+  pool = all_pointed_sets(FiniteMonoid.f1(), 6)
+  return [rng.choice(pool) if rng else pool[0] for _ in range(n)]
 
-  def __init__(self, reps, relations):
-    self.reps = reps
-    n = len(reps)
-    if not relations:
-      self._free_slots, self._torsion_slots = list(range(n)), []
-      self._basis = intlin.identity_matrix(n)
-      return
-    D, _, V = intlin.smith_normal_form(relations)
-    diag = intlin.diagonal(D)
-    diag += [0] * (n - len(diag))
-    self._free_slots = [j for j, d in enumerate(diag) if d == 0]
-    self._torsion_slots = [(j, d) for j, d in enumerate(diag) if d > 1]
-    self._basis = intlin.transpose(V)
 
-  def _raw_class(self, index):
-    e = [0] * len(self.reps)
-    e[index] = 1
-    y = intlin.mat_vec(self._basis, e)
-    return ([y[j] for j in self._free_slots],
-            [y[j] % d for j, d in self._torsion_slots])
-
-  def _sign_table(self):
-    signs = [0] * len(self._free_slots)
-    for i in range(len(self.reps)):
-      free, _ = self._raw_class(i)
-      for k, v in enumerate(free):
-        if signs[k] == 0 and v != 0:
-          signs[k] = 1 if v > 0 else -1
-      if all(signs):
-        break
-    return [s or 1 for s in signs]
-
-  def class_vector(self, index):
-    free, torsion = self._raw_class(index)
-    signs = self._sign_table()
-    free = [s * v for s, v in zip(signs, free)]
-    return tuple(free), tuple(torsion)
+def assert_presents_the_dense_group(k0, rows, n):
+  """k0's class map is an isomorphism Z^n/⟨rows⟩ → k0.group, checked exactly
+  against the dense SNF: the group is the one it reads off ``rows``, every
+  row has class zero, and the classes, with the torsion moduli, span the
+  group.  A surjection between isomorphic finitely generated abelian groups
+  is injective, so together these make the class map an isomorphism."""
+  assert k0.group == AbelianGroupPresentation.from_relations(rows, n)
+  assert all(k0.is_zero(r) for r in rows)
+  free, moduli = k0.group.free_rank, k0.group.invariant_factors
+  width = free + len(moduli)
+  span = [list(f) + list(t) for f, t in map(k0.class_vector, range(n))]
+  span += [[d * (j == free + i) for j in range(width)]
+           for i, d in enumerate(moduli)]
+  assert intlin.invariant_factors(span) == [1] * width
 
 
 def k0_corpora():
@@ -489,36 +469,119 @@ def k0_corpora():
            if is_pc_aset(X) and aset_length(X) is not None]
 
 
-def test_class_vectors_are_the_per_call_reading():
+def test_class_maps_are_isomorphisms_onto_the_dense_group():
   classes = 0
   for corpus in k0_corpora():
     reps, rows = subquotient_relations(corpus, bound=128)
-    k0, oracle = K0Result(reps, rows), PerCallClassMap(reps, rows)
-    for i in range(len(reps)):
-      assert k0.class_vector(i) == oracle.class_vector(i)
+    k0 = K0Result(reps, rows)
+    assert_presents_the_dense_group(k0, rows, len(reps))
     assert k0.additivity_holds()
     classes += len(reps)
   assert classes == 446
-  # those presentations are all free; random relations bring torsion
   rng = random.Random(7)
+  # random rows of the presentation shape e_X - e_S - e_Q, which pivot
+  for _ in range(150):
+    n = rng.randint(1, 8)
+    rows = []
+    for _ in range(rng.randint(0, 10)):
+      row = [0] * n
+      x, s, q = (rng.randrange(n) for _ in range(3))
+      row[x] += 1
+      row[s] -= 1
+      row[q] -= 1
+      rows.append(row)
+    assert_presents_the_dense_group(K0Result(stand_ins(n, rng), rows), rows, n)
+  # those are all free; random relations bring torsion, and leave a residual
   torsion_seen = 0
   for _ in range(150):
     n = rng.randint(1, 6)
     rows = [[rng.randint(-3, 3) for _ in range(n)]
             for _ in range(rng.randint(0, 5))]
-    k0, oracle = K0Result([None] * n, rows), PerCallClassMap([None] * n, rows)
-    assert k0.group == AbelianGroupPresentation.from_relations(rows, n)
-    torsion_seen += bool(k0.group.invariant_factors)
-    for i in range(n):
-      assert k0.class_vector(i) == oracle.class_vector(i)
+    k0 = K0Result(stand_ins(n, rng), rows)
+    assert_presents_the_dense_group(k0, rows, n)
     assert k0.additivity_holds()
-    assert all(k0.is_zero(r) for r in rows)
+    torsion_seen += bool(k0.group.invariant_factors)
   assert torsion_seen >= 30
+
+
+def test_unit_pivots_leave_the_simple_objects():
+  """Pivoting each row on its largest object eliminates every class but the
+  simple objects' (the ones with no proper nonzero subobject, such as the
+  orbits Γ/H) and leaves a Schur complement with no nonzero row, so the
+  simple objects' classes are the standard basis."""
+  for corpus in k0_corpora():
+    reps, rows = subquotient_relations(corpus, bound=128)
+    survivors, residual, _ = intlin.eliminate_unit_pivots(
+        rows, len(reps), [X.size() for X in reps])
+    simple = [j for j, X in enumerate(reps) if len(X.subobject_sets()) == 2]
+    assert survivors == simple
+    assert not any(map(any, residual))
+    k0 = K0Result(reps, rows)
+    basis = [tuple(int(i == j) for j in range(len(simple)))
+             for i in range(len(simple))]
+    assert [k0.class_vector(j) for j in simple] == [(e, ()) for e in basis]
+
+
+def test_a_corrupted_row_fails_the_certificate():
+  G = FiniteMonoid.group_with_zero([2, 2])
+  reps, rows = subquotient_relations([X for X, _ in all_gamma_asets(G, 6)])
+  good = K0Result(reps, rows)
+  simple = next(j for j in range(len(reps)) if any(good.class_vector(j)[0]))
+  caught = 0
+  for i in range(0, len(rows), 5):
+    bad = [list(r) for r in rows]
+    bad[i][simple] += 1
+    k0 = K0Result(reps, bad)
+    assert k0.group != good.group or not k0.additivity_holds() or \
+        not all(k0.is_zero(r) for r in rows)
+    with pytest.raises(AssertionError):
+      assert_presents_the_dense_group(k0, rows, len(reps))
+    caught += 1
+  assert caught >= 5
+
+
+def test_k0_of_gamma_sets_at_cap_9_is_the_burnside_rank():
+  for orders, rank in (([2, 2, 2], 16), ([2, 4], 8)):
+    G = FiniteMonoid.group_with_zero(orders)
+    start = time.perf_counter()
+    k0 = k0_of_catspec([X for X, _ in all_gamma_asets(G, 9)],
+                       closure_bound=2000)
+    elapsed = time.perf_counter() - start
+    assert burnside_rank(G.units())[0] == rank
+    assert k0.group == Z(rank)
+    assert k0.additivity_holds()
+    assert elapsed < 60, f"{orders} at cap 9 took {elapsed:.1f} s"
+
+
+def test_devissage_at_8_elements_gives_the_length():
+  start = time.perf_counter()
+  rep = devissage_check_k0(FiniteMonoid.truncated_free(4), pc=True,
+                           max_elements=8, closure_bound=1000)
+  elapsed = time.perf_counter() - start
+  assert rep.computed == Z(1) and rep.match
+  assert len(rep.rows) > 100
+  assert all(row["class"] == [row["length"]] for row in rep.rows)
+  assert elapsed < 30, f"N/(t^5) at 8 elements took {elapsed:.1f} s"
+
+
+def test_index_of_searches_only_the_reps_of_equal_key():
+  G = FiniteMonoid.group_with_zero([2, 2])
+  corpus = [X for X, _ in all_gamma_asets(G, 6)]
+  k0 = k0_of_catspec(corpus)
+  for i, rep in enumerate(k0.reps):
+    assert k0.index_of(rep) == i
+  for X in corpus:
+    assert k0.reps[k0.index_of(X)].is_isomorphic(X)
+  outside = [X for X, _ in all_gamma_asets(G, 7) if X.size() == 7]
+  with pytest.raises(InvalidStructure):
+    k0.index_of(outside[0])
+  with pytest.raises(InvalidStructure):
+    k0.index_of(truncated_line(2))
 
 
 def test_is_zero_reads_the_class_map():
   # Z^2 / <(2, 2)> = Z + Z/2: [a] + [b] is not zero, but twice it is
-  k0 = K0Result([None, None], [[2, 2]])
+  k0 = K0Result(stand_ins(2), [[2, 2]])
   assert k0.group == CYC([0, 2])
   assert not k0.is_zero([1, 1])
   assert k0.is_zero([2, 2]) and k0.is_zero([0, 0])
@@ -553,7 +616,7 @@ def lattice_verdicts(n_m, m_rel, class_index, c_indices):
   ext = [to_q[r][:] + [-rel[r] for rel in q_rel] for r in range(n_q)]
   kernel_vecs = [v[:n_m] for v in intlin.kernel_basis(ext)]
   image_vecs = [[1 if j == i else 0 for j in range(n_m)] for i in c_indices]
-  middle_exact = intlin.lattice_equal(kernel_vecs + m_rel,
+  middle_exact = lattice_equal(kernel_vecs + m_rel,
                                       image_vecs + m_rel, ambient_dim=n_m)
   return composite_zero and m_rels_die, middle_exact, q_rel
 
@@ -701,7 +764,7 @@ class GivenPartition(QuotientK0Result):
 
   def __init__(self, class_index, m_relations):
     self._partition = lambda reps, pred: class_index
-    super().__init__([None] * len(class_index), None, m_relations)
+    super().__init__(stand_ins(len(class_index)), None, m_relations)
 
 
 def test_exactness_matches_the_lattice_oracle_on_random_lattices():

@@ -194,6 +194,21 @@ def test_isomorphism_detects_difference():
       FiniteMonoid.group_with_zero([2, 2]))
 
 
+def test_monoids_compare_by_structure():
+  a, b = FiniteMonoid.f1(), FiniteMonoid.f1()
+  assert a is not b and a == b and hash(a) == hash(b)
+  renamed = FiniteMonoid(a.elements, a.one, a.zero, a.table, name="other")
+  assert renamed == a and len({a, b, renamed}) == 1
+  assert FiniteMonoid.truncated_free(2) == FiniteMonoid.truncated_free(2)
+  assert FiniteMonoid.truncated_free(2) != FiniteMonoid.truncated_free(3)
+  # the same elements, one and zero under another table
+  assert FiniteMonoid.truncated_free(2) != \
+      FiniteMonoid.eventually_periodic(3, 1)
+  assert FiniteMonoid.group_with_zero([4]) != \
+      FiniteMonoid.group_with_zero([2, 2])
+  assert a != NatMonoid() and NatMonoid() != a
+
+
 def test_nat_monoid():
   n = NatMonoid()
   assert n.validate().ok
