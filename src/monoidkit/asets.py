@@ -85,18 +85,20 @@ class FiniteASet:
     self._derived = None
 
   @classmethod
-  def _trusted(cls, monoid, elements, action, base, name=None):
+  def _trusted(cls, monoid, elements, action, base, name=None,
+               element_set=None):
     """An object from fields derived from a valid one, unchecked.
 
     ``elements`` is a fresh list and ``action`` maps every generator to a
-    total map on it that fixes ``base``; the caller guarantees both.
+    total map on it that fixes ``base``; the caller guarantees both.  A
+    given ``element_set`` holds exactly ``elements`` and is kept, not copied.
     """
     self = object.__new__(cls)
     self.monoid = monoid
     self.elements = elements
     self.base = base
     self.name = name
-    self._element_set = set(elements)
+    self._element_set = set(elements) if element_set is None else element_set
     self.action = action
     self._full_action_cache = None
     self._iso_cache = None
@@ -261,10 +263,11 @@ class FiniteASet:
     return quo, ASetMap._trusted(self, quo, push)
 
   def _sub_object(self, s, name=None):
-    """The subobject on an admissible set s, built unchecked."""
+    """The subobject on an admissible set s, built unchecked; s becomes its
+    carrier set, so the caller must never change it."""
     keep = [x for x in self.elements if x in s]
     action = {g: {x: gmap[x] for x in keep} for g, gmap in self.action.items()}
-    return FiniteASet._trusted(self.monoid, keep, action, self.base, name)
+    return FiniteASet._trusted(self.monoid, keep, action, self.base, name, s)
 
   def _quotient_object(self, s, name=None):
     """X/s for an admissible set s (it holds the basepoint), unchecked."""
@@ -276,26 +279,35 @@ class FiniteASet:
 
   # -- derived data kept on the object ----------------------------------------------
 
-  def _lattice_table(self):
-    """The derived-data slot: subobject S ↦ (S, X/S) once built, else None.
-    Nothing in it may refer to X, or X would live until a cyclic GC pass."""
+  def _kept(self):
+    """The derived-data slot, made on first use."""
     if self._derived is None:
-      self._derived = dict.fromkeys(self.subobject_sets())
+      self._derived = _Derived()
     return self._derived
+
+  def _lattice_table(self):
+    """Subobject S ↦ (S, X/S) once built, else the lattice's own S."""
+    kept = self._kept()
+    if kept.lattice is None:
+      kept.lattice = {s: s for s in self.subobject_sets()}
+    return kept.lattice
 
   def subobject_lattice(self):
     """The subobjects of ``subobject_sets()``, walked once and kept on X."""
     return self._lattice_table().keys()
 
   def subquotient(self, subset):
-    """(S, X/S) for an admissible frozenset S, built once and shared by all
-    callers (never rename them); ``sub_aset``/``quotient_by`` stay uncached."""
+    """(S, X/S) for an admissible frozenset S, built once on the lattice's
+    own S and shared by all callers (never rename them); ``sub_aset`` and
+    ``quotient_by`` stay uncached."""
     table = self._lattice_table()
-    pair = table.get(subset)
-    if pair is None:
-      pair = table[subset] = (self.sub_aset(subset)[0],
-                              self.quotient_by(subset)[0])
-    return pair
+    entry = table.get(subset)
+    if entry is None:
+      raise InvalidStructure("subset is not action-closed (or misses the basepoint)")
+    if isinstance(entry, frozenset):
+      entry = table[subset] = (self._sub_object(entry),
+                               self._quotient_object(entry))
+    return entry
 
   # -- comparisons ------------------------------------------------------------------
 
@@ -361,6 +373,18 @@ class FiniteASet:
   def __repr__(self):
     label = self.name or f"{len(self.elements)} elements"
     return f"FiniteASet({label})"
+
+
+class _Derived:
+  """What an object computes about itself once and keeps: the subobject
+  table of ``subquotient`` and ``serre``'s window halves.  Nothing here may
+  refer to the object, or it would live until a cyclic GC pass."""
+
+  __slots__ = ("lattice", "windows")
+
+  def __init__(self):
+    self.lattice = None
+    self.windows = {}
 
 
 class IsoClasses:

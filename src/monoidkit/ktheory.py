@@ -171,12 +171,6 @@ def k0_of_catspec(objects, closure_bound=64):
 # ----------------------------------------------------- K0 of M/C and MC=MC
 
 
-def are_iso_in_quotient(X, Y, pred):
-  """Is there an isomorphism X → Y in M/C?  (Are the reduced objects
-  isomorphic A-sets?  See ``serre.reduced_object``.)"""
-  return reduced_object(X, pred).is_isomorphic(reduced_object(Y, pred))
-
-
 class QuotientK0Result:
   """K₀ of M/C on a closed corpus: M-objects, M/C iso classes, M-relations.
 

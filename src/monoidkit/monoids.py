@@ -150,6 +150,7 @@ class FiniteMonoid:
           raise InvalidStructure(f"table is missing the product {a}*{b}")
     self.table = full
     self._hash = None
+    self._generators = None
 
   def __eq__(self, other):
     """Equal when the elements, one, zero and table are; the name is a
@@ -201,7 +202,10 @@ class FiniteMonoid:
     return ValidationReport(self.name or "finite monoid", v)
 
   def generators(self):
-    """A small generating set (greedy; not guaranteed minimal)."""
+    """A small generating set (greedy; not guaranteed minimal), as a tuple.
+    The closure runs over the whole table, so it runs once and is kept."""
+    if self._generators is not None:
+      return self._generators
     generated = {self.one, self.zero}
     gens = []
     # close under products
@@ -221,7 +225,8 @@ class FiniteMonoid:
         gens.append(a)
         generated.add(a)
         close()
-    return gens
+    self._generators = tuple(gens)
+    return self._generators
 
   # -- units ---------------------------------------------------------------
 

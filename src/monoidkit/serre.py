@@ -12,13 +12,13 @@ under subobjects, quotients and extensions gives that maximum one element at
 a time: X′ is ∗ and each x with X/U_x ∉ C (U_x the largest subobject missing
 x), and Y″ collapses each orbit whose cyclic subobject lies in C.
 
-X′ depends only on (X, C) and Y″ only on (Y, C), so each half is computed
-once per (object, predicate), sets and objects alike, and kept in a weak
-memo for as long as the object lives; every hom-set, representative and
-reduced object reads it.  Objects are never mutated, so an entry cannot go
-stale.  A ``PredicateClosureError`` is not kept: it is raised again on
-every call.  A ``QuotientHom`` holds a map between the memoised X′ and Y″
-and refuses any other representative.
+X′ depends only on (X, C) and Y″ only on (Y, C).  Each object keeps, in
+its derived-data slot and per predicate under a weak reference, a source
+half (X′'s carrier, X′) and a target half (K, Y/K), each computed together
+on first use and fetched in one lookup.  Objects are never mutated, so a
+half cannot go stale.  A ``PredicateClosureError`` is not kept: it is
+raised again on every call.  A ``QuotientHom`` is a map between the kept
+X′ and Y″; composing reads both off the representatives.
 
 Isomorphism in M/C is decided without a morphism search: ``reduced_object``
 cuts X down to its minimal dense subobject and collapses that one's largest
@@ -32,12 +32,11 @@ from __future__ import annotations
 import itertools
 import weakref
 
-from .asets import (ASetMap, FiniteASet, aset_length, coequalizer,
-                    exact_seq_from_sub, hom_maps, identity_map, is_rooted_tree,
-                    point_aset, product, support, wedge)
+from .asets import (ASetMap, FiniteASet, aset_length, coequalizer, hom_maps,
+                    identity_map, is_rooted_tree, point_aset, support, wedge)
 from .errors import (InvalidStructure, NotIso, PredicateClosureError,
                      Undecidable)
-from .monoids import NatMonoid, ValidationReport
+from .monoids import NatMonoid
 
 
 class SerrePredicate:
@@ -174,47 +173,6 @@ class SerrePredicate:
     raise InvalidStructure(f"unknown Serre predicate kind {kind!r}")
 
 
-def validate_serre(pred, universe):
-  """Closure report for a predicate over a subquotient-closed universe.
-
-  Checks the two-out-of-three law on every exact sequence with middle object
-  in the universe (which subsumes closure under subobjects and quotients),
-  closure under binary products of members, and — for torsion predicates —
-  cross-checks membership against the direct element-killing test.
-  """
-  v = []
-  for X in universe:
-    mid = pred.contains(X)
-    for s in X.subobject_sets():
-      seq = exact_seq_from_sub(X, s)
-      ends = pred.contains(seq.sub) and pred.contains(seq.quotient)
-      if mid != ends:
-        v.append(f"two-out-of-three fails at {X.name or X.elements}"
-                 f" with subobject {sorted(s)}: middle {mid}, ends {ends}")
-  members = [X for X in universe if pred.contains(X)]
-  for A, B in itertools.combinations_with_replacement(members, 2):
-    P, _, _ = product(A, B)
-    if not pred.contains(P):
-      v.append(f"not closed under product of {A.name} and {B.name}")
-  if pred.kind == "support_in" and isinstance(pred.monoid, NatMonoid) \
-      and pred.primes == {"(t)"}:
-    # membership should coincide with plain t-torsion
-    for X in universe:
-      step = X.action["t"]
-      dies = all(_orbit_dies(step, x, X.base) for x in X.nonbase())
-      if pred.contains(X) != dies:
-        v.append(f"support membership disagrees with torsion test at {X.name}")
-  return ValidationReport(repr(pred), v)
-
-
-def _orbit_dies(step, x, base):
-  for _ in range(len(step) + 1):
-    x = step[x]
-    if x == base:
-      return True
-  return False
-
-
 # ------------------------------------------------------------------- windows
 
 
@@ -330,25 +288,23 @@ def check_filtered(poset):
   return FilterReport(True)
 
 
-# X -> {weak ref to pred: memo}.  A memo holds X's window halves under pred,
-# each stored on first use: "dense" (the carrier of X′), "sub" (X′),
-# "kernel" (the set Y″ collapses) and "quo" (Y″).  Both keys are weak, so
-# an entry keeps neither X nor pred alive, not even when an explicit pred
-# lists X; the memo of a dead pred goes with X.
-_WINDOWS = weakref.WeakKeyDictionary()
-
-
-def _memoised(X, pred, part, compute):
-  by_pred = _WINDOWS.get(X)
-  if by_pred is None:
-    by_pred = _WINDOWS[X] = {}
-  key = weakref.ref(pred)
-  memo = by_pred.get(key)
-  if memo is None:
-    memo = by_pred[key] = {}
-  if part not in memo:
-    memo[part] = compute(X, pred)
-  return memo[part]
+def _window_half(X, pred, side):
+  """X's source half (side 0: X′'s carrier, X′) or target half (side 1:
+  K, X/K) under pred, kept in X's derived-data slot.  The key's weak
+  reference lets neither pin the other, even when an explicit pred lists X.
+  """
+  kept = X._kept().windows
+  key = (side, weakref.ref(pred))
+  half = kept.get(key)
+  if half is None:
+    if side:
+      kernel = _kernel_set(X, pred)
+      half = kernel, X._quotient_object(kernel)
+    else:
+      dense = _dense_set(X, pred)
+      half = dense, X._sub_object(dense)
+    kept[key] = half
+  return half
 
 
 def minimal_dense_sub(X, pred):
@@ -359,7 +315,7 @@ def minimal_dense_sub(X, pred):
   S missing x, so by quotient closure exactly these x (orbits included) lie
   in every admissible S.  Subobject and extension closure make it admissible.
   """
-  return _memoised(X, pred, "dense", _dense_set)
+  return _window_half(X, pred, 0)[0]
 
 
 def _dense_set(X, pred):
@@ -381,7 +337,7 @@ def maximal_kernel(Y, pred):
   subobject lies in C.  By subobject closure nothing else lies in a kernel
   in C; by extension and quotient closure the union of these lies in C.
   """
-  return _memoised(Y, pred, "kernel", _kernel_set)
+  return _window_half(Y, pred, 1)[0]
 
 
 def _kernel_set(Y, pred):
@@ -399,14 +355,12 @@ def _kernel_set(Y, pred):
 
 def _dense_sub(X, pred):
   """X′, the subobject on ``minimal_dense_sub(X, pred)``."""
-  return _memoised(X, pred, "sub",
-                   lambda X, pred: X.sub_aset(minimal_dense_sub(X, pred))[0])
+  return _window_half(X, pred, 0)[1]
 
 
 def _collapsed(Y, pred):
   """Y″, the quotient of Y by ``maximal_kernel(Y, pred)``."""
-  return _memoised(Y, pred, "quo",
-                   lambda Y, pred: Y.quotient_by(maximal_kernel(Y, pred))[0])
+  return _window_half(Y, pred, 1)[1]
 
 
 def canonical_window(X, Y, pred):
@@ -437,15 +391,15 @@ def reduced_object(X, pred):
 
 
 class QuotientHom:
-  """A morphism of M/C: a map X′ → Y″ between the memoised window halves.
+  """A morphism of M/C: a map X′ → Y″ between the kept window halves.
 
   The canonical window is the maximum of the window poset, so every germ
-  has exactly one representative there.  The representative's source must
-  be X′ = ``_dense_sub(source, pred)`` and its target Y″ =
-  ``_collapsed(target, pred)``: the memoised objects themselves, or, for a
-  map built outside the library, objects with the same carrier.  Any other
-  representative is refused; ``from_window`` canonicalizes one given at a
-  coarser window.
+  has exactly one representative there: a map from the source half that
+  ``source`` keeps under pred to the target half that ``target`` keeps, or,
+  for a map built outside the library, between objects with their carriers.
+  The constructor refuses any other representative; ``from_window``
+  canonicalizes one given at a coarser window, and ``_trusted`` (for
+  ``hom_quotient`` and ``compose_quotient``) checks nothing.
   """
 
   __slots__ = ("source", "target", "pred", "rep")
@@ -461,6 +415,13 @@ class QuotientHom:
     self.pred = pred
     self.rep = rep
 
+  @classmethod
+  def _trusted(cls, source, target, pred, rep):
+    """A morphism whose rep the caller guarantees is a map X′ → Y″."""
+    self = object.__new__(cls)
+    self.source, self.target, self.pred, self.rep = source, target, pred, rep
+    return self
+
   @property
   def window(self):
     return canonical_window(self.source, self.target, self.pred)
@@ -468,15 +429,16 @@ class QuotientHom:
   @classmethod
   def from_window(cls, source, target, pred, window, m):
     """Canonicalize a representative m: X_w′ → Y_w″ given at ``window``."""
-    if not canonical_window(source, target, pred).refines(window):
+    dense, sub = _window_half(source, pred, 0)
+    kernel, quo = _window_half(target, pred, 1)
+    if not WindowPair(dense, kernel).refines(window):
       raise InvalidStructure("window does not refine to the canonical window")
     # m lands in target/window.ykernel, whose survivors keep their names
     # and whose basepoint is target.base; Y″ collapses the rest of the kernel
-    sub, quo = _dense_sub(source, pred), _collapsed(target, pred)
-    kernel, base, raw = maximal_kernel(target, pred), target.base, m.mapping
+    base, raw = target.base, m.mapping
     rep = ASetMap(sub, quo, {x: base if raw[x] in kernel else raw[x]
                              for x in sub.elements})
-    return cls(source, target, pred, rep)
+    return cls._trusted(source, target, pred, rep)
 
   @classmethod
   def from_ambient(cls, f, pred):
@@ -511,7 +473,7 @@ def identity_quotient(X, pred):
 
 def hom_quotient(X, Y, pred):
   """All morphisms X → Y in M/C: the literal hom-set at the canonical window."""
-  out = [QuotientHom(X, Y, pred, m)
+  out = [QuotientHom._trusted(X, Y, pred, m)
          for m in hom_maps(_dense_sub(X, pred), _collapsed(Y, pred))]
   out.sort(key=lambda f: sorted(f.rep.mapping.items()))
   return out
@@ -521,21 +483,22 @@ def compose_quotient(f, g):
   """g ∘ f for f: X → Y, g: Y → Z in M/C (diagrammatic argument order).
 
   The composite of canonical representatives is computed by restriction to
-  D = f⁻¹(image of Y′) and descent of g; minimality of the canonical
-  subobject forces D to be the canonical subobject of X again, so the
+  D = f⁻¹(Y′ ∩ Y″) and descent of g; minimality of the canonical
+  subobject forces D to be the canonical subobject X′ of X again, so the
   result needs no further normalization.  The canonical window of (X, Z)
-  is f's source half with g's target half.
+  is f's source half with g's target half.  No half is looked up: X′ and
+  Y″ are f's source and target, Y′ is g's source, and as f lands in Y″,
+  D is all of X′ exactly when f lands in Y′.
   """
   if not f.target.same_carrier(g.source) or f.pred != g.pred:
     raise InvalidStructure("quotient morphisms do not compose")
   sub, quo = f.rep.source, f.rep.target            # X′ and Y″
-  y_sub = minimal_dense_sub(g.source, g.pred)       # Y′ ⊆ Y
-  visible = {quo.base} | (y_sub - maximal_kernel(f.target, f.pred))
-  domain = frozenset(x for x in sub.elements if f.rep(x) in visible)
-  if domain != minimal_dense_sub(f.source, f.pred):
+  y_sub = g.rep.source._element_set                # Y′
+  if not y_sub.issuperset(f.rep.mapping.values()):
+    domain = sorted(x for x in sub.elements if f.rep(x) in y_sub)
     raise PredicateClosureError(
         "composite window is not admissible: the predicate fails closure "
-        f"at domain {sorted(domain)}")
+        f"at domain {domain}")
   mapping = {}
   for x in sub.elements:
     y = f.rep(x)
@@ -546,7 +509,7 @@ def compose_quotient(f, g):
     raise PredicateClosureError(
         f"composite representative is not equivariant ({err}); "
         "the predicate fails Serre closure") from err
-  return QuotientHom(f.source, g.target, f.pred, rep)
+  return QuotientHom._trusted(f.source, g.target, f.pred, rep)
 
 
 def _inverse(f):

@@ -538,6 +538,21 @@ def _diagrams_on(X):
   assert X.subquotient(kd.s1)[0] is kd.sub1        # the table is filled
 
 
+def test_the_table_keeps_one_copy_of_each_subobject_set():
+  X = all_nilpotent_asets(T3, 5)[-1]
+  for s in X.subobject_lattice():
+    copy = frozenset(list(s))
+    assert copy is not s
+    S, Q = X.subquotient(copy)
+    # the stored subobject's carrier set is the lattice's own frozenset
+    assert S._element_set is s
+    assert S.same_carrier(X.sub_aset(s)[0])
+    assert Q.same_carrier(X.quotient_by(s)[0])
+    assert X.subquotient(s)[0] is S and X.subquotient(s)[1] is Q
+  with pytest.raises(InvalidStructure):
+    X.subquotient(frozenset({STAR, "not an element"}))
+
+
 def test_the_object_table_pins_nothing():
   # with the cyclic collector off, X must die with its last reference: a
   # table entry that refers back to X would keep it alive

@@ -15,7 +15,7 @@ from monoidkit.errors import (ClosureBoundExceeded, InvalidStructure,
                               PredicateClosureError, UnsupportedDegree)
 from monoidkit.groups import AbelianGroupPresentation
 from monoidkit.ktheory import (K0Result, LatticeComplex, QuotientK0Result,
-                               StableConstants, are_iso_in_quotient,
+                               StableConstants,
                                burnside_rank, class_group,
                                coniveau_k0_report, devissage_check_k0,
                                div_matrix, dvm_report, gersten_complex,
@@ -619,6 +619,13 @@ def lattice_verdicts(n_m, m_rel, class_index, c_indices):
   middle_exact = lattice_equal(kernel_vecs + m_rel,
                                       image_vecs + m_rel, ambient_dim=n_m)
   return composite_zero and m_rels_die, middle_exact, q_rel
+
+
+def are_iso_in_quotient(X, Y, pred):
+  """Is there an isomorphism X → Y in M/C?  Are the reduced objects
+  isomorphic A-sets (see ``serre.reduced_object``)?  The oracle the M/C
+  class partition and the hom search are checked against."""
+  return reduced_object(X, pred).is_isomorphic(reduced_object(Y, pred))
 
 
 def hom_search_iso(X, Y, pred):

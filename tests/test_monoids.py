@@ -220,3 +220,59 @@ def test_nat_monoid():
   grp = n.localize(ps[0])
   assert grp.units().free_rank == 1
   assert n.quotient_by_ideal(3).is_isomorphic(FiniteMonoid.truncated_free(2))
+
+
+def greedy_generators(m):
+  """The greedy generating set, computed afresh: the generators() oracle."""
+  generated, gens = {m.one, m.zero}, []
+
+  def close():
+    while True:
+      new = {m.mul(a, b) for a in generated for b in generated} - generated
+      if not new:
+        return
+      generated.update(new)
+
+  close()
+  for a in m.elements:
+    if a not in generated:
+      gens.append(a)
+      generated.add(a)
+      close()
+  return gens
+
+
+def test_generators_are_cached_and_equal_the_greedy_closure():
+  names = ["1", "t", "u", "tu", STAR]
+
+  def smash(a, b):
+    ta, ua = a.count("t") + b.count("t"), a.count("u") + b.count("u")
+    if a == STAR or b == STAR or ta > 1 or ua > 1:
+      return STAR
+    return {(0, 0): "1", (1, 0): "t", (0, 1): "u", (1, 1): "tu"}[(ta, ua)]
+
+  broken_unit = {("1", "1"): "1", ("1", "a"): "1", ("a", "a"): "a",
+                 ("1", STAR): STAR, ("a", STAR): STAR, (STAR, STAR): STAR}
+  half_table = {("1", "1"): "1", ("1", "t"): "t", ("1", STAR): STAR,
+                ("t", "t"): STAR, ("t", STAR): STAR, (STAR, STAR): STAR}
+  idempotent = {("1", "1"): "1", ("1", "e"): "e", ("1", STAR): STAR,
+                ("e", "e"): "e", ("e", STAR): STAR, (STAR, STAR): STAR}
+  monoids = [FiniteMonoid.f1(), FiniteMonoid([STAR], STAR, STAR,
+                                              {(STAR, STAR): STAR}),
+             FiniteMonoid(["1", "a", STAR], "1", STAR, broken_unit),
+             FiniteMonoid(["1", "t", STAR], "1", STAR, half_table),
+             FiniteMonoid(["1", "e", STAR], "1", STAR, idempotent),
+             FiniteMonoid(names, "1", STAR,
+                          {(a, b): smash(a, b) for a in names for b in names}),
+             FiniteMonoid.truncated_free(3).quotient_by_ideal(["t^2"]),
+             FiniteMonoid.truncated_free(2).quotient_by_ideal(["1"])]
+  monoids += [FiniteMonoid.truncated_free(n) for n in (1, 2, 3)]
+  monoids += [FiniteMonoid.eventually_periodic(n, d)
+              for n, d in ((3, 1), (3, 0), (2, 1), (4, 2))]
+  monoids += [FiniteMonoid.group_with_zero(o)
+              for o in ([2], [3], [4], [2, 2])]
+  monoids += [m.localize(p) for m in monoids[-7:] for p in m.primes()]
+  for m in monoids:
+    first = m.generators()
+    assert first == tuple(greedy_generators(m)), m.name
+    assert type(first) is tuple and m.generators() is first, m.name

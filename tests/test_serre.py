@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoidkit import serre
-from monoidkit.asets import (ASetMap, FiniteASet, cycle_nset, hom_maps,
-                             nat_set, point_aset, truncated_line)
+from monoidkit.asets import (ASetMap, FiniteASet, cycle_nset,
+                             exact_seq_from_sub, hom_maps, nat_set, point_aset,
+                             product, truncated_line)
 from monoidkit.corpora import (all_gamma_asets, all_nilpotent_asets,
                                all_nsets, random_gamma_aset, random_nset)
 from monoidkit.errors import InvalidStructure, NotIso, PredicateClosureError
-from monoidkit.monoids import STAR, FiniteMonoid, NatMonoid
+from monoidkit.monoids import STAR, FiniteMonoid, NatMonoid, ValidationReport
 from monoidkit.serre import (IndexPoset, QuotientHom, SerrePredicate,
                              WindowPair, admissible_kernels, admissible_subs,
                              canonical_window, check_condition_w,
@@ -21,14 +22,55 @@ from monoidkit.serre import (IndexPoset, QuotientHom, SerrePredicate,
                              identity_quotient,
                              index_poset, is_iso_quotient, maximal_kernel,
                              minimal_dense_sub, monic_representative,
-                             quotient_equivalence_report, reduced_object,
-                             validate_serre)
+                             quotient_equivalence_report, reduced_object)
 
 N = NatMonoid()
 TORSION = SerrePredicate.torsion(N)
 
 
 # ---------------------------------------------------------------- predicates
+
+
+def validate_serre(pred, universe):
+  """Closure report for a predicate over a subquotient-closed universe: the
+  oracle that the predicates the tests use are Serre.
+
+  Checks the two-out-of-three law on every exact sequence with middle object
+  in the universe (which subsumes closure under subobjects and quotients),
+  closure under binary products of members, and — for torsion predicates —
+  cross-checks membership against the direct element-killing test.
+  """
+  v = []
+  for X in universe:
+    mid = pred.contains(X)
+    for s in X.subobject_sets():
+      seq = exact_seq_from_sub(X, s)
+      ends = pred.contains(seq.sub) and pred.contains(seq.quotient)
+      if mid != ends:
+        v.append(f"two-out-of-three fails at {X.name or X.elements}"
+                 f" with subobject {sorted(s)}: middle {mid}, ends {ends}")
+  members = [X for X in universe if pred.contains(X)]
+  for A, B in itertools.combinations_with_replacement(members, 2):
+    P, _, _ = product(A, B)
+    if not pred.contains(P):
+      v.append(f"not closed under product of {A.name} and {B.name}")
+  if pred.kind == "support_in" and isinstance(pred.monoid, NatMonoid) \
+      and pred.primes == {"(t)"}:
+    # membership should coincide with plain t-torsion
+    for X in universe:
+      step = X.action["t"]
+      dies = all(_orbit_dies(step, x, X.base) for x in X.nonbase())
+      if pred.contains(X) != dies:
+        v.append(f"support membership disagrees with torsion test at {X.name}")
+  return ValidationReport(repr(pred), v)
+
+
+def _orbit_dies(step, x, base):
+  for _ in range(len(step) + 1):
+    x = step[x]
+    if x == base:
+      return True
+  return False
 
 
 def test_torsion_predicate_is_serre_on_small_nsets():
@@ -293,7 +335,6 @@ def test_closure_errors_are_raised_on_every_call():
 
 def test_the_window_memo_pins_no_object():
   gc.collect()
-  before = len(serre._WINDOWS)
   X, Y = cycle_nset(2, tail=2), truncated_line(1)
   # an explicit predicate listing Y itself must not keep Y alive either
   listing_y = SerrePredicate.explicit(N, [point_aset(N), Y])
@@ -301,12 +342,12 @@ def test_the_window_memo_pins_no_object():
     hom_quotient(X, Y, pred)
     hom_quotient(Y, X, pred)
     reduced_object(X, pred)
-  assert X in serre._WINDOWS and Y in serre._WINDOWS
+  # each object holds both halves under both predicates in its own slot
+  assert len(X._derived.windows) == len(Y._derived.windows) == 4
   refs = [weakref.ref(X), weakref.ref(Y), weakref.ref(listing_y)]
   del X, Y, listing_y, pred
   gc.collect()
   assert [r() for r in refs] == [None, None, None]
-  assert len(serre._WINDOWS) == before
 
 
 def test_each_window_half_is_computed_once_per_object_and_predicate(
@@ -488,6 +529,67 @@ def test_every_morphism_lives_at_the_memoised_window():
     assert ident.rep.source is xx[0].rep.source is ref.rep.source
     assert ident.rep.target is xx[0].rep.target
     assert ident.window == canonical_window(X, X, pred)
+
+
+def test_composition_checks_its_domain_under_non_serre_predicates():
+  # the point plus one to three objects of all_nsets(2): lists that are not
+  # Serre, under which some composites land outside Y′ ∩ Y″
+  small, objects = all_nsets(2), all_nsets(3)
+  composites = refused = 0
+  for k in (1, 2, 3):
+    for listed in itertools.combinations(small, k):
+      pred = SerrePredicate.explicit(N, [point_aset(N), *listed])
+      for X, Y, Z in itertools.product(objects, repeat=3):
+        try:
+          fs, gs = hom_quotient(X, Y, pred), hom_quotient(Y, Z, pred)
+        except PredicateClosureError:
+          continue
+        # the domain check as the windows state it: f⁻¹ of ∗ and Y′ − K
+        # must be all of X′
+        visible = {Y.base} | (minimal_dense_sub(Y, pred)
+                              - maximal_kernel(Y, pred))
+        for f in fs:
+          domain = {x for x, y in f.rep.mapping.items() if y in visible}
+          inadmissible = domain != minimal_dense_sub(X, pred)
+          for g in gs:
+            composites += 1
+            if not inadmissible:
+              compose_quotient(f, g)
+              continue
+            refused += 1
+            with pytest.raises(PredicateClosureError,
+                               match="composite window is not admissible"):
+              compose_quotient(f, g)
+  assert (composites, refused) == (10248, 46)
+
+
+def test_composition_reads_no_window_half(monkeypatch):
+  lookups = []
+  half = serre._window_half
+
+  def counted(X, pred, side):
+    lookups.append((X, side))
+    return half(X, pred, side)
+
+  monkeypatch.setattr(serre, "_window_half", counted)
+  rng = random.Random(5)
+  composed = 0
+  for pred in (TORSION, SerrePredicate.support_in(N, ["(t)"]),
+               SerrePredicate.zero(N)):
+    for _ in range(30):
+      X, Y, Z = (random_nset(rng, 4) for _ in range(3))
+      lookups.clear()
+      fs = hom_quotient(X, Y, pred)
+      # one read of X's source half and one of Y's target half
+      assert lookups == [(X, 0), (Y, 1)]
+      gs = hom_quotient(Y, Z, pred)
+      lookups.clear()
+      for f in fs[:3]:
+        for g in gs[:3]:
+          compose_quotient(f, g)
+          composed += 1
+      assert lookups == []
+  assert composed > 100
 
 
 def test_ambient_maps_equal_in_quotient_iff_equal_on_canonical_window():
