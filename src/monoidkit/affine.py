@@ -233,43 +233,6 @@ class AffineMonoid:
 
     return search(list(coords))
 
-  def semigroup_coefficients(self, x):
-    """One expression of x as a nonnegative combination, or None."""
-    coords = self._in_span(x)
-    if coords is None or coords is False:
-      return None
-    _, gens = self._reduced()
-    if not gens:
-      return [] if all(c == 0 for c in coords) else None
-    f = self.positive_functional()
-    memo = {}
-
-    def search(pt):
-      if all(c == 0 for c in pt):
-        return []
-      key = tuple(pt)
-      if key in memo:
-        return memo[key]
-      memo[key] = None
-      if _dot(f, pt) < 0:
-        return None
-      for i, g in enumerate(gens):
-        nxt = [a - b for a, b in zip(pt, g)]
-        if _dot(f, nxt) >= 0:
-          sub = search(nxt)
-          if sub is not None:
-            memo[key] = [i] + sub
-            return memo[key]
-      return None
-
-    picks = search(list(coords))
-    if picks is None:
-      return None
-    out = [0] * len(gens)
-    for i in picks:
-      out[i] += 1
-    return out
-
   # -- faces, facets, primes ---------------------------------------------------
 
   def _facets(self):
@@ -357,10 +320,6 @@ class AffineMonoid:
     """Units of the localization at the minimal prime: Gamma + Z^cone_dim."""
     return UnitGroupDescriptor(self.unit_group.free_rank + self.cone_dim,
                                self.unit_group.torsion)
-
-  def stalk_units(self, prime):
-    face = self.face_of_prime(prime)
-    return UnitGroupDescriptor(self.unit_group.free_rank + face.dim, self.unit_group.torsion)
 
   def localize(self, prime):
     """Invert the face of a prime: its lattice span joins the units."""

@@ -32,7 +32,6 @@ constructed here explicitly.
 from __future__ import annotations
 
 import heapq
-import math
 
 from .errors import InvalidStructure, Undecidable
 from .monoids import STAR, FiniteMonoid, NatMonoid
@@ -616,24 +615,6 @@ def point_aset(monoid, base=STAR):
   return FiniteASet(monoid, [base], action, base, name="point")
 
 
-def free_aset(monoid, rank=1, name=None):
-  """A wedge of ``rank`` copies of the acting monoid itself (finite only)."""
-  if isinstance(monoid, NatMonoid):
-    raise InvalidStructure("the free N-set is infinite")
-  copies = []
-  for k in range(rank):
-    tag = "" if rank == 1 else f"@{k}"
-    rename = {a: f"{a}{tag}" for a in monoid.elements}
-    rename[monoid.zero] = STAR
-    elements = [rename[a] for a in monoid.elements]
-    action = {g: {rename[a]: rename[monoid.mul(g, a)] for a in monoid.elements}
-              for g in monoid.generators()}
-    copies.append(FiniteASet(monoid, elements, action, STAR))
-  out = wedge_list(copies) if len(copies) > 1 else copies[0]
-  out.name = name or f"free rank {rank}"
-  return out
-
-
 def _pair_object(X, Y, pairs, name):
   """(P, to X, to Y) on ``pairs``, labelled "(x,y)", diagonal action; the
   caller guarantees that ``pairs`` is an action-closed pointed subset."""
@@ -876,19 +857,10 @@ def is_pc_aset(X):
 
   Over a finite monoid this is brute force on the full action table; over N
   it is loop detection (a repeat t^i x = t^j x ≠ ∗ with i < j is exactly a
-  witness, and orbits repeat within |X| steps).
+  witness), so an N-set is pc exactly when it is a rooted tree.
   """
   if isinstance(X.monoid, NatMonoid):
-    step = X.action["t"]
-    for x in X.nonbase():
-      seen = {}
-      y, k = x, 0
-      while y != X.base and y not in seen:
-        seen[y] = k
-        y, k = step[y], k + 1
-      if y != X.base:
-        return False
-    return True
+    return is_rooted_tree(X)
   if isinstance(X.monoid, FiniteMonoid):
     table = X.full_action()
     elts = X.monoid.elements
@@ -909,15 +881,18 @@ def is_rooted_tree(X):
   """For an N-set: does every orbit fall into ∗ (no off-base loop)?"""
   if not isinstance(X.monoid, NatMonoid):
     raise InvalidStructure("rooted-tree shape is an N-set notion")
+  # each element is walked once: a walk stops at the first element already
+  # known to fall into ∗, and then its whole path falls too
   step = X.action["t"]
+  falls = {X.base}
   for x in X.nonbase():
-    y = x
-    for _ in range(len(X.elements) + 1):
-      y = step[y]
-      if y == X.base:
-        break
-    else:
-      return False
+    path = set()
+    while x not in falls:
+      if x in path:
+        return False
+      path.add(x)
+      x = step[x]
+    falls |= path
   return True
 
 
@@ -959,9 +934,11 @@ class NotFiniteLength:
             f"witness={sorted(map(str, self.blocking_extension))})")
 
 
-def _irreducible_chain(X):
+def irreducible_chain(X):
   """The unit orbits a maximal irreducible chain adjoins, in order, or a
-  NotFiniteLength witness (see ``length_filtration``)."""
+  NotFiniteLength witness (see ``length_filtration``).  The chain's length
+  is the object's length, and its stage sizes are 1 plus the running sums
+  of the orbit sizes, so neither needs a stage to be built."""
   if isinstance(X.monoid, NatMonoid):
     units = []
     unit_count = 1
@@ -1034,7 +1011,7 @@ def length_filtration(X):
   stage.  Returns a list of ExactSeq (previous stage into next stage onto the
   step quotient); the length of the object is the list's length.
   """
-  chain = _irreducible_chain(X)
+  chain = irreducible_chain(X)
   if isinstance(chain, NotFiniteLength):
     return chain
   steps = []
@@ -1049,7 +1026,7 @@ def length_filtration(X):
 
 def aset_length(X):
   """Number of irreducible steps, or None if X is not finite length."""
-  chain = _irreducible_chain(X)
+  chain = irreducible_chain(X)
   if isinstance(chain, NotFiniteLength):
     return None
   return len(chain)
@@ -1078,14 +1055,6 @@ def support(X):
     if any(all(table[s][x] != X.base for s in comp) for x in X.nonbase()):
       out.append(p)
   return out
-
-
-def codim_support(X):
-  """Minimal height in the support; math.inf for the point."""
-  primes = support(X)
-  if not primes:
-    return math.inf
-  return min(p.height for p in primes)
 
 
 # -- N-set conveniences ---------------------------------------------------------------

@@ -16,13 +16,14 @@ accepts ``--json`` for a machine-readable report stamped with
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 import traceback
 
 from .affine import AffineMonoid
-from .asets import is_pc_aset, length_filtration, support
+from .asets import NotFiniteLength, irreducible_chain, is_pc_aset, support
 from .errors import (ClosureBoundExceeded, InvalidStructure, MonoidKitError,
                      NotNormal, NotZeroSmooth, ParseError,
                      PredicateClosureError, Undecidable)
@@ -97,8 +98,11 @@ def cmd_aset_check(args):
   X = load_aset(args.aset_file, monoid=m)
   pc = is_pc_aset(X)
   supp = [p.label for p in support(X)]
-  chain = length_filtration(X)
-  length = len(chain) if isinstance(chain, list) else None
+  # the orbits a maximal irreducible chain adjoins give the length and the
+  # stage sizes, with no stage built
+  chain = irreducible_chain(X)
+  finite = not isinstance(chain, NotFiniteLength)
+  length = len(chain) if finite else None
   payload = _payload(aset=X.name, monoid=m.name, pc=pc, length=length,
                      support=supp)
   lines = [f"A-set {X.name or '?'} over {m.name or '?'}: "
@@ -106,8 +110,8 @@ def cmd_aset_check(args):
            f"pc: {str(pc).lower()}",
            f"length: {'not finite' if length is None else length}",
            f"support: {', '.join(supp) if supp else '(empty)'}"]
-  if isinstance(chain, list):
-    sizes = [1] + [step.middle.size() for step in chain]
+  if finite:
+    sizes = list(itertools.accumulate((len(orb) for orb in chain), initial=1))
     payload["filtration_sizes"] = sizes
     lines.append("filtration: " + " < ".join(str(s) for s in sizes)
                  + "  (irreducible steps)")

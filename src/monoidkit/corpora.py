@@ -341,9 +341,10 @@ def subquotient_relations(seeds, bound=64):
   """Sub/quotient closure of `seeds` up to iso, with its K₀ relations.
 
   Returns (reps, rows): one representative per class, and the distinct
-  rows [X] − [S] − [X/S], as vectors over `reps`, of every sequence
-  S >--> X -->> X/S with X a representative.  Each row sums to −1, so none
-  is zero.  Raises ClosureBoundExceeded when the class count passes `bound`.
+  rows [X] − [S] − [X/S] of every sequence S >--> X -->> X/S with X a
+  representative, each a dict from an index into `reps` to a nonzero int.
+  A row has at most three terms and sums to −1, so none is zero.  Raises
+  ClosureBoundExceeded when the class count passes `bound`.
   """
   classes = IsoClasses()
   reps = classes.reps
@@ -371,11 +372,11 @@ def subquotient_relations(seeds, bound=64):
       ends.append((i, index(X._sub_object(s)), index(X._quotient_object(s))))
   rows = {}
   for i, j, k in ends:
-    row = [0] * len(reps)
-    row[i] += 1
-    row[j] -= 1
-    row[k] -= 1
-    rows.setdefault(tuple(row), row)
+    row = {i: 1}
+    for t in (j, k):
+      row[t] = row.get(t, 0) - 1
+    row = {t: c for t, c in row.items() if c}
+    rows.setdefault(frozenset(row.items()), row)
   return reps, list(rows.values())
 
 
@@ -412,24 +413,3 @@ def random_gamma_aset(rng, monoid, max_nonbase):
     budget -= n_units // len(subgroups[i])
   return _orbit_wedge(monoid, subgroups, chosen)
 
-
-def random_aset(rng, monoid, max_nonbase, attempts=200):
-  """A random A-set over any supported monoid (rejection sampling fallback)."""
-  if isinstance(monoid, NatMonoid):
-    return random_nset(rng, max_nonbase)
-  if set(monoid.unit_elements()) == set(monoid.elements) - {monoid.zero}:
-    return random_gamma_aset(rng, monoid, max_nonbase)
-  gens = monoid.generators()
-  for _ in range(attempts):
-    m = rng.randint(0, max_nonbase)
-    carrier = [f"x{i}" for i in range(1, m + 1)]
-    action = {g: {x: rng.choice(carrier + [STAR]) for x in carrier}
-              for g in gens}
-    try:
-      X = FiniteASet(monoid, [STAR] + carrier, action, STAR)
-    except InvalidStructure:
-      continue
-    if X.validate().ok:
-      return X
-  raise InvalidStructure(
-      f"no valid random action on {monoid.name} found in {attempts} attempts")

@@ -5,14 +5,15 @@ arbitrary-precision and exact.  Everything here returns new objects and never
 mutates its arguments.
 
 A cokernel Z^n / ⟨rows⟩ is reduced in two phases.  ``eliminate_unit_pivots``
-works on sparse rows: it pivots on ±1 entries, which removes a column and a
-row at a time with no division, and writes each removed column as an integer
-combination of the columns that survive.  Only what is left, the Schur
-complement, goes to ``smith_normal_form``, the dense phase, which also
-returns the unimodular transforms; those are what turn a relation matrix
-into an explicit isomorphism onto a direct sum of cyclic groups (needed for
-class maps, not just for the isomorphism type).  ``solve`` and
-``kernel_basis`` use the dense phase alone.
+takes sparse rows, each a dict from a column to a nonzero int: it pivots on
+±1 entries, which removes a column and a row at a time with no division, and
+writes each removed column as an integer combination of the columns that
+survive.  Only the nonzero rows of what is left, the Schur complement, go to
+``smith_normal_form``, the dense phase, which also returns the unimodular
+transforms; those are what turn a relation matrix into an explicit
+isomorphism onto a direct sum of cyclic groups (needed for class maps, not
+just for the isomorphism type).  ``solve`` and ``kernel_basis`` use the
+dense phase alone.
 """
 
 from __future__ import annotations
@@ -77,14 +78,16 @@ def _extgcd(a, b):
 def eliminate_unit_pivots(rows, n, weight):
   """Sparse first phase of Smith normal form: pivot on the ±1 entries.
 
+  Each of ``rows`` is a dict from a column in range(n) to a nonzero int.
   The rows are taken in order.  A row, once the pivots before it have been
   cleared from it, pivots on its ±1 entry in the column j of largest
-  ``weight[j]``, and that column is cleared from every row not yet
-  pivoted.  Returns (survivors, residual, images):
+  ``weight[j]`` (the lowest such j on a tie), and that column is cleared
+  from every row not yet pivoted.  Returns (survivors, residual, images):
 
   - ``survivors``: the columns never pivoted on, in ascending order;
-  - ``residual``: the Schur complement, one dense row over the survivors
-    for each row that did not pivot (zero rows included);
+  - ``residual``: the nonzero rows of the Schur complement, each dense over
+    the survivors, one for each row that did not pivot and was not cleared
+    to zero;
   - ``images[j]``: column j written over the survivors, as a dict from a
     position in ``survivors`` to a nonzero coefficient.
 
@@ -93,7 +96,7 @@ def eliminate_unit_pivots(rows, n, weight):
   equals an integer combination of the columns still live, and every row
   it was subtracted from keeps the same span.
   """
-  live = [{j: a for j, a in enumerate(row) if a} for row in rows]
+  live = [dict(row) for row in rows]
   where = [set() for _ in range(n)]      # column -> live rows holding it
   for r, row in enumerate(live):
     for j in row:
@@ -103,7 +106,7 @@ def eliminate_unit_pivots(rows, n, weight):
     units = [j for j, a in row.items() if a == 1 or a == -1]
     if not units:
       continue
-    c = max(units, key=weight.__getitem__)
+    c = max(units, key=lambda j: (weight[j], -j))
     a = row.pop(c)
     for j in row:
       where[j].discard(r)
@@ -133,8 +136,7 @@ def eliminate_unit_pivots(rows, n, weight):
       for p, v in images[j].items():
         image[p] = image.get(p, 0) + coefficient * v
     images[c] = {p: v for p, v in image.items() if v}
-  residual = [[row.get(j, 0) for j in survivors]
-              for row in live if row is not None]
+  residual = [[row.get(j, 0) for j in survivors] for row in live if row]
   return survivors, residual, images
 
 
@@ -308,14 +310,6 @@ def solve(M, b):
         return None
       y[i] = c[i] // d
   return mat_vec(V, y)
-
-
-def lattice_contains(spanning_rows, v):
-  """Is v in the Z-span of the given (not necessarily independent) rows?"""
-  if not spanning_rows:
-    return all(x == 0 for x in v)
-  assert all(len(r) == len(v) for r in spanning_rows)
-  return solve(transpose(spanning_rows), list(v)) is not None
 
 
 def cokernel_invariants(relation_rows, n):

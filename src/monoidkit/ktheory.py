@@ -80,19 +80,21 @@ def burnside_rank(gamma):
 class K0Result:
   """K₀ of a subquotient-closed list of objects, with the class map.
 
-  The relation matrix R is reduced in two phases.  First
-  ``intlin.eliminate_unit_pivots`` pivots on ±1 entries, taking in each row
-  the largest object, so that the simple objects survive: a row
+  Each relation is a dict from an index into ``reps`` to a nonzero int, as
+  ``subquotient_relations`` yields them.  They are reduced in two phases.
+  First ``intlin.eliminate_unit_pivots`` pivots on ±1 entries, taking in
+  each row the largest object, so that the simple objects survive: a row
   [X] − [S] − [X/S] says [X] = [S] + [X/S], the Jordan–Hölder step.  Each
   eliminated class becomes an integer combination of the surviving ones.
-  Then the one Smith normal form D = U·R′·V of the Schur complement R′
-  (on every corpus presentation it is zero) gives ``group`` from D's
-  diagonal, and x ↦ x·V carries its cokernel onto the canonical form.  So
-  the class of generator i is its combination times V, read in the free
-  slots (zero diagonal) and in the torsion slots (diagonal d > 1, modulo
-  d).  Each free coordinate is oriented once so that the first class using
-  it is positive, and every class is stored: ``class_vector``,
-  ``class_of`` and ``additivity_holds`` only read them.
+  Then the one Smith normal form D = U·R′·V of the nonzero rows R′ of the
+  Schur complement (on every corpus presentation there are none, and one
+  zero row stands in) gives ``group`` from D's diagonal, and x ↦ x·V
+  carries the cokernel onto the canonical form.  So the class of generator
+  i is its combination times V, read in the free slots (zero diagonal) and
+  in the torsion slots (diagonal d > 1, modulo d).  Each free coordinate is
+  oriented once so that the first class using it is positive, and every
+  class is stored: ``class_vector``, ``class_of`` and ``additivity_holds``
+  only read them.
   """
 
   def __init__(self, reps, relations):
@@ -102,7 +104,7 @@ class K0Result:
         relations, len(reps), [X.size() for X in reps])
     k = len(survivors)
     if relations:
-      # when every row pivoted, the zero row stands in for the 0×k residual
+      # when no nonzero row is left, a zero row stands in for the 0×k one
       D, _, V = smith_normal_form(residual or [[0] * k])
       diag = intlin.diagonal(D)
     else:
@@ -143,14 +145,13 @@ class K0Result:
     return self.class_vector(self.index_of(X))
 
   def is_zero(self, combination):
-    """Is Σ cᵢ[repᵢ] zero in K₀, for the coefficient vector c?"""
+    """Is Σ cᵢ[repᵢ] zero in K₀, for the mapping {i: cᵢ}?"""
     free = [0] * self.group.free_rank
     tors = [0] * len(self._moduli)
-    for i, c in enumerate(combination):
-      if c:
-        f, t = self._classes[i]
-        free = [a + c * b for a, b in zip(free, f)]
-        tors = [a + c * b for a, b in zip(tors, t)]
+    for i, c in combination.items():
+      f, t = self._classes[i]
+      free = [a + c * b for a, b in zip(free, f)]
+      tors = [a + c * b for a, b in zip(tors, t)]
     return not any(free) and not any(v % d for v, d in zip(tors, self._moduli))
 
   def additivity_holds(self):
@@ -178,9 +179,9 @@ class QuotientK0Result:
   class exactly when their reduced objects are isomorphic A-sets, so one
   reduction per object and one ``IsoClasses`` index sort them.  The
   relations are the M-relations pushed onto the M/C classes (each M/C
-  column is the sum of the M-columns it merges), without zero or repeated
-  rows.  One ``K0Result``, ``k0``, over the first M-object of each class
-  reduces them; it is the class map of K₀(M/C).
+  coefficient is the sum of the M-coefficients it merges), without zero or
+  repeated rows.  One ``K0Result``, ``k0``, over the first M-object of each
+  class reduces them; it is the class map of K₀(M/C).
   """
 
   def __init__(self, reps, pred, m_relations):
@@ -191,8 +192,8 @@ class QuotientK0Result:
     rows = {}
     for rel in m_relations:
       row = self.push(rel)
-      if any(row):
-        rows.setdefault(tuple(row), row)
+      if row:
+        rows.setdefault(frozenset(row.items()), row)
     self.relations = list(rows.values())
     self.k0 = K0Result([reps[self.class_index.index(c)]
                         for c in range(self.n_classes)], self.relations)
@@ -203,16 +204,18 @@ class QuotientK0Result:
     classes = IsoClasses()
     return [classes.index(reduced_object(X, pred)) for X in reps]
 
-  def push(self, vec):
-    """A vector over the M-objects, summed onto the M/C classes."""
-    row = [0] * self.n_classes
-    for i, c in enumerate(vec):
-      row[self.class_index[i]] += c
-    return row
+  def push(self, combination):
+    """A mapping {i: cᵢ} over the M-objects, summed onto the M/C classes:
+    a mapping from a class to its nonzero coefficient."""
+    row = {}
+    for i, c in combination.items():
+      k = self.class_index[i]
+      row[k] = row.get(k, 0) + c
+    return {k: c for k, c in row.items() if c}
 
-  def is_zero(self, vec):
-    """Is Σ cᵢ[repsᵢ] zero in K₀(M/C)?"""
-    return self.k0.is_zero(self.push(vec))
+  def is_zero(self, combination):
+    """Is Σ cᵢ[repsᵢ] zero in K₀(M/C), for the mapping {i: cᵢ}?"""
+    return self.k0.is_zero(self.push(combination))
 
 
 def localization_exactness_k0(objects, pred, closure_bound=64):
@@ -240,17 +243,18 @@ def localization_exactness_k0(objects, pred, closure_bound=64):
   reps, m_rel = subquotient_relations(objects, bound=closure_bound)
   in_c = [pred.contains(X) for X in reps]
   c_indices = [i for i, inside in enumerate(in_c) if inside]
+  c_pos = {i: p for p, i in enumerate(c_indices)}
   c_rows = []
   for row in m_rel:
-    pos, neg = (all(in_c[i] for i, c in enumerate(row) if sign * c > 0)
+    pos, neg = (all(in_c[i] for i, c in row.items() if sign * c > 0)
                 for sign in (1, -1))
     if pos != neg:
       terms = " ".join(f"{c:+}[{reps[i].name or f'#{i}'}]"
-                       for i, c in enumerate(row) if c)
+                       for i, c in sorted(row.items()))
       raise PredicateClosureError(f"the predicate is not Serre: the "
                                   f"relation {terms} breaks two-out-of-three")
     if neg:
-      c_rows.append([row[i] for i in c_indices])
+      c_rows.append({c_pos[i]: c for i, c in row.items()})
   c_k0 = K0Result([reps[i] for i in c_indices], c_rows)
   quot = QuotientK0Result(reps, pred, m_rel)
   composite_zero, middle_exact = _exactness(m_rel, quot, c_indices)
@@ -265,8 +269,7 @@ def localization_exactness_k0(objects, pred, closure_bound=64):
 def _exactness(m_rel, quot, c_indices):
   """(composite zero, exact at the middle), as localization_exactness_k0
   decides them."""
-  n = len(quot.class_index)
-  c_units = [[int(j == i) for j in range(n)] for i in c_indices]
+  c_units = [{i: 1} for i in c_indices]
   composite_zero = all(quot.is_zero(v) for v in c_units + m_rel)
   return composite_zero, composite_zero and \
       K0Result(quot.reps, m_rel + c_units).group == quot.group

@@ -151,6 +151,7 @@ class FiniteMonoid:
     self.table = full
     self._hash = None
     self._generators = None
+    self._primes = None
 
   def __eq__(self, other):
     """Equal when the elements, one, zero and table are; the name is a
@@ -259,7 +260,10 @@ class FiniteMonoid:
     return all(self.mul(a, b) not in subset for a in comp for b in comp)
 
   def primes(self):
-    """All prime ideals, with heights computed from chains of primes."""
+    """All prime ideals, with heights computed from chains of primes, as a
+    tuple.  The search runs over every subset, so it runs once and is kept."""
+    if self._primes is not None:
+      return self._primes
     rest = [a for a in self.elements if a not in (self.one, self.zero)]
     found = []
     for r in range(len(rest) + 1):
@@ -272,7 +276,9 @@ class FiniteMonoid:
     for s in found:
       below = [heights[t] for t in found if t < s]
       heights[s] = max(below) + 1 if below else 0
-    return [PrimeIdeal(self, heights[s], subset=s) for s in found]
+    self._primes = tuple(PrimeIdeal(self, heights[s], subset=s)
+                         for s in found)
+    return self._primes
 
   # -- localization -----------------------------------------------------------
 

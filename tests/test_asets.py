@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from monoidkit import corpora
 from monoidkit.asets import (ASetMap, ExactSeq, FiniteASet, NotFiniteLength,
-                             aset_length, codim_support, coequalizer,
+                             aset_length, coequalizer,
                              cokernel, cycle_nset, exact_seq_from_sub,
-                             fiber_product, free_aset, hom_maps, identity_map,
+                             fiber_product, hom_maps, identity_map,
                              is_exact, is_pc_aset,
                              is_rooted_tree, kernel, length_filtration,
                              nat_set, orbit_decomposition, point_aset,
@@ -26,6 +26,25 @@ A3 = FiniteMonoid.truncated_free(2)          # {1, t, t^2, *}
 F1 = FiniteMonoid.f1()
 Z2 = FiniteMonoid.group_with_zero([2])
 Z4 = FiniteMonoid.group_with_zero([4])
+
+
+def free_aset(monoid, rank=1):
+  """A wedge of ``rank`` copies of the finite acting monoid itself."""
+  copies = []
+  for k in range(rank):
+    tag = "" if rank == 1 else f"@{k}"
+    rename = {a: f"{a}{tag}" for a in monoid.elements}
+    rename[monoid.zero] = STAR
+    elements = [rename[a] for a in monoid.elements]
+    action = {g: {rename[a]: rename[monoid.mul(g, a)] for a in monoid.elements}
+              for g in monoid.generators()}
+    copies.append(FiniteASet(monoid, elements, action, STAR))
+  return wedge_list(copies) if len(copies) > 1 else copies[0]
+
+
+def codim_support(X):
+  """Minimal height in the support; math.inf for the point."""
+  return min((p.height for p in support(X)), default=math.inf)
 
 
 def f1_set(n):
@@ -472,6 +491,26 @@ def test_pc_trees_and_cycles():
   lasso = cycle_nset(3, tail=2)
   assert not is_pc_aset(lasso)
   assert is_rooted_tree(point_aset(NatMonoid()))
+
+
+def repeats_off_base(X):
+  """Does some orbit of the N-set X repeat before reaching ∗?  Each element
+  is walked for |X| steps: the pc oracle for N-sets."""
+  step = X.action["t"]
+  for x in X.nonbase():
+    for _ in range(len(X.elements)):
+      x = step[x]
+    if x != X.base:
+      return True
+  return False
+
+
+def test_pc_and_rooted_trees_match_the_walk_on_nsets():
+  nsets = [X for X in lattice_corpus() if isinstance(X.monoid, NatMonoid)]
+  nsets += [truncated_line(300), cycle_nset(5, tail=300)]
+  for X in nsets:
+    assert is_pc_aset(X) == is_rooted_tree(X) == (not repeats_off_base(X)), X
+  assert sum(map(is_rooted_tree, nsets)) == 55
 
 
 def test_pc_rejects_eventually_periodic_orbit():

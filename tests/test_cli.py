@@ -7,11 +7,15 @@ selftest command is checked through a stubbed case list so the wiring
 
 import json
 import os
+import time
 
 import pytest
 
 from monoidkit import cli, io, selftest
+from monoidkit.asets import NotFiniteLength, length_filtration, truncated_line
 from monoidkit.cli import main
+from monoidkit.monoids import NatMonoid
+from test_asets import lattice_corpus
 
 FIXTURES = os.path.join(os.path.dirname(io.__file__), "fixtures")
 
@@ -77,6 +81,41 @@ def test_aset_check_on_many_leaves_and_a_fixed_point(tmp_path, capsys):
   code, out, _ = run(capsys, "aset-check", "N", str(path))
   assert code == 0
   assert "length: not finite" in out
+
+
+def test_aset_check_reads_the_filtration_off_the_orbit_chain(tmp_path,
+                                                            capsys):
+  """The JSON length and stage sizes are the ones length_filtration gives."""
+  refs = {NatMonoid(): "N"}
+  finite = 0
+  for n, X in enumerate(lattice_corpus()):
+    if X.monoid not in refs:
+      refs[X.monoid] = str(tmp_path / f"monoid{len(refs)}.json")
+      io.save_monoid(X.monoid, refs[X.monoid])
+    path = tmp_path / f"aset{n}.json"
+    io.save_aset(X, path, monoid_ref=refs[X.monoid])
+    code, data = run_json(capsys, "aset-check", refs[X.monoid], str(path))
+    chain = length_filtration(X)
+    if isinstance(chain, NotFiniteLength):
+      want = (None, None)
+    else:
+      want = (len(chain), [1] + [step.middle.size() for step in chain])
+      finite += 1
+    assert code == 0
+    assert (data["length"], data["filtration_sizes"]) == want, X
+  assert finite == 98
+
+
+def test_aset_check_on_a_long_line(tmp_path, capsys):
+  path = tmp_path / "line.json"
+  io.save_aset(truncated_line(5000), path)
+  start = time.perf_counter()
+  code, data = run_json(capsys, "aset-check", "N", str(path))
+  elapsed = time.perf_counter() - start
+  assert code == 0
+  assert data["length"] == 5000
+  assert data["filtration_sizes"] == list(range(1, 5002))
+  assert elapsed < 8, f"aset-check on a 5000-element line took {elapsed:.1f} s"
 
 
 def test_point_has_length_zero(tmp_path, capsys):

@@ -9,10 +9,11 @@ from monoidkit.asets import STAR, FiniteASet, is_rooted_tree, nat_set
 from monoidkit.corpora import (all_gamma_asets, all_nilpotent_asets,
                                all_nsets, all_nshapes, all_pointed_sets,
                                brute_force_asets, close_under_subquotients,
-                               crown_shapes, dedup_up_to_iso, random_aset,
-                               random_nset, subquotient_relations,
+                               crown_shapes, dedup_up_to_iso,
+                               random_gamma_aset, random_nset,
+                               subquotient_relations,
                                tree_shapes, unit_subgroups)
-from monoidkit.errors import ClosureBoundExceeded
+from monoidkit.errors import ClosureBoundExceeded, InvalidStructure
 from monoidkit.monoids import FiniteMonoid, NatMonoid
 
 
@@ -94,6 +95,28 @@ def test_subquotient_closure():
   assert len(reps) == 4      # lines of length 0..3
   with pytest.raises(ClosureBoundExceeded):
     close_under_subquotients([truncated_line(3)], bound=2)
+
+
+def random_aset(rng, monoid, max_nonbase, attempts=200):
+  """A random A-set over any supported monoid (rejection sampling fallback)."""
+  if isinstance(monoid, NatMonoid):
+    return random_nset(rng, max_nonbase)
+  if set(monoid.unit_elements()) == set(monoid.elements) - {monoid.zero}:
+    return random_gamma_aset(rng, monoid, max_nonbase)
+  gens = monoid.generators()
+  for _ in range(attempts):
+    m = rng.randint(0, max_nonbase)
+    carrier = [f"x{i}" for i in range(1, m + 1)]
+    action = {g: {x: rng.choice(carrier + [STAR]) for x in carrier}
+              for g in gens}
+    try:
+      X = FiniteASet(monoid, [STAR] + carrier, action, STAR)
+    except InvalidStructure:
+      continue
+    if X.validate().ok:
+      return X
+  raise InvalidStructure(
+      f"no valid random action on {monoid.name} found in {attempts} attempts")
 
 
 def test_samplers_are_seeded_and_valid():

@@ -313,7 +313,7 @@ def test_key_diagram_rejects_inexact_sequence():
 def test_key_diagram_over_truncated_monoid():
   A = FiniteMonoid.truncated_free(2)
   # free rank-1 A-set: carrier {1,t,t^2,*}; interesting subobject pair
-  from monoidkit.asets import free_aset
+  from test_asets import free_aset
   F = free_aset(A)
   kd = KeyDiagram(F, {"t", "t^2", STAR}, {"t^2", STAR})
   all_checks(kd)

@@ -43,6 +43,25 @@ def is_unimodular(M):
   return m == n and det(M) in (1, -1)
 
 
+def dense(row, n):
+  """A sparse relation row {column: coefficient} as a list of n ints, the
+  form the dense oracles take."""
+  return [row.get(j, 0) for j in range(n)]
+
+
+def sparse(row):
+  """A dense row as the sparse form the package takes: its nonzero entries."""
+  return {j: a for j, a in enumerate(row) if a}
+
+
+def lattice_contains(spanning_rows, v):
+  """Is v in the Z-span of the given (not necessarily independent) rows?"""
+  if not spanning_rows:
+    return all(x == 0 for x in v)
+  assert all(len(r) == len(v) for r in spanning_rows)
+  return intlin.solve(intlin.transpose(spanning_rows), list(v)) is not None
+
+
 def lattice_equal(rows_a, rows_b, ambient_dim=None):
   """Do two spanning sets generate the same sublattice of Z^n?"""
   if ambient_dim is None:
@@ -55,8 +74,8 @@ def lattice_equal(rows_a, rows_b, ambient_dim=None):
   zero = [0] * ambient_dim
   a = [r for r in rows_a if list(r) != zero]
   b = [r for r in rows_b if list(r) != zero]
-  return all(intlin.lattice_contains(b, r) for r in a) and \
-      all(intlin.lattice_contains(a, r) for r in b)
+  return all(lattice_contains(b, r) for r in a) and \
+      all(lattice_contains(a, r) for r in b)
 
 
 # ------------------------------------------------------------------- the SNF
@@ -152,7 +171,7 @@ def test_kernel_basis():
   for v in ker:
     assert intlin.mat_vec(M, v) == [0]
   # the kernel lattice is saturated: (1,1,-1) lies in it
-  assert intlin.lattice_contains(ker, [1, 1, -1])
+  assert lattice_contains(ker, [1, 1, -1])
 
 
 def test_kernel_of_injective_map_is_trivial():
@@ -174,8 +193,8 @@ def test_solve():
 
 def test_lattice_membership_and_equality():
   rows = [[2, 0], [0, 2]]
-  assert intlin.lattice_contains(rows, [4, -2])
-  assert not intlin.lattice_contains(rows, [1, 0])
+  assert lattice_contains(rows, [4, -2])
+  assert not lattice_contains(rows, [1, 0])
   assert lattice_equal([[1, 1], [0, 2]], [[1, -1], [0, 2]])
   assert not lattice_equal([[1, 1]], [[1, -1]])
   assert lattice_equal([], [[0, 0]], ambient_dim=2)
@@ -195,42 +214,43 @@ def test_cokernel_invariants():
 def check_elimination(rows, n, weight):
   """The images carry Z^n/<rows> onto Z^k/<residual>: both have the same
   invariants, every row maps into the residual's span, and the images of
-  the unit vectors span Z^k modulo it."""
+  the unit vectors span Z^k modulo it.  No residual row is zero."""
   survivors, residual, images = intlin.eliminate_unit_pivots(rows, n, weight)
+  rows = [dense(row, n) for row in rows]
   k = len(survivors)
-  assert all(len(r) == k for r in residual)
+  assert all(len(r) == k and any(r) for r in residual)
   assert len(residual) <= len(rows)
   for j, p in zip(survivors, range(k)):
     assert images[j] == {p: 1}
-  dense = [[image.get(p, 0) for p in range(k)] for image in images]
+  image_matrix = [dense(image, k) for image in images]
   for row in rows:
-    assert intlin.lattice_contains(residual, intlin.vec_mat(row, dense))
+    assert lattice_contains(residual, intlin.vec_mat(row, image_matrix))
   assert intlin.cokernel_invariants(residual, k) == \
       intlin.cokernel_invariants(rows, n)
   if k:
-    assert intlin.invariant_factors(dense + residual) == [1] * k
+    assert intlin.invariant_factors(image_matrix + residual) == [1] * k
   return survivors, residual
 
 
 def test_elimination_pivots_on_the_largest_unit():
   # x0 - x1 - x2 with x0 heaviest: x0 goes, x0 = x1 + x2
   survivors, residual, images = intlin.eliminate_unit_pivots(
-      [[1, -1, -1]], 3, [3, 1, 1])
+      [{0: 1, 1: -1, 2: -1}], 3, [3, 1, 1])
   assert survivors == [1, 2] and residual == []
   assert images[0] == {0: 1, 1: 1}
   # with x2 heaviest it goes instead: x2 = x0 - x1
   survivors, _, images = intlin.eliminate_unit_pivots(
-      [[1, -1, -1]], 3, [1, 1, 3])
+      [{0: 1, 1: -1, 2: -1}], 3, [1, 1, 3])
   assert survivors == [0, 1] and images[2] == {0: 1, 1: -1}
 
 
 def test_elimination_keeps_rows_without_a_unit():
-  survivors, residual = check_elimination([[2, 4], [0, 6]], 2, [0, 1])
+  survivors, residual = check_elimination([{0: 2, 1: 4}, {1: 6}], 2, [0, 1])
   assert survivors == [0, 1] and residual == [[2, 4], [0, 6]]
-  # a row cleared to zero stays, as a zero row of the Schur complement
+  # a row cleared to zero is dropped from the Schur complement
   survivors, residual, _ = intlin.eliminate_unit_pivots(
-      [[1, -1], [2, -2], [1, 1]], 2, [0, 1])
-  assert survivors == [0] and residual == [[0], [2]]
+      [{0: 1, 1: -1}, {0: 2, 1: -2}, {0: 1, 1: 1}], 2, [0, 1])
+  assert survivors == [0] and residual == [[2]]
 
 
 @settings(max_examples=150, deadline=None)
@@ -239,5 +259,6 @@ def test_elimination_presents_the_same_cokernel(n, m, seed):
   rng = random.Random(seed)
   rows = [[rng.choice((-2, -1, -1, 0, 0, 0, 0, 1, 1, 3)) for _ in range(n)]
           for _ in range(m)]
+  rows = list(map(sparse, rows))
   weight = [rng.randint(0, 3) for _ in range(n)]
   check_elimination(rows, n, weight)

@@ -1,4 +1,9 @@
+import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -26,7 +31,7 @@ from monoidkit.monoids import FiniteMonoid, NatMonoid, UnitGroupDescriptor
 from monoidkit.serre import (SerrePredicate, canonical_window,
                              compose_quotient, hom_quotient,
                              identity_quotient, reduced_object)
-from test_intlin import lattice_equal
+from test_intlin import dense, lattice_contains, lattice_equal, sparse
 
 Z = AbelianGroupPresentation.free
 CYC = AbelianGroupPresentation.from_cyclic_orders
@@ -148,11 +153,12 @@ def test_k0_additivity_on_random_corpora():
     reps, rows = subquotient_relations(seeds, bound=96)
     n = len(reps)
     want = oracle_rows(sequence_ends_oracle(reps), range(n), n)
-    got = {tuple(r) for r in rows}
+    got = {tuple(dense(r, n)) for r in rows}
     assert len(got) == len(rows)
     assert got == want
     k0 = K0Result(reps, rows)
-    assert k0.group == AbelianGroupPresentation.from_relations(rows, n)
+    assert k0.group == AbelianGroupPresentation.from_relations(
+        [dense(r, n) for r in rows], n)
     assert k0.additivity_holds()
 
 
@@ -426,8 +432,9 @@ def test_localized_k0_rank_counts_cycle_lengths():
     quot = QuotientK0Result(reps, torsion, rows)
     want_rows = oracle_rows(sequence_ends_oracle(reps), quot.class_index,
                             quot.n_classes)
-    assert lattice_equal(quot.relations, [list(r) for r in want_rows],
-                                ambient_dim=quot.n_classes)
+    assert lattice_equal([dense(r, quot.n_classes) for r in quot.relations],
+                         [list(r) for r in want_rows],
+                         ambient_dim=quot.n_classes)
 
 
 # ------------------------------------------ one reduction per presentation
@@ -446,7 +453,8 @@ def assert_presents_the_dense_group(k0, rows, n):
   row has class zero, and the classes, with the torsion moduli, span the
   group.  A surjection between isomorphic finitely generated abelian groups
   is injective, so together these make the class map an isomorphism."""
-  assert k0.group == AbelianGroupPresentation.from_relations(rows, n)
+  assert k0.group == AbelianGroupPresentation.from_relations(
+      [dense(r, n) for r in rows], n)
   assert all(k0.is_zero(r) for r in rows)
   free, moduli = k0.group.free_rank, k0.group.invariant_factors
   width = free + len(moduli)
@@ -489,7 +497,7 @@ def test_class_maps_are_isomorphisms_onto_the_dense_group():
       row[x] += 1
       row[s] -= 1
       row[q] -= 1
-      rows.append(row)
+      rows.append(sparse(row))
     assert_presents_the_dense_group(K0Result(stand_ins(n, rng), rows), rows, n)
   # those are all free; random relations bring torsion, and leave a residual
   torsion_seen = 0
@@ -497,6 +505,7 @@ def test_class_maps_are_isomorphisms_onto_the_dense_group():
     n = rng.randint(1, 6)
     rows = [[rng.randint(-3, 3) for _ in range(n)]
             for _ in range(rng.randint(0, 5))]
+    rows = list(map(sparse, rows))
     k0 = K0Result(stand_ins(n, rng), rows)
     assert_presents_the_dense_group(k0, rows, n)
     assert k0.additivity_holds()
@@ -515,11 +524,50 @@ def test_unit_pivots_leave_the_simple_objects():
         rows, len(reps), [X.size() for X in reps])
     simple = [j for j, X in enumerate(reps) if len(X.subobject_sets()) == 2]
     assert survivors == simple
-    assert not any(map(any, residual))
+    assert residual == []
     k0 = K0Result(reps, rows)
     basis = [tuple(int(i == j) for j in range(len(simple)))
              for i in range(len(simple))]
     assert [k0.class_vector(j) for j in simple] == [(e, ()) for e in basis]
+
+
+def test_relation_rows_are_sparse_and_no_zero_row_reaches_the_snf(
+    monkeypatch):
+  snf_inputs = []
+  smith = intlin.smith_normal_form
+
+  def recorded(M):
+    snf_inputs.append(M)
+    return smith(M)
+
+  monkeypatch.setattr(ktheory, "smith_normal_form", recorded)
+  for corpus in k0_corpora():
+    reps, rows = subquotient_relations(corpus, bound=128)
+    for row in rows:
+      assert type(row) is dict and 1 <= len(row) <= 3, row
+      assert all(type(c) is int and c for c in row.values()), row
+      assert set(row) <= set(range(len(reps))) and sum(row.values()) == -1
+    del snf_inputs[:]
+    k0 = K0Result(reps, rows)
+    # every row pivots: the one SNF sees only the zero row standing in
+    assert snf_inputs == [[[0] * k0.group.free_rank]]
+  # random relations leave a residual: only its nonzero rows go through
+  rng = random.Random(3)
+  left = 0
+  for _ in range(100):
+    n = rng.randint(1, 6)
+    rows = [[rng.randint(-3, 3) for _ in range(n)]
+            for _ in range(rng.randint(1, 5))]
+    rows = list(map(sparse, rows))
+    reps = stand_ins(n, rng)
+    survivors, residual, _ = intlin.eliminate_unit_pivots(
+        rows, n, [X.size() for X in reps])
+    assert all(map(any, residual))
+    del snf_inputs[:]
+    K0Result(reps, rows)
+    assert snf_inputs == [residual or [[0] * len(survivors)]]
+    left += bool(residual)
+  assert left == 63
 
 
 def test_a_corrupted_row_fails_the_certificate():
@@ -529,8 +577,9 @@ def test_a_corrupted_row_fails_the_certificate():
   simple = next(j for j in range(len(reps)) if any(good.class_vector(j)[0]))
   caught = 0
   for i in range(0, len(rows), 5):
-    bad = [list(r) for r in rows]
+    bad = [dense(r, len(reps)) for r in rows]
     bad[i][simple] += 1
+    bad = list(map(sparse, bad))
     k0 = K0Result(reps, bad)
     assert k0.group != good.group or not k0.additivity_holds() or \
         not all(k0.is_zero(r) for r in rows)
@@ -581,11 +630,11 @@ def test_index_of_searches_only_the_reps_of_equal_key():
 
 def test_is_zero_reads_the_class_map():
   # Z^2 / <(2, 2)> = Z + Z/2: [a] + [b] is not zero, but twice it is
-  k0 = K0Result(stand_ins(2), [[2, 2]])
+  k0 = K0Result(stand_ins(2), [{0: 2, 1: 2}])
   assert k0.group == CYC([0, 2])
-  assert not k0.is_zero([1, 1])
-  assert k0.is_zero([2, 2]) and k0.is_zero([0, 0])
-  assert not k0.is_zero([1, -1]) and not k0.is_zero([2, 0])
+  assert not k0.is_zero({0: 1, 1: 1})
+  assert k0.is_zero({0: 2, 1: 2}) and k0.is_zero({})
+  assert not k0.is_zero({0: 1, 1: -1}) and not k0.is_zero({0: 2})
 
 
 def lattice_verdicts(n_m, m_rel, class_index, c_indices):
@@ -608,7 +657,7 @@ def lattice_verdicts(n_m, m_rel, class_index, c_indices):
 
   def q_zero(vec):
     img = intlin.mat_vec(to_q, vec)
-    return intlin.lattice_contains(q_rel, img)
+    return lattice_contains(q_rel, img)
 
   composite_zero = all(q_zero([1 if j == i else 0 for j in range(n_m)])
                        for i in c_indices)
@@ -666,6 +715,7 @@ def localization_oracle(objects, pred, closure_bound=64):
   classes from the hom search and K₀(C) from a second closure walk over the
   objects in C; then the closure and its M/C partition."""
   reps, m_rel = subquotient_relations(objects, bound=closure_bound)
+  m_rel = [dense(r, len(reps)) for r in m_rel]
   c_indices = [i for i, X in enumerate(reps) if pred.contains(X)]
   class_index = hom_search_partition(reps, pred)
   composite_zero, middle_exact, q_rel = lattice_verdicts(
@@ -674,7 +724,8 @@ def localization_oracle(objects, pred, closure_bound=64):
   c_group = AbelianGroupPresentation.trivial()
   if c_objects:
     c_reps, c_rel = subquotient_relations(c_objects, bound=closure_bound)
-    c_group = AbelianGroupPresentation.from_relations(c_rel, len(c_reps))
+    c_group = AbelianGroupPresentation.from_relations(
+        [dense(r, len(c_reps)) for r in c_rel], len(c_reps))
   group = AbelianGroupPresentation.from_relations
   return ((c_group, group(m_rel, len(reps)),
            group(q_rel, len(set(class_index))), composite_zero, middle_exact),
@@ -702,6 +753,7 @@ def breaks_two_out_of_three(objects, pred):
   """Does a row of the closure have its positive term in C but not its
   negative terms, or the other way round?"""
   reps, rows = subquotient_relations(objects)
+  rows = [dense(r, len(reps)) for r in rows]
   in_c = [pred.contains(X) for X in reps]
   return any(all(in_c[i] for i, c in enumerate(row) if c > 0) !=
              all(in_c[i] for i, c in enumerate(row) if c < 0)
@@ -787,10 +839,11 @@ def test_exactness_matches_the_lattice_oracle_on_random_lattices():
     first = list(dict.fromkeys(labels))
     class_index = [first.index(c) for c in labels]
     c_indices = sorted(rng.sample(range(n), rng.randint(0, n)))
-    quot = GivenPartition(class_index, rows)
+    sparse_rows = list(map(sparse, rows))
+    quot = GivenPartition(class_index, sparse_rows)
     want = lattice_verdicts(n, rows, class_index, c_indices)
-    assert quot.relations == want[2]
-    got = _exactness(rows, quot, c_indices)
+    assert [dense(r, quot.n_classes) for r in quot.relations] == want[2]
+    got = _exactness(sparse_rows, quot, c_indices)
     assert got == want[:2], (rows, class_index, c_indices)
     tally[got] = tally.get(got, 0) + 1
   assert set(tally) == {(True, True), (True, False), (False, False)}, tally
@@ -900,3 +953,51 @@ def test_localization_of_klein_four_sets_at_cap_8():
   assert zero.q_group == Z(5)
   assert everything.q_group.is_trivial()
   assert all(rep.ok for rep in reports)
+
+
+def run_in_child(code):
+  """Run ``code`` in a fresh interpreter that prints one JSON line, with
+  its own RUSAGE_SELF max RSS, in MB, under "rss_mb"."""
+  package_root = os.path.dirname(os.path.dirname(ktheory.__file__))
+  env = dict(os.environ, PYTHONPATH=package_root)
+  script = ("import json, resource, time\n" + textwrap.dedent(code) +
+            "\nout['rss_mb'] = resource.getrusage(resource.RUSAGE_SELF)"
+            ".ru_maxrss / 1024\nprint(json.dumps(out))\n")
+  done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                        capture_output=True, text=True, timeout=300)
+  return json.loads(done.stdout)
+
+
+def test_k0_of_gamma_sets_of_order_8_at_cap_10():
+  out = run_in_child("""
+      from monoidkit.corpora import all_gamma_asets
+      from monoidkit.ktheory import k0_of_catspec
+      from monoidkit.monoids import FiniteMonoid
+      G = FiniteMonoid.group_with_zero([2, 2, 2])
+      start = time.perf_counter()
+      k0 = k0_of_catspec([X for X, _ in all_gamma_asets(G, 10)],
+                         closure_bound=2000)
+      out = {"group": str(k0.group), "classes": len(k0.reps),
+             "rows": len(k0.relations), "additive": k0.additivity_holds(),
+             "wall_s": time.perf_counter() - start}
+      """)
+  assert (out["group"], out["classes"], out["rows"], out["additive"]) == \
+      (str(Z(16)), 1678, 9598, True)
+  assert out["wall_s"] < 30, out
+  assert out["rss_mb"] < 200, out
+
+
+def test_localization_of_gamma_sets_of_order_8_at_cap_9():
+  G = FiniteMonoid.group_with_zero([2, 2, 2])
+  objects = [X for X, _ in all_gamma_asets(G, 9)]
+  start = time.perf_counter()
+  reports = [localization_exactness_k0(objects, pred(G), closure_bound=2000)
+             for pred in (SerrePredicate.finite_length, SerrePredicate.zero,
+                          SerrePredicate.everything)]
+  elapsed = time.perf_counter() - start
+  groups = [(rep.c_group, rep.m_group, rep.q_group) for rep in reports]
+  assert groups == [(Z(1), Z(16), Z(15)),
+                    (Z(0), Z(16), Z(16)),
+                    (Z(16), Z(16), Z(0))]
+  assert all(rep.ok for rep in reports)
+  assert elapsed < 30, f"three localizations at cap 9 took {elapsed:.1f} s"

@@ -1,7 +1,9 @@
 import itertools
+import os
 
 import pytest
 
+from monoidkit import io
 from monoidkit.errors import InvalidStructure
 from monoidkit.monoids import (STAR, FiniteMonoid, NatMonoid, PrimeIdeal,
                                UnitGroupDescriptor)
@@ -242,7 +244,9 @@ def greedy_generators(m):
   return gens
 
 
-def test_generators_are_cached_and_equal_the_greedy_closure():
+def small_monoids():
+  """Finite monoids of every kind the package builds, broken tables and
+  localizations included, and the bundled fixture monoids."""
   names = ["1", "t", "u", "tu", STAR]
 
   def smash(a, b):
@@ -272,7 +276,45 @@ def test_generators_are_cached_and_equal_the_greedy_closure():
   monoids += [FiniteMonoid.group_with_zero(o)
               for o in ([2], [3], [4], [2, 2])]
   monoids += [m.localize(p) for m in monoids[-7:] for p in m.primes()]
-  for m in monoids:
+  fixtures = os.path.join(os.path.dirname(io.__file__), "fixtures")
+  monoids += [io.load_monoid(os.path.join(fixtures, name))
+              for name in ("n_t3.json", "z2_with_zero.json")]
+  return monoids
+
+
+def test_generators_are_cached_and_equal_the_greedy_closure():
+  for m in small_monoids():
     first = m.generators()
     assert first == tuple(greedy_generators(m)), m.name
     assert type(first) is tuple and m.generators() is first, m.name
+
+
+def enumerated_primes(m):
+  """{subset: height} of every prime, by a fresh search over all subsets:
+  the primes() oracle."""
+  rest = [a for a in m.elements if a not in (m.one, m.zero)]
+  found = [frozenset(c) | {m.zero} for r in range(len(rest) + 1)
+           for c in itertools.combinations(rest, r)]
+  heights = {}
+  for s in sorted(filter(m.is_prime_subset, found), key=len):
+    heights[s] = max((heights[t] + 1 for t in heights if t < s), default=0)
+  return heights
+
+
+def test_primes_are_cached_and_equal_the_enumeration(monkeypatch):
+  monoids = small_monoids()
+  searched = []
+  test = FiniteMonoid.is_prime_subset
+
+  def counted(self, subset):
+    searched.append(subset)
+    return test(self, subset)
+
+  monkeypatch.setattr(FiniteMonoid, "is_prime_subset", counted)
+  for m in monoids:
+    first = m.primes()
+    assert type(first) is tuple, m.name
+    assert len(first) == len(set(first)), m.name
+    assert {p.subset: p.height for p in first} == enumerated_primes(m), m.name
+    del searched[:]
+    assert m.primes() is first and searched == [], m.name
