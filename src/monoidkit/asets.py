@@ -20,9 +20,19 @@ Maps and isomorphisms come from one backtracking search,
 ``_equivariant_maps``.  ``hom_maps`` lists every map it finds;
 ``find_isomorphism`` first compares the objects' ``iso_key`` (an invariant
 each object computes once and keeps) and then takes the first one-to-one map
-that sends each element to one of equal invariant.  ``IsoClasses`` is the one
-index of isomorphism classes: it buckets by ``iso_key`` and searches only
-inside a bucket.
+that sends each element to one of equal invariant.
+
+Isomorphism classes are decided in one of two ways.  A Γ₊-set (Γ a finite
+abelian group, F1 included) has an exact ``canonical_key``: its size and
+the sorted multiset of its orbit stabilizers, read off one walk of the
+monoid's ``unit_tree`` per orbit.  Two such objects are isomorphic exactly
+when their keys are equal, so ``is_isomorphic`` compares keys and searches
+nothing.  Every other object (N-sets, N/(tⁿ)-sets, sets over any other
+finite monoid) has no such key, and ``is_isomorphic`` runs
+``find_isomorphism``.  ``IsoClasses`` is the one index of isomorphism
+classes: it buckets by the canonical key where there is one, else by
+``iso_key``, and compares only inside a bucket; a canonical key's bucket
+holds one class, so its lookup is a dict lookup.
 
 The category is not abelian, but images, kernels, cokernels, fiber products,
 pushouts along monics and coequalizers all exist on finite carriers and are
@@ -81,6 +91,7 @@ class FiniteASet:
           raise InvalidStructure(f"action key {gen!r} is not a monoid element")
     self._full_action_cache = None
     self._iso_cache = None
+    self._canonical = False         # until computed: None is an answer
     self._derived = None
 
   @classmethod
@@ -101,6 +112,7 @@ class FiniteASet:
     self.action = action
     self._full_action_cache = None
     self._iso_cache = None
+    self._canonical = False         # until computed: None is an answer
     self._derived = None
     return self
 
@@ -345,6 +357,40 @@ class FiniteASet:
       self._iso_cache = (key, invariants)
     return self._iso_cache[0]
 
+  def canonical_key(self):
+    """The exact class key of a Γ₊-set, or None; computed once and kept.
+
+    Over a monoid with a ``unit_tree`` (Γ₊ for a finite abelian group Γ,
+    F1 included), X is ∗ plus a disjoint union of orbits Γ/H, so X is
+    determined up to isomorphism by (monoid, size, sorted multiset of the
+    orbit stabilizers H).  A stabilizer is a bit mask over the tree's
+    units.  One walk of the tree from one element per orbit reads u·x for
+    every unit u off the generator maps, |Γ| dict reads per orbit.  The key
+    reads the action as valid (``validate`` checks it).  Over any other
+    monoid, or when the action is not given on the tree's generators, the
+    key is None.
+    """
+    if self._canonical is False:
+      tree = (self.monoid.unit_tree()
+              if isinstance(self.monoid, FiniteMonoid) else None)
+      if tree is not None and all(g in self.action for _, _, g in tree[1:]):
+        steps = [(parent, self.action[g]) for _, parent, g in tree[1:]]
+        seen = {self.base}
+        stabilizers = []
+        for x in self.elements:
+          if x not in seen:
+            images = [x]
+            for parent, gmap in steps:
+              images.append(gmap[images[parent]])
+            seen.update(images)
+            stabilizers.append(sum(1 << i for i, y in enumerate(images)
+                                   if y == x))
+        self._canonical = (self.monoid, len(self.elements),
+                           tuple(sorted(stabilizers)))
+      else:
+        self._canonical = None
+    return self._canonical
+
   def find_isomorphism(self, other):
     """A basepoint/action-preserving bijection self → other, or None.
 
@@ -367,7 +413,16 @@ class FiniteASet:
     return next(_equivariant_maps(self, other, choices, True), None)
 
   def is_isomorphic(self, other):
-    return self.find_isomorphism(other) is not None
+    """Are the objects isomorphic?  The monoids are compared first, then the
+    sizes (so that neither object computes a key for a mismatch), then,
+    when both objects have a ``canonical_key``, the keys, which decide;
+    otherwise ``find_isomorphism`` searches."""
+    if self.monoid != other.monoid or self.size() != other.size():
+      return False
+    key, other_key = self.canonical_key(), other.canonical_key()
+    if key is None or other_key is None:
+      return self.find_isomorphism(other) is not None
+    return key == other_key
 
   def __repr__(self):
     label = self.name or f"{len(self.elements)} elements"
@@ -390,9 +445,11 @@ class IsoClasses:
   """The isomorphism classes seen so far, one representative each.
 
   ``index(X)`` is the number of X's class, counting classes in order of
-  first arrival: X is compared, by ``is_isomorphic``, only with the
-  representatives of equal ``iso_key``, and opens a new class (becoming its
-  representative) when none matches.
+  first arrival.  The buckets are keyed by ``canonical_key`` where X has
+  one, else by ``iso_key``.  X is compared, by ``is_isomorphic``, only with
+  the representatives in its bucket, and opens a new class (becoming its
+  representative) when none matches.  A canonical key is exact, so its
+  bucket holds one class and the lookup makes no isomorphism search.
   """
 
   def __init__(self):
@@ -400,7 +457,7 @@ class IsoClasses:
     self._buckets = {}
 
   def index(self, X):
-    bucket = self._buckets.setdefault(X.iso_key(), [])
+    bucket = self._buckets.setdefault(X.canonical_key() or X.iso_key(), [])
     for i in bucket:
       if X.is_isomorphic(self.reps[i]):
         return i

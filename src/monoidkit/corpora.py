@@ -43,30 +43,39 @@ def tree_shapes(n):
   return _tree_cache[n]
 
 
+def _multisets(total, parts):
+  """Every multiset of parts with sizes summing to `total`, as a tuple of
+  parts in non-decreasing (size, part) order; ``parts(size)`` lists the
+  parts of one size.  Depth first, smaller parts first, with an explicit
+  stack (children pushed in reverse, so they pop in order)."""
+  found = []
+  stack = [(total, (), None)]
+  while stack:
+    remaining, prefix, floor = stack.pop()
+    if remaining == 0:
+      found.append(prefix)
+      continue
+    stack += reversed([(remaining - size, prefix + (part,), (size, part))
+                       for size in range(1, remaining + 1)
+                       for part in parts(size)
+                       if floor is None or (size, part) >= floor])
+  return found
+
+
 def forest_multisets(total):
   """All multisets of tree shapes with `total` nodes, as sorted tuples."""
   if total not in _forest_cache:
-    found = []
-
-    def extend(remaining, prefix, floor):
-      if remaining == 0:
-        found.append(tuple(prefix))
-        return
-      for size in range(1, remaining + 1):
-        for shape in tree_shapes(size):
-          if floor is not None and (size, shape) < floor:
-            continue
-          prefix.append(shape)
-          extend(remaining - size, prefix, (size, shape))
-          prefix.pop()
-
-    extend(total, [], None)
-    _forest_cache[total] = tuple(found)
+    _forest_cache[total] = tuple(_multisets(total, tree_shapes))
   return _forest_cache[total]
 
 
 def shape_height(shape):
-  return 1 + max((shape_height(c) for c in shape), default=0)
+  """The number of levels of a tree shape, counted level by level."""
+  height, level = 0, [shape]
+  while level:
+    height += 1
+    level = [child for node in level for child in node]
+  return height
 
 
 def _shape_tuples(slots, total):
@@ -112,23 +121,25 @@ class NShape:
     return max((shape_height(s) for s in self.forest), default=0)
 
   def to_aset(self):
+    """The N-set, nodes named x1, x2, ... in depth-first preorder: the
+    forest's trees, then each crown's cycle nodes followed by the trees
+    hanging on them.  Iterative, so any depth builds."""
     succ = {}
     counter = itertools.count(1)
-
-    def place_tree(shape, parent):
-      me = f"x{next(counter)}"
+    # (name, successor, shape) still to place, the next on top; a tree node
+    # is named when placed, a crown's cycle nodes when the crown is reached
+    stack = [(None, STAR, shape) for shape in reversed(self.forest)]
+    crowns = list(reversed(self.crowns))
+    while stack or crowns:
+      if not stack:
+        crown = crowns.pop()
+        nodes = [f"x{next(counter)}" for _ in crown]
+        stack = [(nodes[i], nodes[(i + 1) % len(nodes)], crown[i])
+                 for i in reversed(range(len(crown)))]
+      me, parent, shape = stack.pop()
+      me = me or f"x{next(counter)}"
       succ[me] = parent
-      for child in shape:
-        place_tree(child, me)
-
-    for shape in self.forest:
-      place_tree(shape, STAR)
-    for crown in self.crowns:
-      nodes = [f"x{next(counter)}" for _ in crown]
-      for i, shape in enumerate(crown):
-        succ[nodes[i]] = nodes[(i + 1) % len(nodes)]
-        for child in shape:
-          place_tree(child, nodes[i])
+      stack += [(None, me, child) for child in reversed(shape)]
     return nat_set(succ, name=repr(self))
 
   def __eq__(self, other):
@@ -139,28 +150,23 @@ class NShape:
     return hash((self.forest, self.crowns))
 
   def __repr__(self):
-    return f"NShape(forest={self.forest}, crowns={self.crowns})"
+    return (f"NShape(forest={_tuple_text(self.forest)}, "
+            f"crowns={_tuple_text(self.crowns)})")
 
 
-def _crown_multisets(total):
-  if total == 0:
-    return [()]
-  out = []
-
-  def extend(remaining, prefix, floor):
-    if remaining == 0:
-      out.append(tuple(prefix))
-      return
-    for size in range(1, remaining + 1):
-      for crown in crown_shapes(size):
-        if floor is not None and (size, crown) < floor:
-          continue
-        prefix.append(crown)
-        extend(remaining - size, prefix, (size, crown))
-        prefix.pop()
-
-  extend(total, [], None)
-  return out
+def _tuple_text(t):
+  """repr(t) for nested tuples of tuples, built iteratively: a shape may be
+  nested deeper than the recursion limit."""
+  out = ["("]
+  stack = [(t, 0)]          # a tuple and the index of its next item
+  while stack:
+    node, i = stack.pop()
+    if i < len(node):
+      out.append(", (" if i else "(")
+      stack += [(node, i + 1), (node[i], 0)]
+    else:
+      out.append(",)" if len(node) == 1 else ")")
+  return "".join(out)
 
 
 def all_nshapes(max_elements):
@@ -169,7 +175,7 @@ def all_nshapes(max_elements):
   for m in range(max_elements):
     for forest_part in range(m + 1):
       for forest in forest_multisets(forest_part):
-        for crowns in _crown_multisets(m - forest_part):
+        for crowns in _multisets(m - forest_part, crown_shapes):
           shapes.append(NShape(forest, crowns))
   return shapes
 
@@ -290,16 +296,16 @@ def all_gamma_asets(monoid, max_elements):
   n_units = len(monoid.unit_elements())
   sizes = [n_units // len(H) for H in subgroups]
   out = []
-
-  def extend(budget, start, chosen):
+  # depth first, each multiset before its extensions by later subgroups
+  stack = [(max_elements - 1, 0, [])]
+  while stack:
+    budget, start, chosen = stack.pop()
     name = f"{len(chosen)} orbit(s)" if chosen else "point"
     out.append((_orbit_wedge(monoid, subgroups, chosen, name),
                 tuple(len(subgroups[i]) for i in chosen)))
-    for i in range(start, len(subgroups)):
-      if sizes[i] <= budget:
-        extend(budget - sizes[i], i, chosen + [i])
-
-  extend(max_elements - 1, 0, [])
+    stack += [(budget - sizes[i], i, chosen + [i])
+              for i in reversed(range(start, len(subgroups)))
+              if sizes[i] <= budget]
   return out
 
 

@@ -26,10 +26,8 @@ from .corpora import (all_gamma_asets, all_nilpotent_asets, all_pointed_sets,
                       subquotient_relations)
 from .errors import (InvalidStructure, NotNormal, NotZeroSmooth,
                      PredicateClosureError, UnsupportedDegree)
-from .groups import (AbelianGroupPresentation, FiniteAbelianGroup,
-                     invariants_from_abelian_group)
+from .groups import AbelianGroupPresentation, FiniteAbelianGroup
 from .intlin import smith_normal_form
-from .monoids import UnitGroupDescriptor
 from .serre import reduced_object
 
 SCHEMA_VERSION = 1
@@ -130,13 +128,16 @@ class K0Result:
     return self._classes[index]
 
   def index_of(self, X):
-    """The index of X's class: X is compared only with the reps of equal
-    ``iso_key``, bucketed once on first use."""
+    """The index of X's class.  The reps are bucketed once, on first use,
+    as ``asets.IsoClasses`` buckets them: by ``canonical_key`` where they
+    have one, else by ``iso_key``.  X is compared only with the reps in its
+    bucket; with a canonical key that is one rep and no search."""
     if self._buckets is None:
       self._buckets = {}
       for i, rep in enumerate(self.reps):
-        self._buckets.setdefault(rep.iso_key(), []).append(i)
-    for i in self._buckets.get(X.iso_key(), ()):
+        self._buckets.setdefault(rep.canonical_key() or rep.iso_key(),
+                                 []).append(i)
+    for i in self._buckets.get(X.canonical_key() or X.iso_key(), ()):
       if self.reps[i].is_isomorphic(X):
         return i
     raise InvalidStructure("object is not in the closed corpus")
@@ -307,12 +308,6 @@ class LocalizationReport:
 # ------------------------------------------------------------------ devissage
 
 
-def _unit_descriptor(monoid):
-  units = monoid.unit_elements()
-  pres = invariants_from_abelian_group(units, monoid.mul, monoid.one)
-  return UnitGroupDescriptor(pres.free_rank, pres.invariant_factors)
-
-
 def devissage_check_k0(monoid, pc, max_elements=None, closure_bound=64):
   """Compare K₀ of (pc) finite-length sets with the group-level answer.
 
@@ -321,7 +316,7 @@ def devissage_check_k0(monoid, pc, max_elements=None, closure_bound=64):
   subgroup of the units).
   """
   units = set(monoid.unit_elements())
-  gamma = _unit_descriptor(monoid)
+  gamma = monoid.units()
   if max_elements is None:
     max_elements = max(4, len(units) + 2)
   if units == set(monoid.elements) - {monoid.zero}:

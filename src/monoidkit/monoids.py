@@ -152,6 +152,8 @@ class FiniteMonoid:
     self._hash = None
     self._generators = None
     self._primes = None
+    self._units = None
+    self._unit_tree = False         # until computed: None is an answer
 
   def __eq__(self, other):
     """Equal when the elements, one, zero and table are; the name is a
@@ -232,8 +234,42 @@ class FiniteMonoid:
   # -- units ---------------------------------------------------------------
 
   def unit_elements(self):
-    return [a for a in self.elements
-            if any(self.mul(a, b) == self.one for b in self.elements)]
+    """The invertible elements in element order, as a tuple.  The search
+    runs over the whole table, so it runs once and is kept."""
+    if self._units is None:
+      self._units = tuple(a for a in self.elements
+                          if any(self.mul(a, b) == self.one
+                                 for b in self.elements))
+    return self._units
+
+  def unit_tree(self):
+    """The unit group as a breadth-first spanning tree, or None.
+
+    When every nonzero element is a unit and the units form an abelian
+    group (F1 is the trivial one), a tuple of (unit, parent, generator)
+    triples, in breadth-first order from (one, -1, None) over
+    ``generators()``: each unit is its parent's unit times the generator,
+    so it acts as the parent's unit followed by the generator.  Otherwise
+    None.  Computed once and kept.
+    """
+    if self._unit_tree is False:
+      self._unit_tree = None
+      units = self.unit_elements()
+      gens = self.generators()
+      if (set(units) | {self.zero} == set(self.elements)
+          and all(self.mul(a, b) == self.mul(b, a)
+                  for a in gens for b in gens)):
+        tree = [(self.one, -1, None)]
+        seen = {self.one}
+        for parent, (u, _, _) in enumerate(tree):
+          for g in gens:
+            v = self.mul(u, g)
+            if v not in seen:
+              seen.add(v)
+              tree.append((v, parent, g))
+        if seen == set(units):
+          self._unit_tree = tuple(tree)
+    return self._unit_tree
 
   def units(self):
     U = self.unit_elements()

@@ -726,6 +726,91 @@ def test_a_very_long_line_is_isomorphic_to_a_relabelled_copy():
   assert ASetMap(X, Y, X.find_isomorphism(Y)).is_isomorphism()
 
 
+# ------------------------------------------------------ canonical keys
+
+
+def gamma_sets_with_subquotients(orders, cap=8):
+  """The Γ₊-sets of Γ = Z/orders to ``cap`` elements, each with S and X/S
+  for every set S of its lattice, one object per distinct carrier and
+  action (equal content gets equal answers)."""
+  gamma = FiniteMonoid.group_with_zero(orders)
+  objects = {}
+  for X, _ in corpora.all_gamma_asets(gamma, cap):
+    for Z in [X] + [build(s) for s in X.subobject_sets()
+                    for build in (X._sub_object, X._quotient_object)]:
+      content = (tuple(Z.elements),
+                 tuple((g, tuple(m.items())) for g, m in Z.action.items()))
+      objects.setdefault(content, Z)
+  return list(objects.values())
+
+
+def test_canonical_key_equality_is_isomorphism_on_gamma_sets():
+  pairs = matches = 0
+  for orders in ([2], [3], [4], [2, 2]):
+    by_size = {}
+    for Z in gamma_sets_with_subquotients(orders):
+      by_size.setdefault(Z.size(), []).append(Z)
+    for same_size in by_size.values():
+      for X, Y in itertools.combinations(same_size, 2):
+        found = X.find_isomorphism(Y) is not None
+        assert (X.canonical_key() == Y.canonical_key()) == found, (X, Y)
+        pairs += 1
+        matches += found
+  assert pairs > 25000 and matches > 8000
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_canonical_key_is_unchanged_under_relabelling(data):
+  orders = data.draw(st.sampled_from([[2], [3], [4], [2, 2], [6], [2, 4]]))
+  corpus = corpora.all_gamma_asets(FiniteMonoid.group_with_zero(orders), 9)
+  X, _ = data.draw(st.sampled_from(corpus))
+  s = data.draw(st.sampled_from(X.subobject_sets()))
+  X = data.draw(st.sampled_from([X, X._sub_object(s), X._quotient_object(s)]))
+  Y = relabel(X, random.Random(data.draw(st.integers(0, 2**32))))
+  assert X.canonical_key() is not None
+  assert X.canonical_key() == Y.canonical_key()
+  assert ASetMap(X, Y, X.find_isomorphism(Y)).is_isomorphism()
+
+
+def test_canonical_key_exists_over_abelian_groups_with_zero_only():
+  assert all(X.canonical_key() is None for X in corpora.all_nsets(5))
+  assert all(X.canonical_key() is None
+             for X in corpora.all_nilpotent_asets(A3, 6))
+  # F1 is the trivial group with a zero: every element is a free orbit
+  assert [X.canonical_key() for X in (f1_set(0), f1_set(3))] == [
+      (F1, 1, ()), (F1, 4, (1, 1, 1))]
+  # Z/4: the free orbit, Z/4/{1, g^2} and a fixed point, over units
+  # 1, g, g^2, g^3 in tree order
+  X = wedge_list([free_aset(Z4), orbit_of_index(Z4, 2), orbit_of_index(Z4, 1)])
+  assert [u for u, _, _ in Z4.unit_tree()] == ["1", "g", "g^2", "g^3"]
+  assert X.canonical_key() == (Z4, 8, (0b0001, 0b0101, 0b1111))
+
+
+def orbit_of_index(gamma, index):
+  subgroups = corpora.unit_subgroups(gamma)
+  units = len(gamma.unit_elements())
+  H = next(H for H in subgroups if units // len(H) == index)
+  return corpora.coset_orbit_aset(gamma, H)
+
+
+def test_is_isomorphic_compares_monoids_then_sizes_then_keys(monkeypatch):
+  calls = []
+  for name in ("canonical_key", "find_isomorphism"):
+    method = getattr(FiniteASet, name)
+    monkeypatch.setattr(FiniteASet, name, lambda self, *args, _m=method,
+                        _n=name: calls.append(_n) or _m(self, *args))
+  free = free_aset(Z2)
+  assert not free.is_isomorphic(free_aset(Z4)) and calls == []
+  assert not free.is_isomorphic(orbit_of_index(Z2, 1)) and calls == []
+  assert not free.is_isomorphic(wedge_list([orbit_of_index(Z2, 1)] * 2))
+  assert calls == ["canonical_key", "canonical_key"]
+  assert free.is_isomorphic(relabel(free, random.Random(3)))
+  assert "find_isomorphism" not in calls
+  assert truncated_line(2).is_isomorphic(nat_set({"a": "b", "b": STAR}))
+  assert calls[-1] == "find_isomorphism"
+
+
 def test_pc_two_out_of_three_on_sequences():
   X = nat_set({"a": "b", "b": STAR, "c0": "c1", "c1": "c0"})
   for sub in X.subobject_sets():

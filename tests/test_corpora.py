@@ -1,12 +1,16 @@
 """The corpus generators, cross-checked against raw table enumeration."""
 
+import gc
+import hashlib
+import math
 import random
+import weakref
 
 import pytest
 
 from monoidkit import corpora
 from monoidkit.asets import STAR, FiniteASet, is_rooted_tree, nat_set
-from monoidkit.corpora import (all_gamma_asets, all_nilpotent_asets,
+from monoidkit.corpora import (NShape, all_gamma_asets, all_nilpotent_asets,
                                all_nsets, all_nshapes, all_pointed_sets,
                                brute_force_asets, close_under_subquotients,
                                crown_shapes, dedup_up_to_iso,
@@ -166,3 +170,83 @@ def test_the_closure_walk_builds_what_sub_aset_and_quotient_by_build(
     assert X._derived is None        # the walk keeps nothing on X
   assert next(built, None) is None
   assert pairs > 200
+
+
+# ------------------------------------------ iterative enumeration, same output
+
+
+def content(X):
+  """Name, basepoint, carrier and actions of X, all in their own order."""
+  return (X.name, X.base, list(X.elements),
+          [(g, list(m.items())) for g, m in X.action.items()])
+
+
+def digest(parts):
+  return hashlib.sha256(repr(list(parts)).encode()).hexdigest()
+
+
+# SHA-256 of the enumerations as the recursive enumerators produced them
+NSHAPES_7 = "6829e48cb1fe07dbc40f597a039b62deda3e1caed32caf4bd246bd7548e9b278"
+GAMMA_9 = {
+    (2,): "970da48bd83da022defcafa724ae8ac01b4e3e0db9c3323ec61687be1a572bdf",
+    (3,): "2a041032a19d3b2df957f221acf148463c956f50720b26db376f5d03f7782985",
+    (4,): "193323804d1a83bd3164e4de956f5290e025e42e285edb883a21241ec1b1f5e7",
+    (2, 2): "b7aae31e1518d0ae06806c34a00be683a735f1f541d658e7cf337ab9658dcd46",
+    (6,): "7595c072522ed465608eeb11e8930bdfc65c40c56e76f263e38a74cf692aac8e",
+    (2, 4): "f756ba5e56ae55f8ee835a7541d4766cde11cee94d063908943f1037a59984dd",
+    (2, 2, 2):
+        "0a74cfda5303ac3db3bc943fa1524705499d37a51c9f315156c503473ebf2a70",
+}
+# and of subquotient_relations' (reps, rows) on each group and cap of the
+# k0_presentation benchmark workload, from the isomorphism-search index
+WALK = {
+    (2,): "a04f645faa09af7aadecdba688aa0a10904bc54dea83a04add022d0898427943",
+    (3,): "b5ed99bb4d4e715853e68eae3513daeeb334871bab93bc12c422e5f983090ca6",
+    (2, 2): "16cbde3deb719365992e11b2f2b250dc7adcde3a2fa110b528226661604f9a50",
+    (4,): "0db3be0c6810e5f42159137ed374529e066cbd9b7e1b3c7e5f75ad107b902aef",
+    (5,): "81f595ab6894704bdb425c7287888ac3ad90118101eb8274626b8ba9d6e99e0f",
+}
+
+
+def test_nshape_and_gamma_enumerations_are_unchanged():
+  assert digest(content(s.to_aset()) for s in all_nshapes(7)) == NSHAPES_7
+  for orders, want in GAMMA_9.items():
+    G = FiniteMonoid.group_with_zero(list(orders))
+    assert digest((content(X), stabilizers)
+                  for X, stabilizers in all_gamma_asets(G, 9)) == want, orders
+
+
+def test_closure_walk_output_is_unchanged_on_the_k0_workload():
+  for orders, want in WALK.items():
+    G = FiniteMonoid.group_with_zero(list(orders))
+    parts = []
+    for cap in range(math.prod(orders) + 1, 9):
+      reps, rows = subquotient_relations(
+          [X for X, _ in all_gamma_asets(G, cap)], bound=128)
+      parts.append((cap, [content(X) for X in reps], repr(rows)))
+    assert digest(parts) == want, orders
+
+
+def test_a_line_shape_deeper_than_the_recursion_limit_builds():
+  shape = ()
+  for _ in range(2999):
+    shape = (shape,)
+  X = NShape([shape]).to_aset()
+  assert X.size() == 3001 and is_rooted_tree(X)
+  assert X.action["t"]["x1"] == STAR and X.action["t"]["x3000"] == "x2999"
+  assert NShape([shape]).height() == 3000
+  assert repr(NShape([((), ())], [((),)])) == \
+      "NShape(forest=(((), ()),), crowns=(((),),))"
+
+
+def test_a_gamma_corpus_dies_with_its_last_reference():
+  G = FiniteMonoid.group_with_zero([2, 2])
+  gc.collect()
+  gc.disable()
+  try:
+    corpus = all_gamma_asets(G, 6)
+    last = weakref.ref(corpus[-1][0])
+    del corpus
+    assert last() is None        # freed by reference counting, no GC pass
+  finally:
+    gc.enable()

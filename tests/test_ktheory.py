@@ -628,6 +628,30 @@ def test_index_of_searches_only_the_reps_of_equal_key():
     k0.index_of(truncated_line(2))
 
 
+def test_gamma_set_classes_are_found_without_an_isomorphism_search(
+    monkeypatch):
+  from monoidkit.asets import FiniteASet
+  calls = []
+  for name in ("find_isomorphism", "iso_key"):
+    method = getattr(FiniteASet, name)
+    monkeypatch.setattr(FiniteASet, name, lambda self, *args, _m=method,
+                        _n=name: calls.append(_n) or _m(self, *args))
+  G = FiniteMonoid.group_with_zero([2, 2])
+  corpus = [X for X, _ in all_gamma_asets(G, 8)]
+  k0 = k0_of_catspec(corpus, closure_bound=256)
+  assert (len(k0.reps), len(k0.relations)) == (80, 224)
+  assert k0.group == AbelianGroupPresentation.free(5)
+  assert [k0.reps[k0.index_of(X)].canonical_key() for X in corpus] == \
+      [X.canonical_key() for X in corpus]
+  explicit = SerrePredicate.explicit(G, corpus[::3])
+  assert [explicit.contains(X) for X in corpus] == \
+      [i % 3 == 0 for i in range(len(corpus))]
+  assert calls == []
+  # over N the same walk still searches inside its iso_key buckets
+  k0_of_catspec(all_nsets(4))
+  assert {"find_isomorphism", "iso_key"} <= set(calls)
+
+
 def test_is_zero_reads_the_class_map():
   # Z^2 / <(2, 2)> = Z + Z/2: [a] + [b] is not zero, but twice it is
   k0 = K0Result(stand_ins(2), [{0: 2, 1: 2}])

@@ -70,7 +70,7 @@ def test_group_with_zero_primes_and_units():
   assert ps[0].subset == frozenset({STAR})
   assert ps[0].height == 0
   assert m.units() == UnitGroupDescriptor(0, [2])
-  assert m.unit_elements() == ["1", "g"]
+  assert m.unit_elements() == ("1", "g")
 
 
 def test_v4_units():
@@ -318,3 +318,58 @@ def test_primes_are_cached_and_equal_the_enumeration(monkeypatch):
     assert {p.subset: p.height for p in first} == enumerated_primes(m), m.name
     del searched[:]
     assert m.primes() is first and searched == [], m.name
+
+
+def test_unit_elements_are_cached_and_equal_the_enumeration(monkeypatch):
+  monoids = small_monoids()
+  enumerated = [[a for a in m.elements
+                 if any(m.mul(a, b) == m.one for b in m.elements)]
+                for m in monoids]
+  products = []
+  mul = FiniteMonoid.mul
+
+  def counted(self, a, b):
+    products.append((a, b))
+    return mul(self, a, b)
+
+  monkeypatch.setattr(FiniteMonoid, "mul", counted)
+  for m, units in zip(monoids, enumerated):
+    first = m.unit_elements()
+    assert type(first) is tuple and first == tuple(units), m.name
+    del products[:]
+    assert m.unit_elements() is first and products == [], m.name
+
+
+def s3_with_zero():
+  """S3 with an adjoined zero: a group table that is not commutative."""
+  perms = list(itertools.permutations(range(3)))
+  name = {p: "1" if p == (0, 1, 2) else "".join(map(str, p)) for p in perms}
+  table = {(name[p], name[q]): name[tuple(p[q[i]] for i in range(3))]
+           for p in perms for q in perms}
+  for p in perms:
+    table[(name[p], STAR)] = table[(STAR, name[p])] = STAR
+  table[(STAR, STAR)] = STAR
+  return FiniteMonoid([name[p] for p in perms] + [STAR], "1", STAR, table)
+
+
+def test_unit_tree_spans_the_units_of_an_abelian_group_with_zero():
+  abelian = 0
+  for m in small_monoids() + [FiniteMonoid.group_with_zero([2, 2, 2]),
+                              FiniteMonoid.group_with_zero([6])]:
+    tree = m.unit_tree()
+    assert m.unit_tree() is tree, m.name
+    units = m.unit_elements()
+    if set(units) | {m.zero} != set(m.elements) or not m.validate().ok:
+      assert tree is None, m.name
+      continue
+    abelian += 1
+    assert type(tree) is tuple and tree[0] == (m.one, -1, None), m.name
+    assert sorted(u for u, _, _ in tree) == sorted(units), m.name
+    parents = [parent for _, parent, _ in tree[1:]]
+    assert parents == sorted(parents), m.name       # breadth first
+    for k, (u, parent, g) in enumerate(tree[1:], 1):
+      assert 0 <= parent < k, m.name
+      assert g in m.generators() and u == m.mul(tree[parent][0], g), m.name
+  assert abelian >= 8
+  S3 = s3_with_zero()
+  assert len(S3.unit_elements()) == 6 and S3.unit_tree() is None
