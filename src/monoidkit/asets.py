@@ -11,10 +11,10 @@ The public constructors ``FiniteASet(...)`` and ``ASetMap(...)`` check their
 input in full.  Objects and maps derived from valid ones are built by the
 private ``_trusted`` constructors instead, which check nothing: subobjects
 and quotients (``sub_aset``, ``quotient_by``, after their admissibility
-check, or ``_sub_object``/``_quotient_object`` directly for a set of the
-lattice, closed by construction), the maps ``hom_maps`` finds (its search
-checks every equivariance square) and composites (``ASetMap.compose``,
-after its carrier check).
+check, or ``_sub_object``/``_quotient_object`` directly for a set closed by
+construction: a set of the lattice, or a union of orbits), the maps
+``hom_maps`` finds (its search checks every equivariance square) and
+composites (``ASetMap.compose``, after its carrier check).
 
 Maps and isomorphisms come from one backtracking search,
 ``_equivariant_maps``.  ``hom_maps`` lists every map it finds;
@@ -29,10 +29,11 @@ monoid's ``unit_tree`` per orbit.  Two such objects are isomorphic exactly
 when their keys are equal, so ``is_isomorphic`` compares keys and searches
 nothing.  Every other object (N-sets, N/(tⁿ)-sets, sets over any other
 finite monoid) has no such key, and ``is_isomorphic`` runs
-``find_isomorphism``.  ``IsoClasses`` is the one index of isomorphism
-classes: it buckets by the canonical key where there is one, else by
-``iso_key``, and compares only inside a bucket; a canonical key's bucket
-holds one class, so its lookup is a dict lookup.
+``find_isomorphism``.  ``class_key`` is the one bucket key: the canonical
+key where there is one, else ``iso_key``.  ``IsoClasses`` is the one index
+of isomorphism classes: it buckets by ``class_key`` and compares only
+inside a bucket; a canonical key's bucket holds one class, so its lookup is
+a dict lookup.
 
 The category is not abelian, but images, kernels, cokernels, fiber products,
 pushouts along monics and coequalizers all exist on finite carriers and are
@@ -391,6 +392,12 @@ class FiniteASet:
         self._canonical = None
     return self._canonical
 
+  def class_key(self):
+    """The bucket key of X's isomorphism class: ``canonical_key`` where X
+    has one (so a Γ₊-set never computes ``iso_key``), else ``iso_key``.
+    Equal classes have equal keys; only a canonical key also decides."""
+    return self.canonical_key() or self.iso_key()
+
   def find_isomorphism(self, other):
     """A basepoint/action-preserving bijection self → other, or None.
 
@@ -445,19 +452,31 @@ class IsoClasses:
   """The isomorphism classes seen so far, one representative each.
 
   ``index(X)`` is the number of X's class, counting classes in order of
-  first arrival.  The buckets are keyed by ``canonical_key`` where X has
-  one, else by ``iso_key``.  X is compared, by ``is_isomorphic``, only with
-  the representatives in its bucket, and opens a new class (becoming its
-  representative) when none matches.  A canonical key is exact, so its
-  bucket holds one class and the lookup makes no isomorphism search.
+  first arrival; ``find(X)`` is that number, or None when X is in no class
+  yet, and inserts nothing.  The buckets are keyed by ``class_key``.  X is
+  compared, by ``is_isomorphic``, only with the representatives in its
+  bucket, and ``index`` opens a new class (X becoming its representative)
+  when none matches.  A canonical key is exact, so its bucket holds one
+  class and the lookup makes no isomorphism search.  Given ``reps``, known
+  to be pairwise non-isomorphic, the index starts from them, each filed
+  under its key without a comparison.
   """
 
-  def __init__(self):
-    self.reps = []
+  def __init__(self, reps=()):
+    self.reps = list(reps)
     self._buckets = {}
+    for i, X in enumerate(self.reps):
+      self._buckets.setdefault(X.class_key(), []).append(i)
+
+  def find(self, X):
+    for i in self._buckets.get(X.class_key(), ()):
+      if X.is_isomorphic(self.reps[i]):
+        return i
+    return None
 
   def index(self, X):
-    bucket = self._buckets.setdefault(X.canonical_key() or X.iso_key(), [])
+    # find's loop, inline: the closure walk indexes every S and X/S
+    bucket = self._buckets.setdefault(X.class_key(), [])
     for i in bucket:
       if X.is_isomorphic(self.reps[i]):
         return i
@@ -650,22 +669,6 @@ def wedge(X, Y, name=None):
   return W, inc_x, inc_y
 
 
-def wedge_list(sets, name=None):
-  """The wedge of ``sets`` as a fresh object (a copy of a lone input), so
-  naming it never renames an input, which may be shared."""
-  if not sets:
-    raise InvalidStructure("empty wedge needs an explicit basepoint object")
-  acc = sets[0]
-  for nxt in sets[1:]:
-    acc, _, _ = wedge(acc, nxt)
-  if acc is sets[0]:
-    acc = FiniteASet._trusted(acc.monoid, list(acc.elements), acc.action,
-                              acc.base, acc.name)
-  if name:
-    acc.name = name
-  return acc
-
-
 def point_aset(monoid, base=STAR):
   action = {g: {} for g in (["t"] if isinstance(monoid, NatMonoid)
                              else monoid.generators())}
@@ -758,27 +761,20 @@ def smash(X, Y, name=None):
 
 
 def coequalizer(f, g):
-  """(Q, proj): the genuine coequalizer of f, g : X ⇉ Y in pointed A-sets.
+  """(Q, proj): the genuine coequalizer of morphisms f, g : X ⇉ Y.
 
-  Identifies f(x) ~ g(x), closes under the action (u ~ v forces a·u ~ a·v),
-  and collapses the class of the basepoint; any other class is named by the
-  least ``str`` of its members.  The closure is the worklist congruence
-  closure (Downey, Sethi & Tarjan, JACM 27, 1980): each merge queues the
-  two roots' images under each generator, which suffices because the
-  images of one class already lie in one class.
+  Identifies f(x) ~ g(x) by one union-find pass and collapses the class of
+  the basepoint; any other class is named by the least ``str`` of its
+  members.  No closing under the action is needed: f and g are
+  equivariant, so a·f(x) ~ a·g(x) is the pair of a·x, and the equivalence
+  the pairs generate is already a congruence.
   """
   if not f.source.same_carrier(g.source) or not f.target.same_carrier(g.target):
     raise InvalidStructure("coequalizer needs a parallel pair")
   Y = f.target
-  gmaps = list(Y.action.values())
   uf = _UnionFind(Y.elements)
-  work = [(f(x), g(x)) for x in f.source.elements]
-  while work:
-    u, v = work.pop()
-    ru, rv = uf.find(u), uf.find(v)
-    if ru != rv:
-      uf.parent[ru] = rv
-      work += [(gmap[ru], gmap[rv]) for gmap in gmaps]
+  for x in f.source.elements:
+    uf.union(f(x), g(x))
   classes = {}
   for y in Y.elements:
     classes.setdefault(uf.find(y), []).append(y)
@@ -993,9 +989,13 @@ class NotFiniteLength:
 
 def irreducible_chain(X):
   """The unit orbits a maximal irreducible chain adjoins, in order, or a
-  NotFiniteLength witness (see ``length_filtration``).  The chain's length
-  is the object's length, and its stage sizes are 1 plus the running sums
-  of the orbit sizes, so neither needs a stage to be built."""
+  NotFiniteLength witness.
+
+  Irreducible means isomorphic to (A^x)_+: each step adjoins one free orbit
+  of the unit group, all of whose non-unit translates land in the previous
+  stage.  The chain's length is the object's length, and its stages are ∗
+  plus the running unions of the orbits, so neither needs a stage to be
+  built."""
   if isinstance(X.monoid, NatMonoid):
     units = []
     unit_count = 1
@@ -1058,27 +1058,6 @@ def irreducible_chain(X):
                    key=lambda s: (len(s), sorted(pos[y] for y in s - cur)))
     return NotFiniteLength(cur, blocking)
   return chain
-
-
-def length_filtration(X):
-  """A maximal chain whose steps are irreducible, or a NotFiniteLength witness.
-
-  Irreducible means isomorphic to (A^x)_+: each step adjoins one free orbit
-  of the unit group, all of whose non-unit translates land in the previous
-  stage.  Returns a list of ExactSeq (previous stage into next stage onto the
-  step quotient); the length of the object is the list's length.
-  """
-  chain = irreducible_chain(X)
-  if isinstance(chain, NotFiniteLength):
-    return chain
-  steps = []
-  cur = frozenset({X.base})
-  for orb in chain:
-    nxt = cur | orb
-    mid, _ = X.sub_aset(nxt)
-    steps.append(exact_seq_from_sub(mid, cur))
-    cur = nxt
-  return steps
 
 
 def aset_length(X):

@@ -6,8 +6,8 @@ representative per isomorphism class instead of deduplicating raw tables:
 * An ℕ-set is a pointed successor graph, i.e. a rooted forest hanging on ∗
   together with a multiset of "crowns" (directed cycles with trees attached).
   Classes are enumerated as shape data (`NShape`) so the generator itself
-  knows which ones are rooted trees — an oracle independent of anything the
-  library computes from the table.
+  knows which ones are rooted trees (those with no crowns) — an oracle
+  independent of anything the library computes from the table.
 * A Γ₊-set for a finite abelian group Γ is forced to be a Γ-permutation set
   with a disjoint basepoint (g·x = ∗ would give x = g⁻¹·∗ = ∗), so classes
   are multisets of coset orbits Γ/H; the stabilizers come out for free.
@@ -112,10 +112,6 @@ class NShape:
   def __init__(self, forest=(), crowns=()):
     self.forest = tuple(forest)
     self.crowns = tuple(crowns)
-
-  def is_tree(self):
-    """True iff every element eventually falls into ∗ (no cycles)."""
-    return not self.crowns
 
   def height(self):
     return max((shape_height(s) for s in self.forest), default=0)
@@ -403,19 +399,4 @@ def random_nset(rng, max_nonbase):
   carrier = [f"x{i}" for i in range(1, m + 1)]
   succ = {x: rng.choice(carrier + [STAR]) for x in carrier}
   return nat_set(succ)
-
-
-def random_gamma_aset(rng, monoid, max_nonbase):
-  subgroups = unit_subgroups(monoid)
-  n_units = len(monoid.unit_elements())
-  chosen = []
-  budget = rng.randint(0, max_nonbase)
-  while True:
-    fits = [i for i, H in enumerate(subgroups) if n_units // len(H) <= budget]
-    if not fits:
-      break
-    i = rng.choice(fits)
-    chosen.append(i)
-    budget -= n_units // len(subgroups[i])
-  return _orbit_wedge(monoid, subgroups, chosen)
 

@@ -40,14 +40,6 @@ def transpose(M):
   return [[M[i][j] for i in range(m)] for j in range(n)]
 
 
-def matmul(A, B):
-  ma, na = dims(A)
-  mb, nb = dims(B)
-  assert na == mb, f"incompatible shapes {ma}x{na} * {mb}x{nb}"
-  Bt = transpose(B) if nb else []
-  return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
-
-
 def mat_vec(A, v):
   m, n = dims(A)
   assert len(v) == n

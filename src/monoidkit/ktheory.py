@@ -122,25 +122,19 @@ class K0Result:
                       tuple(row[j] % d for j, d in torsion)) for row in rows]
     self._moduli = [d for _, d in torsion]
     self.group = AbelianGroupPresentation(len(free), self._moduli)
-    self._buckets = None
+    self._iso_classes = IsoClasses(reps)
 
   def class_vector(self, index):
     return self._classes[index]
 
   def index_of(self, X):
-    """The index of X's class.  The reps are bucketed once, on first use,
-    as ``asets.IsoClasses`` buckets them: by ``canonical_key`` where they
-    have one, else by ``iso_key``.  X is compared only with the reps in its
-    bucket; with a canonical key that is one rep and no search."""
-    if self._buckets is None:
-      self._buckets = {}
-      for i, rep in enumerate(self.reps):
-        self._buckets.setdefault(rep.canonical_key() or rep.iso_key(),
-                                 []).append(i)
-    for i in self._buckets.get(X.canonical_key() or X.iso_key(), ()):
-      if self.reps[i].is_isomorphic(X):
-        return i
-    raise InvalidStructure("object is not in the closed corpus")
+    """The index of X's class, looked up in the reps' ``IsoClasses``: X is
+    compared only with the reps of equal class key, and with a canonical
+    key that is one rep and no search."""
+    i = self._iso_classes.find(X)
+    if i is None:
+      raise InvalidStructure("object is not in the closed corpus")
+    return i
 
   def class_of(self, X):
     return self.class_vector(self.index_of(X))
@@ -484,32 +478,6 @@ class LatticeComplex:
 
   def differential(self, p):
     return self.val[p]
-
-  def dd_is_zero(self):
-    """Assemble the total differential and square it.
-
-    Unit lattices map only into the K₀ slots one height up, and K₀ slots
-    map nowhere, so the square vanishes; this verifies it numerically on
-    the assembled block matrix.
-    """
-    blocks = []
-    offsets = {}
-    pos = 0
-    d = self.monoid.cone_dim
-    for p in range(d + 1):
-      offsets[("u", p)] = pos
-      pos += sum(self.monoid.cone_dim - q.height for q in self.primes[p])
-      offsets[("k", p)] = pos
-      pos += self.k0_rank(p)
-    total = [[0] * pos for _ in range(pos)]
-    for p in range(d):
-      M = self.val[p]
-      r0, c0 = offsets[("k", p + 1)], offsets[("u", p)]
-      for i, row in enumerate(M):
-        for j, v in enumerate(row):
-          total[r0 + i][c0 + j] = v
-    sq = intlin.matmul(total, total)
-    return all(all(v == 0 for v in row) for row in sq)
 
   def w_group(self, p):
     """W_p = E₂^{p,−p}: cokernel of the valuation matrix into height p."""

@@ -181,9 +181,6 @@ class FiniteMonoid:
       out = self.mul(out, a)
     return out
 
-  def is_terminal(self):
-    return self.one == self.zero
-
   def validate(self):
     v = []
     for a in self.elements:

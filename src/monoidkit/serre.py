@@ -234,23 +234,22 @@ class IndexPoset:
 
 
 def admissible_subs(X, pred):
-  """Subobject sets S ⊆ X whose cokernel X/S lies in C."""
-  out = []
-  for s in X.subobject_sets():
-    quo, _ = X.quotient_by(s)
-    if pred.contains(quo):
-      out.append(s)
-  return out
+  """Subobject sets S ⊆ X whose cokernel X/S lies in C, in lattice order.
+
+  Filtered from X's kept ``subobject_lattice()``, each X/S read off
+  ``subquotient``, so X's lattice is walked and each X/S built once
+  whatever the number of predicates or callers.
+  """
+  return [s for s in X.subobject_lattice()
+          if pred.contains(X.subquotient(s)[1])]
 
 
 def admissible_kernels(Y, pred):
-  """Subobject sets K ⊆ Y lying in C (kernels of admissible epics Y ↠ Y/K)."""
-  out = []
-  for s in Y.subobject_sets():
-    sub, _ = Y.sub_aset(s)
-    if pred.contains(sub):
-      out.append(s)
-  return out
+  """Subobject sets K ⊆ Y lying in C (kernels of admissible epics Y ↠ Y/K),
+  in lattice order; filtered from Y's kept lattice as ``admissible_subs``
+  is."""
+  return [s for s in Y.subobject_lattice()
+          if pred.contains(Y.subquotient(s)[0])]
 
 
 def index_poset(X, Y, pred):
@@ -319,14 +318,15 @@ def minimal_dense_sub(X, pred):
 
 
 def _dense_set(X, pred):
+  # U_x and every union of orbits are action-closed by construction, so
+  # their quotients are built unchecked and with no map
   orbits = {x: X.orbit(x) for x in X.nonbase()}
   out = frozenset({X.base})
   for x in orbits:
-    u_x = [X.base] + [y for y, o in orbits.items() if x not in o]
-    if x not in out and not pred.contains(X.quotient_by(u_x)[0]):
+    u_x = {X.base} | {y for y, o in orbits.items() if x not in o}
+    if x not in out and not pred.contains(X._quotient_object(u_x)):
       out |= orbits[x]
-  quo, _ = X.quotient_by(out)
-  if not pred.contains(quo):
+  if not pred.contains(X._quotient_object(out)):
     raise PredicateClosureError(f"the predicate is not Serre: the cokernel "
                                 f"of {sorted(out)} is not in C")
   return out
@@ -341,13 +341,13 @@ def maximal_kernel(Y, pred):
 
 
 def _kernel_set(Y, pred):
+  # cyclic subobjects and their unions are action-closed by construction
   out = frozenset({Y.base})
   for y in Y.nonbase():
     cyclic = Y.orbit(y)
-    if y not in out and pred.contains(Y.sub_aset(cyclic)[0]):
+    if y not in out and pred.contains(Y._sub_object(cyclic)):
       out |= cyclic
-  sub, _ = Y.sub_aset(out)
-  if not pred.contains(sub):
+  if not pred.contains(Y._sub_object(out)):
     raise PredicateClosureError(f"the predicate is not Serre: the kernel "
                                 f"{sorted(out)} is not in C")
   return out
@@ -532,6 +532,9 @@ def monic_representative(f):
 
   Searches the window poset (coarsest subobject first) for a representative
   m: X′ → Y″ of f that is injective and admits p: Y″ → X′ with p ∘ m = id.
+  Each window's X′ and Y″ are the objects ``subquotient`` keeps on the
+  source and the target, so m's source and target are shared: never
+  rename them.
   """
   if not is_iso_quotient(f):
     raise NotIso("monic_representative needs an isomorphism of M/C")
@@ -540,8 +543,8 @@ def monic_representative(f):
   windows = sorted(poset.pairs,
                    key=lambda w: (-len(w.xsub), len(w.ykernel)))
   for w in windows:
-    sub, _ = f.source.sub_aset(w.xsub)
-    quo, _ = f.target.quotient_by(w.ykernel)
+    sub = f.source.subquotient(w.xsub)[0]
+    quo = f.target.subquotient(w.ykernel)[1]
     for m in hom_maps(sub, quo):
       if not m.is_injective():
         continue

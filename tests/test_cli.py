@@ -12,10 +12,10 @@ import time
 import pytest
 
 from monoidkit import cli, io, selftest
-from monoidkit.asets import NotFiniteLength, length_filtration, truncated_line
+from monoidkit.asets import NotFiniteLength, truncated_line
 from monoidkit.cli import main
 from monoidkit.monoids import NatMonoid
-from test_asets import lattice_corpus
+from test_asets import filtration_stages, lattice_corpus
 
 FIXTURES = os.path.join(os.path.dirname(io.__file__), "fixtures")
 
@@ -85,7 +85,8 @@ def test_aset_check_on_many_leaves_and_a_fixed_point(tmp_path, capsys):
 
 def test_aset_check_reads_the_filtration_off_the_orbit_chain(tmp_path,
                                                             capsys):
-  """The JSON length and stage sizes are the ones length_filtration gives."""
+  """The JSON length and stage sizes are those of the irreducible chain's
+  stages, built in the test."""
   refs = {NatMonoid(): "N"}
   finite = 0
   for n, X in enumerate(lattice_corpus()):
@@ -95,7 +96,7 @@ def test_aset_check_reads_the_filtration_off_the_orbit_chain(tmp_path,
     path = tmp_path / f"aset{n}.json"
     io.save_aset(X, path, monoid_ref=refs[X.monoid])
     code, data = run_json(capsys, "aset-check", refs[X.monoid], str(path))
-    chain = length_filtration(X)
+    chain = filtration_stages(X)
     if isinstance(chain, NotFiniteLength):
       want = (None, None)
     else:

@@ -13,6 +13,13 @@ def zero_matrix(m, n):
   return [[0] * n for _ in range(m)]
 
 
+def matmul(A, B):
+  """The product A·B, entry by entry."""
+  assert intlin.dims(A)[1] == intlin.dims(B)[0]
+  return [[sum(a * B[k][j] for k, a in enumerate(row))
+           for j in range(intlin.dims(B)[1])] for row in A]
+
+
 def det(M):
   """Exact determinant via fraction-free (Bareiss) elimination."""
   m, n = intlin.dims(M)
@@ -86,7 +93,7 @@ def check_snf(M):
   m, n = intlin.dims(M)
   assert is_unimodular(U)
   assert is_unimodular(V)
-  assert intlin.matmul(intlin.matmul(U, M), V) == D
+  assert matmul(matmul(U, M), V) == D
   diag = intlin.diagonal(D)
   for i in range(m):
     for j in range(n):

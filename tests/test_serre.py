@@ -12,7 +12,7 @@ from monoidkit.asets import (ASetMap, FiniteASet, cycle_nset,
                              exact_seq_from_sub, hom_maps, nat_set, point_aset,
                              product, truncated_line)
 from monoidkit.corpora import (all_gamma_asets, all_nilpotent_asets,
-                               all_nsets, random_gamma_aset, random_nset)
+                               all_nsets, random_nset)
 from monoidkit.errors import InvalidStructure, NotIso, PredicateClosureError
 from monoidkit.monoids import STAR, FiniteMonoid, NatMonoid, ValidationReport
 from monoidkit.serre import (IndexPoset, QuotientHom, SerrePredicate,
@@ -260,6 +260,35 @@ def test_canonical_window_matches_the_enumerating_oracle():
     assert w == WindowPair(sub, ker), (X, pred)
     assert index_poset(X, X, pred).maximum() == w, (X, pred)
   assert raised == 286
+
+
+def filtered_lattice(X, pred):
+  """(admissible subobjects, admissible kernels) as first written: a fresh
+  walk of X's lattice for each, every X/S and S built by the public,
+  checking ``quotient_by`` and ``sub_aset``."""
+  return ([s for s in X.subobject_sets() if pred.contains(X.quotient_by(s)[0])],
+          [s for s in X.subobject_sets() if pred.contains(X.sub_aset(s)[0])])
+
+
+def test_admissible_lists_match_the_public_constructor_filter():
+  pairs = window_corpus()
+  assert len(pairs) == 1948
+  for X, pred in pairs:
+    assert (admissible_subs(X, pred), admissible_kernels(X, pred)) == \
+        filtered_lattice(X, pred), (X, pred)
+
+
+def test_index_poset_walks_each_lattice_once(monkeypatch):
+  walked = []
+  lattice = FiniteASet.subobject_sets
+  monkeypatch.setattr(FiniteASet, "subobject_sets",
+                      lambda self: walked.append(self) or lattice(self))
+  corpus = all_nsets(4)
+  for X in corpus:
+    for Y in corpus:
+      assert check_filtered(index_poset(X, Y, TORSION))
+  assert len(corpus) ** 2 == 625
+  assert len(walked) == len({id(X) for X in walked}) <= len(corpus)
 
 
 def test_window_functions_never_list_the_lattice(monkeypatch):
@@ -653,7 +682,8 @@ Z2 = FiniteMonoid.group_with_zero([2])
 
 def z2_sets(max_nonbase=4):
   return st.integers(0, 2 ** 32).map(
-      lambda seed: random_gamma_aset(random.Random(seed), Z2, max_nonbase))
+      lambda seed: random.Random(seed).choice(
+          all_gamma_asets(Z2, max_nonbase + 1))[0])
 
 
 def check_category_laws(X, Y, Z, pred, data):
