@@ -364,33 +364,52 @@ class FiniteASet:
     Over a monoid with a ``unit_tree`` (Γ₊ for a finite abelian group Γ,
     F1 included), X is ∗ plus a disjoint union of orbits Γ/H, so X is
     determined up to isomorphism by (monoid, size, sorted multiset of the
-    orbit stabilizers H).  A stabilizer is a bit mask over the tree's
-    units.  One walk of the tree from one element per orbit reads u·x for
-    every unit u off the generator maps, |Γ| dict reads per orbit.  The key
-    reads the action as valid (``validate`` checks it).  Over any other
+    orbit stabilizers H), read off the orbit walk of ``_orbit_masks``.  The
+    key reads the action as valid (``validate`` checks it).  Over any other
     monoid, or when the action is not given on the tree's generators, the
     key is None.
     """
     if self._canonical is False:
-      tree = (self.monoid.unit_tree()
-              if isinstance(self.monoid, FiniteMonoid) else None)
-      if tree is not None and all(g in self.action for _, _, g in tree[1:]):
-        steps = [(parent, self.action[g]) for _, parent, g in tree[1:]]
-        seen = {self.base}
-        stabilizers = []
-        for x in self.elements:
-          if x not in seen:
-            images = [x]
-            for parent, gmap in steps:
-              images.append(gmap[images[parent]])
-            seen.update(images)
-            stabilizers.append(sum(1 << i for i, y in enumerate(images)
-                                   if y == x))
-        self._canonical = (self.monoid, len(self.elements),
-                           tuple(sorted(stabilizers)))
-      else:
-        self._canonical = None
+      self._orbit_masks()
     return self._canonical
+
+  def _orbit_masks(self):
+    """X's orbits in first-element order, each as (element mask, stabilizer
+    mask), or None when X has no ``canonical_key``; the walk also sets that
+    key, so a caller that needs both walks X once.
+
+    The element bits are those of ``subobject_sets()`` (``nonbase()[i]`` is
+    bit n-1-i), so a subobject's mask is the union of its orbits' masks.  A
+    stabilizer is a bit mask over the ``unit_tree``'s units: one walk of the
+    tree from an orbit's first element reads u·x for every unit u off the
+    generator maps, |Γ| dict reads per orbit, no ``full_action``, no ``mul``.
+    """
+    tree = (self.monoid.unit_tree()
+            if isinstance(self.monoid, FiniteMonoid) else None)
+    if tree is None or not all(g in self.action for _, _, g in tree[1:]):
+      self._canonical = None
+      return None
+    steps = [(parent, self.action[g]) for _, parent, g in tree[1:]]
+    rest = self.nonbase()
+    bit = {x: 1 << k for k, x in enumerate(reversed(rest))}
+    bit[self.base] = 0
+    orbits, seen = [], 0
+    for x in rest:
+      if not seen & bit[x]:
+        images = [x]
+        for parent, gmap in steps:
+          images.append(gmap[images[parent]])
+        mask = stabilizer = 0
+        for i, y in enumerate(images):
+          mask |= bit[y]
+          if y == x:
+            stabilizer |= 1 << i
+        seen |= mask
+        orbits.append((mask, stabilizer))
+    if self._canonical is False:
+      self._canonical = (self.monoid, len(self.elements),
+                         tuple(sorted(stabilizer for _, stabilizer in orbits)))
+    return orbits
 
   def class_key(self):
     """The bucket key of X's isomorphism class: ``canonical_key`` where X
@@ -453,7 +472,8 @@ class IsoClasses:
 
   ``index(X)`` is the number of X's class, counting classes in order of
   first arrival; ``find(X)`` is that number, or None when X is in no class
-  yet, and inserts nothing.  The buckets are keyed by ``class_key``.  X is
+  yet, and inserts nothing; ``find_key(key)`` is the same for an exact key,
+  with no object built.  The buckets are keyed by ``class_key``.  X is
   compared, by ``is_isomorphic``, only with the representatives in its
   bucket, and ``index`` opens a new class (X becoming its representative)
   when none matches.  A canonical key is exact, so its bucket holds one
@@ -474,8 +494,15 @@ class IsoClasses:
         return i
     return None
 
+  def find_key(self, key):
+    """The class filed under an exact (canonical) key, or None, with no
+    object in hand; inserts nothing.  An exact key's bucket holds one
+    class, and no class is filed under None."""
+    bucket = self._buckets.get(key)
+    return bucket[0] if bucket else None
+
   def index(self, X):
-    # find's loop, inline: the closure walk indexes every S and X/S
+    # find's loop, inline: the closure walk indexes every S and X/S it builds
     bucket = self._buckets.setdefault(X.class_key(), [])
     for i in bucket:
       if X.is_isomorphic(self.reps[i]):

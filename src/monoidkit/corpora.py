@@ -11,10 +11,18 @@ representative per isomorphism class instead of deduplicating raw tables:
 * A Γ₊-set for a finite abelian group Γ is forced to be a Γ-permutation set
   with a disjoint basepoint (g·x = ∗ would give x = g⁻¹·∗ = ∗), so classes
   are multisets of coset orbits Γ/H; the stabilizers come out for free.
+  Each orbit is placed from one coset table per subgroup and call.
 * A set over ℕ/(tᴺ) is a successor forest of height ≤ N.
 
 `brute_force_asets` really does enumerate raw action tables and deduplicate;
 it exists to cross-check the structural generators on small sizes.
+
+`subquotient_relations` closes a corpus under subobjects and quotients and
+lists its K₀ relations.  It walks a Γ₊-set as a multiset of orbits: S and
+X/S are ∗ plus a sub-multiset and its complement, so it takes one subobject
+per sub-multiset, reads the class keys of S and X/S off X's own orbit walk,
+and builds an object only when its key opens a new class.  Every other
+object is walked subobject by subobject.
 """
 
 from __future__ import annotations
@@ -253,32 +261,39 @@ def unit_subgroups(monoid):
   return sorted(found, key=lambda H: (len(H), sorted(H)))
 
 
-def coset_orbit_aset(monoid, subgroup, tag=""):
-  """The Γ₊-set of cosets Γ/H (plus basepoint) for a subgroup H of the units."""
-  units = monoid.unit_elements()
+def _coset_table(monoid, subgroup):
+  """Γ/H for a subgroup H of the units, with untagged coset labels: the
+  labels in sorted order, and each generator's (coset, image) label pairs
+  in the order the cosets are first met over the units."""
   cosets = {}
-  for u in units:
+  for u in monoid.unit_elements():
     c = frozenset(monoid.mul(u, h) for h in subgroup)
-    cosets.setdefault(c, f"{tag}[{min(sorted(c))}]")
-  action = {}
-  for g in monoid.generators():
-    action[g] = {name: cosets[frozenset(monoid.mul(g, x) for x in c)]
-                 for c, name in cosets.items()}
-  elements = [STAR] + sorted(cosets.values())
-  return FiniteASet(monoid, elements, action, STAR,
-                    name=f"orbit of index {len(cosets)}")
+    cosets.setdefault(c, f"[{min(c)}]")
+  moves = {g: [(label, cosets[frozenset(monoid.mul(g, x) for x in c)])
+               for c, label in cosets.items()]
+           for g in monoid.generators()}
+  return sorted(cosets.values()), moves
 
 
-def _orbit_wedge(monoid, subgroups, chosen, name=None):
-  """The Γ₊-set with one coset orbit Γ/subgroups[i] for each i in `chosen`."""
+def _orbit_wedge(monoid, parts, name=None):
+  """The Γ₊-set with one coset orbit per (coset table, tag) of `parts`; an
+  element is its tag plus its coset label, one string shared by the
+  carrier and every generator map."""
   elements = [STAR]
   action = {g: {} for g in monoid.generators()}
-  for k, i in enumerate(chosen):
-    part = coset_orbit_aset(monoid, subgroups[i], tag=f"o{k}")
-    elements += part.nonbase()
-    for g, gmap in part.action.items():
-      action[g].update({x: y for x, y in gmap.items() if x != STAR})
+  for (labels, moves), tag in parts:
+    tagged = {c: tag + c for c in labels}
+    elements += tagged.values()
+    for g, pairs in moves.items():
+      action[g].update([(tagged[c], tagged[d]) for c, d in pairs])
   return FiniteASet(monoid, elements, action, STAR, name=name)
+
+
+def coset_orbit_aset(monoid, subgroup, tag=""):
+  """The Γ₊-set of cosets Γ/H (plus basepoint) for a subgroup H of the units."""
+  table = _coset_table(monoid, subgroup)
+  return _orbit_wedge(monoid, [(table, tag)],
+                      name=f"orbit of index {len(table[0])}")
 
 
 def all_gamma_asets(monoid, max_elements):
@@ -286,18 +301,21 @@ def all_gamma_asets(monoid, max_elements):
 
   Returns (aset, stabilizer_orders) pairs, one per class: a Γ₊-set is a
   Γ-permutation set with basepoint, so a class is a multiset of coset
-  orbits; `stabilizer_orders` lists |H| per orbit (all 1 ⟺ free).
+  orbits; `stabilizer_orders` lists |H| per orbit (all 1 ⟺ free).  The
+  coset table of each subgroup is built once per call, and each orbit of
+  each class is placed from it under its own tag.
   """
   subgroups = unit_subgroups(monoid)
-  n_units = len(monoid.unit_elements())
-  sizes = [n_units // len(H) for H in subgroups]
+  tables = [_coset_table(monoid, H) for H in subgroups]
+  sizes = [len(labels) for labels, _ in tables]
   out = []
   # depth first, each multiset before its extensions by later subgroups
   stack = [(max_elements - 1, 0, [])]
   while stack:
     budget, start, chosen = stack.pop()
     name = f"{len(chosen)} orbit(s)" if chosen else "point"
-    out.append((_orbit_wedge(monoid, subgroups, chosen, name),
+    parts = [(tables[i], f"o{k}") for k, i in enumerate(chosen)]
+    out.append((_orbit_wedge(monoid, parts, name),
                 tuple(len(subgroups[i]) for i in chosen)))
     stack += [(budget - sizes[i], i, chosen + [i])
               for i in reversed(range(start, len(subgroups)))
@@ -339,6 +357,55 @@ def dedup_up_to_iso(asets):
   return classes.reps
 
 
+def _subobject_steps(X, orbits):
+  """(s, key of S, key of X/S) for each subobject s of X that the closure
+  walk indexes, in ``subobject_sets()`` order.
+
+  When X has a ``canonical_key``, X is ∗ plus orbits Γ/H, S is ∗ plus a
+  sub-multiset of them and X/S is ∗ plus the complementary multiset, so
+  subobjects with one sub-multiset give one pair of classes.  Only the first
+  subobject of each sub-multiset in lattice order is listed: for counts
+  c_H ≤ m_H it takes the first c_H orbits of each stabilizer H (swapping in
+  an earlier orbit raises the mask), and sorting these by (size, −mask) is
+  the lattice order.  Both keys are (monoid, size, sorted stabilizers), read
+  off X's one orbit walk.  Otherwise every subobject is listed, with no keys.
+  """
+  if orbits is None:
+    return [(s, None, None) for s in X.subobject_sets()]
+  rest = X.nonbase()
+  pairs = list(zip([1 << k for k in range(len(rest) - 1, -1, -1)], rest))
+  by_type = {}
+  for mask, stabilizer in orbits:
+    members = tuple([x for b, x in pairs if mask & b])
+    by_type.setdefault(stabilizer, []).append((mask, members))
+  # per stabilizer H, one option per count c ≤ m_H: (mask, elements, c
+  # copies of H, m_H − c copies of H), the first c orbits of that type
+  options = []
+  for h in sorted(by_type):
+    m = len(by_type[h])
+    mask, members = 0, ()
+    option = [(0, (), (), (h,) * m)]
+    for c, (orbit_mask, orbit_members) in enumerate(by_type[h], 1):
+      mask |= orbit_mask
+      members += orbit_members
+      option.append((mask, members, (h,) * c, (h,) * (m - c)))
+    options.append(option)
+  monoid, n, base = X.monoid, len(X.elements), X.base
+  found = []
+  for choice in itertools.product(*options):
+    mask, members, sub, quo = 0, (base,), (), ()
+    for part in choice:
+      mask |= part[0]
+      members += part[1]
+      sub += part[2]
+      quo += part[3]
+    size = len(members)
+    found.append((size, -mask, members, (monoid, size, sub),
+                  (monoid, n + 1 - size, quo)))
+  found.sort(key=lambda f: (f[0], f[1]))
+  return [(frozenset(members), sub, quo) for _, _, members, sub, quo in found]
+
+
 def subquotient_relations(seeds, bound=64):
   """Sub/quotient closure of `seeds` up to iso, with its K₀ relations.
 
@@ -347,31 +414,48 @@ def subquotient_relations(seeds, bound=64):
   representative, each a dict from an index into `reps` to a nonzero int.
   A row has at most three terms and sums to −1, so none is zero.  Raises
   ClosureBoundExceeded when the class count passes `bound`.
+
+  A Γ₊-set X is walked as a multiset of orbits: one subobject per
+  sub-multiset (``_subobject_steps``), the classes of S and X/S looked up
+  by keys derived from X's orbits, and S or X/S built only when its key
+  opens a new class.  The subobjects skipped repeat a triple (X, S, X/S)
+  already seen, so reps, rows and their order are those of walking every
+  subobject.  Any other X is walked subobject by subobject, S and X/S
+  built and indexed.
   """
   classes = IsoClasses()
   reps = classes.reps
   work = []
 
   def index(X):
+    # one orbit walk gives X's class key and, for a new class, its orbits
+    orbits = X._orbit_masks()
     known = len(reps)
     i = classes.index(X)
     if i == known:
       if known >= bound:
         raise ClosureBoundExceeded(
             f"subquotient closure exceeded {bound} classes")
-      work.append(i)
+      work.append((i, orbits))
     return i
 
   for X in seeds:
     index(X)
   ends = []
   while work:
-    i = work.pop()
+    i, orbits = work.pop()
     X = reps[i]
     # the lattice's sets are closed by construction: build S and X/S
-    # unchecked, with no maps, and keep neither on X
-    for s in X.subobject_sets():
-      ends.append((i, index(X._sub_object(s)), index(X._quotient_object(s))))
+    # unchecked, with no maps, keep neither on X, and build neither when
+    # its key already names a class
+    for s, sub_key, quotient_key in _subobject_steps(X, orbits):
+      j = classes.find_key(sub_key)
+      if j is None:
+        j = index(X._sub_object(s))
+      k = classes.find_key(quotient_key)
+      if k is None:
+        k = index(X._quotient_object(s))
+      ends.append((i, j, k))
   rows = {}
   for i, j, k in ends:
     row = {i: 1}

@@ -604,11 +604,18 @@ def check_condition_w(V, pred, pair_bound=40):
       if compose_quotient(QuotientHom.from_ambient(u, pred), pb) == pa:
         yield u
 
+  reaches = {}
+
+  def reach(a, c):
+    """Is there some arrow cands[a] → cands[c]?  Decided once per call."""
+    if (a, c) not in reaches:
+      reaches[a, c] = next(arrows(cands[a], cands[c]), None) is not None
+    return reaches[a, c]
+
   # (a) upper bounds
-  for a, b in itertools.islice(itertools.combinations(cands, 2), pair_bound):
-    if not any(next(arrows(a, c), None) is not None
-               and next(arrows(b, c), None) is not None
-               for c in cands):
+  for a, b in itertools.islice(
+      itertools.combinations(range(len(cands)), 2), pair_bound):
+    if not any(reach(a, c) and reach(b, c) for c in range(len(cands))):
       return False
 
   # (b) weak coequalizers

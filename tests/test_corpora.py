@@ -139,9 +139,10 @@ def test_samplers_are_seeded_and_valid():
 
 def test_the_closure_walk_builds_what_sub_aset_and_quotient_by_build(
     monkeypatch):
-  """The walk indexes S, then X/S, for each subobject of each X it walks,
-  in lattice order; each must be the object the public, checking
-  constructors build, in the same element order."""
+  """Over N-sets, which have no canonical key, the walk indexes S, then X/S,
+  for each subobject of each X it walks, in lattice order; each must be the
+  object the public, checking constructors build, in the same element
+  order."""
   walked, indexed = [], []
   lattice, index = FiniteASet.subobject_sets, corpora.IsoClasses.index
 
@@ -156,8 +157,7 @@ def test_the_closure_walk_builds_what_sub_aset_and_quotient_by_build(
 
   monkeypatch.setattr(FiniteASet, "subobject_sets", spy_lattice)
   monkeypatch.setattr(corpora.IsoClasses, "index", spy_index)
-  G = FiniteMonoid.group_with_zero([2, 2])
-  seeds = [X for X, _ in all_gamma_asets(G, 6)] + all_nsets(4)
+  seeds = all_nsets(5)
   subquotient_relations(seeds, bound=128)
   built = iter(indexed[len(seeds):])
   pairs = 0
@@ -170,6 +170,116 @@ def test_the_closure_walk_builds_what_sub_aset_and_quotient_by_build(
     assert X._derived is None        # the walk keeps nothing on X
   assert next(built, None) is None
   assert pairs > 200
+
+
+def test_the_gamma_walk_builds_only_the_classes_it_opens(monkeypatch):
+  """Over Γ₊-sets the walk builds S or X/S only when it opens a class, and
+  builds it on the first subobject, in lattice order, of its sub-multiset
+  of orbits: the object sub_aset or quotient_by builds there."""
+  built = []
+
+  def spy(name, make):
+    def build(X, s, *args):
+      built.append((name, X, s, make(X, s, *args)))
+      return built[-1][3]
+    return build
+
+  for name in ("_sub_object", "_quotient_object"):
+    monkeypatch.setattr(FiniteASet, name,
+                        spy(name, getattr(FiniteASet, name)))
+  seeds = []
+  for orders in ([2], [3], [4], [2, 2]):
+    G = FiniteMonoid.group_with_zero(orders)
+    seeds += [X for X, _ in all_gamma_asets(G, 8) if X.size() >= 7]
+  reps, _ = subquotient_relations(seeds, bound=256)
+  monkeypatch.undo()
+  opened = {id(R) for R in reps[len(seeds):]}
+  assert len(built) == len(opened) > 20
+  for name, X, s, got in built:
+    assert id(got) in opened
+    want = (X.sub_aset(s) if name == "_sub_object" else X.quotient_by(s))[0]
+    assert got.elements == want.elements and got.same_carrier(want)
+    key = X.sub_aset(s)[0].canonical_key()
+    first = next(t for t in X.subobject_sets()
+                 if X.sub_aset(t)[0].canonical_key() == key)
+    assert first == s
+    assert X._derived is None
+
+
+def test_derived_keys_are_the_built_objects_keys():
+  """For every subobject s of every Γ₊-set to 8 elements, the walk's step
+  for the sub-multiset of s carries the keys of S and X/S as built; the
+  steps are the first subobject of each sub-multiset, in lattice order."""
+  checked = 0
+  for orders in ([2], [3], [4], [2, 2]):
+    G = FiniteMonoid.group_with_zero(orders)
+    for X, _ in all_gamma_asets(G, 8):
+      steps = corpora._subobject_steps(X, X._orbit_masks())
+      lattice = X.subobject_sets()
+      by_key = {sub_key: (s, quotient_key)
+                for s, sub_key, quotient_key in steps}
+      assert len(by_key) == len(steps)
+      positions = [lattice.index(s) for s, _, _ in steps]
+      assert positions == sorted(positions)
+      first = {}
+      for s in lattice:
+        S, Q = X.sub_aset(s)[0], X.quotient_by(s)[0]
+        step, quotient_key = by_key[S.canonical_key()]
+        assert quotient_key == Q.canonical_key(), (X, s)
+        assert first.setdefault(S.canonical_key(), s) == step
+        checked += 1
+      assert len(first) == len(steps)
+  assert checked > 2500
+
+
+def per_subset_walk(seeds, bound):
+  """The closure walk with no orbit multisets: S, then X/S, built and
+  indexed for every subobject of every representative."""
+  classes = corpora.IsoClasses()
+  reps, work, ends = classes.reps, [], []
+
+  def index(X):
+    known = len(reps)
+    i = classes.index(X)
+    if i == known:
+      assert known < bound
+      work.append(i)
+    return i
+
+  for X in seeds:
+    index(X)
+  while work:
+    i = work.pop()
+    X = reps[i]
+    for s in X.subobject_sets():
+      ends.append((i, index(X._sub_object(s)), index(X._quotient_object(s))))
+  rows = {}
+  for i, j, k in ends:
+    row = {i: 1}
+    for t in (j, k):
+      row[t] = row.get(t, 0) - 1
+    row = {t: c for t, c in row.items() if c}
+    rows.setdefault(frozenset(row.items()), row)
+  return reps, list(rows.values())
+
+
+def test_the_walk_matches_the_per_subset_walk_on_shuffled_carriers():
+  """Orbits interleaved in the carrier order, seeds in random order: reps,
+  rows and their order equal those of the per-subset walk."""
+  rng = random.Random(22)
+  for orders in ([2], [3], [4], [2, 2], [6]):
+    G = FiniteMonoid.group_with_zero(orders)
+    seeds = []
+    for X, _ in all_gamma_asets(G, 8):
+      if X.size() >= 5 and rng.random() < 0.5:
+        elements = list(X.elements)
+        rng.shuffle(elements)
+        seeds.append(FiniteASet(G, elements, X.action, X.base))
+    rng.shuffle(seeds)
+    want_reps, want_rows = per_subset_walk(seeds, bound=256)
+    reps, rows = subquotient_relations(seeds, bound=256)
+    assert [content(X) for X in reps] == [content(X) for X in want_reps]
+    assert repr(rows) == repr(want_rows), orders
 
 
 # ------------------------------------------ iterative enumeration, same output

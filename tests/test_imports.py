@@ -75,6 +75,8 @@ KEPT_UNREAD = {
     "close_under_subquotients": "the benchmark tracer wraps it by name",
     "orbit_decomposition": "orbits and stabilizers of a Γ₊-set, for the "
                            "Burnside-mark certificate",
+    "coset_orbit_aset": "one orbit Γ/H, which the tests build Γ₊-sets "
+                        "from; all_gamma_asets reads the same coset table",
     "cokernel": "a construction of the paper's quasi-exact category",
     "smash": "a construction of the paper's quasi-exact category",
 }

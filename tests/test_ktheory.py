@@ -1004,6 +1004,25 @@ def test_k0_of_gamma_sets_of_order_8_at_cap_10():
   assert out["rss_mb"] < 200, out
 
 
+def test_k0_of_gamma_sets_of_order_8_at_cap_12():
+  out = run_in_child("""
+      from monoidkit.corpora import all_gamma_asets
+      from monoidkit.ktheory import k0_of_catspec
+      from monoidkit.monoids import FiniteMonoid
+      G = FiniteMonoid.group_with_zero([2, 2, 2])
+      start = time.perf_counter()
+      k0 = k0_of_catspec([X for X, _ in all_gamma_asets(G, 12)],
+                         closure_bound=6000)
+      out = {"group": str(k0.group), "classes": len(k0.reps),
+             "rows": len(k0.relations), "additive": k0.additivity_holds(),
+             "wall_s": time.perf_counter() - start}
+      """)
+  assert (out["group"], out["classes"], out["rows"], out["additive"]) == \
+      (str(Z(16)), 5406, 51795, True)
+  assert out["wall_s"] < 8, out
+  assert out["rss_mb"] < 150, out
+
+
 def test_localization_of_gamma_sets_of_order_8_at_cap_9():
   G = FiniteMonoid.group_with_zero([2, 2, 2])
   objects = [X for X, _ in all_gamma_asets(G, 9)]

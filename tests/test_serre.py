@@ -1,3 +1,4 @@
+import collections
 import gc
 import itertools
 import random
@@ -790,6 +791,27 @@ def test_condition_w_holds_for_torsion(V):
 
 def test_condition_w_with_zero_predicate_is_trivial():
   assert check_condition_w(truncated_line(2), SerrePredicate.zero(N)) is True
+
+
+def test_condition_w_searches_each_ordered_pair_once_per_part(monkeypatch):
+  """The upper-bound part decides "some arrow a → c" once per ordered pair
+  of candidates; the weak-coequalizer part searches each pair once more at
+  most.  Every verdict on the N-sets to 5 elements is True."""
+  searches = []
+  hom = serre.hom_maps
+  # the objects are kept, so no id is reused within one call
+  monkeypatch.setattr(serre, "hom_maps", lambda X, Y: searches.append(
+      (X, Y)) or hom(X, Y))
+  preds = [TORSION, SerrePredicate.zero(N),
+           SerrePredicate.support_in(N, ["(t)"])]
+  total = 0
+  for k, V in enumerate(all_nsets(5)):
+    searches.clear()
+    assert check_condition_w(V, preds[k % 3], pair_bound=25) is True
+    counts = collections.Counter((id(X), id(Y)) for X, Y in searches)
+    assert max(counts.values(), default=0) <= 2, V
+    total += len(searches)
+  assert total > 1000
 
 
 # ----------------------------------------------- quotient versus localization
