@@ -12,9 +12,12 @@ input in full.  Objects and maps derived from valid ones are built by the
 private ``_trusted`` constructors instead, which check nothing: subobjects
 and quotients (``sub_aset``, ``quotient_by``, after their admissibility
 check, or ``_sub_object``/``_quotient_object`` directly for a set closed by
-construction: a set of the lattice, or a union of orbits), the maps
-``hom_maps`` finds (its search checks every equivariance square) and
-composites (``ASetMap.compose``, after its carrier check).
+construction: a set of the lattice, or a union of orbits), the two maps
+of ``exact_seq_from_sub`` (after its lattice lookup), the maps
+``hom_maps`` finds (its search checks every equivariance square),
+composites (``ASetMap.compose``, after its carrier check), and the
+quotients of ``coequalizer`` and ``pushout`` (their identifications are
+congruences; only the class names are checked distinct).
 
 Maps and isomorphisms come from one backtracking search,
 ``_equivariant_maps``.  ``hom_maps`` lists every map it finds;
@@ -36,8 +39,8 @@ inside a bucket; a canonical key's bucket holds one class, so its lookup is
 a dict lookup.
 
 The category is not abelian, but images, kernels, cokernels, fiber products,
-pushouts along monics and coequalizers all exist on finite carriers and are
-constructed here explicitly.
+pushouts and coequalizers all exist on finite carriers and are constructed
+here explicitly.
 """
 
 from __future__ import annotations
@@ -651,49 +654,61 @@ def cokernel(i):
 
 
 def exact_seq_from_sub(X, subset):
-  """The canonical sequence S >--> X -->> X/S for an admissible subset."""
-  sub, incl = X.sub_aset(subset)
-  quo, proj = X.quotient_by(subset)
-  return ExactSeq(incl, proj)
+  """The canonical sequence S >--> X -->> X/S for an admissible subset.
+
+  S and X/S are X's own ``subquotient`` objects, and membership in X's
+  lattice is the admissibility check (``InvalidStructure`` otherwise); the
+  inclusion and the collapse are then morphisms and are built unchecked.
+  """
+  s = frozenset(subset)
+  sub, quo = X.subquotient(s)
+  base = X.base
+  return ExactSeq(
+      ASetMap._trusted(sub, X, {x: x for x in sub.elements}),
+      ASetMap._trusted(X, quo, {x: base if x in s else x for x in X.elements}))
 
 
 # -- constructions ------------------------------------------------------------------
 
 
-def _fresh_names(first, second, base):
-  """Resolve name clashes between two carriers (keeps names when disjoint)."""
-  lhs = [x for x in first if x != base]
-  rhs = [x for x in second if x != base]
-  clash = set(lhs) & set(rhs)
-  if not clash:
-    return {x: x for x in lhs}, {x: x for x in rhs}
-  return ({x: f"{x}#1" for x in lhs}, {x: f"{x}#2" for x in rhs})
+def _wedge_names(X, Y):
+  """(X's names in X ∨ Y, Y's names in X ∨ Y, the wedge's carrier).
+
+  Both basepoints go to X's.  The names are kept when X's carrier and Y's
+  non-base elements are disjoint, else suffixed "#1" and "#2"; the wedge's
+  names are checked distinct.
+  """
+  if X.monoid != Y.monoid or X.action.keys() != Y.action.keys():
+    raise InvalidStructure("wedge needs a common acting monoid")
+  base = X.base
+  xs = X.nonbase()
+  ys = Y.nonbase()
+  if X._element_set.isdisjoint(ys):
+    to_x = {x: x for x in xs}
+    to_y = {y: y for y in ys}
+  else:
+    to_x = {x: f"{x}#1" for x in xs}
+    to_y = {y: f"{y}#2" for y in ys}
+  elements = [base, *to_x.values(), *to_y.values()]
+  if len(set(elements)) != len(elements):
+    raise InvalidStructure("the wedge's element names collide")
+  to_x[base] = base
+  to_y[Y.base] = base
+  return to_x, to_y, elements
 
 
 def wedge(X, Y, name=None):
   """(X ∨ Y, inclusion of X, inclusion of Y): disjoint union glued at ∗.
   Built unchecked but for the distinctness of the new names."""
-  if X.monoid != Y.monoid or set(X.action) != set(Y.action):
-    raise InvalidStructure("wedge needs a common acting monoid")
-  ren_x, ren_y = _fresh_names(X.elements, Y.elements, X.base)
-  elements = [X.base] + [ren_x[x] for x in X.nonbase()] + [ren_y[y] for y in Y.nonbase()]
-  if len(set(elements)) != len(elements):
-    raise InvalidStructure("the wedge's element names collide")
+  to_x, to_y, elements = _wedge_names(X, Y)
   action = {}
-  for g in X.action:
-    gx, gy = X.action[g], Y.action[g]
-    m = {X.base: X.base}
-    for x in X.nonbase():
-      t = gx[x]
-      m[ren_x[x]] = X.base if t == X.base else ren_x[t]
-    for y in Y.nonbase():
-      t = gy[y]
-      m[ren_y[y]] = X.base if t == Y.base else ren_y[t]
+  for g, gx in X.action.items():
+    gy = Y.action[g]
+    m = {to_x[x]: to_x[gx[x]] for x in X.elements}
+    m.update((to_y[y], to_y[gy[y]]) for y in Y.nonbase())
     action[g] = m
   W = FiniteASet._trusted(X.monoid, elements, action, X.base, name)
-  inc_x = ASetMap._trusted(X, W, {X.base: X.base, **ren_x})
-  inc_y = ASetMap._trusted(Y, W, {Y.base: X.base, **ren_y})
-  return W, inc_x, inc_y
+  return W, ASetMap._trusted(X, W, to_x), ASetMap._trusted(Y, W, to_y)
 
 
 def point_aset(monoid, base=STAR):
@@ -787,6 +802,28 @@ def smash(X, Y, name=None):
   return S
 
 
+def _class_names(elements, base, uf):
+  """(element ↦ its class's name, the names in order) for the classes of
+  ``uf`` on ``elements``.
+
+  The basepoint's class is named ``base`` and any other class by the least
+  ``str`` of its members; classes keep the order of their first members.
+  The names are checked distinct (``InvalidStructure``).
+  """
+  find = uf.find
+  root = {y: find(y) for y in elements}
+  classes = {}
+  for y, r in root.items():
+    classes.setdefault(r, []).append(y)
+  base_root = root[base]
+  names = {r: base if r == base_root else min(map(str, members))
+           for r, members in classes.items()}
+  carrier = list(names.values())
+  if len(set(carrier)) != len(carrier):
+    raise InvalidStructure("two classes of the quotient have the same name")
+  return {y: names[r] for y, r in root.items()}, carrier
+
+
 def coequalizer(f, g):
   """(Q, proj): the genuine coequalizer of morphisms f, g : X ⇉ Y.
 
@@ -794,26 +831,26 @@ def coequalizer(f, g):
   the basepoint; any other class is named by the least ``str`` of its
   members.  No closing under the action is needed: f and g are
   equivariant, so a·f(x) ~ a·g(x) is the pair of a·x, and the equivalence
-  the pairs generate is already a congruence.
+  the pairs generate is already a congruence; Q's action is read through
+  ``proj``.
+
+  Contract: f and g are morphisms (the pair is not checked for
+  equivariance).  Q and ``proj`` are built unchecked; only the class names
+  are checked distinct (``InvalidStructure`` when two classes print alike,
+  as 1 and "1" do).
   """
   if not f.source.same_carrier(g.source) or not f.target.same_carrier(g.target):
     raise InvalidStructure("coequalizer needs a parallel pair")
   Y = f.target
   uf = _UnionFind(Y.elements)
+  fm, gm = f.mapping, g.mapping
   for x in f.source.elements:
-    uf.union(f(x), g(x))
-  classes = {}
-  for y in Y.elements:
-    classes.setdefault(uf.find(y), []).append(y)
-  base_root = uf.find(Y.base)
-  names = {r: Y.base if r == base_root else min(map(str, members))
-           for r, members in classes.items()}
-  action = {g: {names[r]: names[uf.find(gmap[members[0]])]
-                for r, members in classes.items()}
+    uf.union(fm[x], gm[x])
+  proj, carrier = _class_names(Y.elements, Y.base, uf)
+  action = {g: {proj[y]: proj[gmap[y]] for y in Y.elements}
             for g, gmap in Y.action.items()}
-  Q = FiniteASet(Y.monoid, list(names.values()), action, Y.base)
-  proj = ASetMap(Y, Q, {y: names[uf.find(y)] for y in Y.elements})
-  return Q, proj
+  Q = FiniteASet._trusted(Y.monoid, carrier, action, Y.base)
+  return Q, ASetMap._trusted(Y, Q, proj)
 
 
 def fiber_product(f, g, name=None):
@@ -832,18 +869,37 @@ def fiber_product(f, g, name=None):
   return _pair_object(f.source, g.source, pairs, name)
 
 
-def pushout_monics(i, j, name=None):
-  """Pushout of X <--i-- W --j--> Y for monics, via the wedge coequalizer."""
-  W = i.source
-  if not j.source.same_carrier(W):
+def pushout(f, g):
+  """(Q, X → Q, Y → Q): the pushout of a span X <--f-- W --g--> Y.
+
+  Q is the coequalizer of f and g followed into the wedge X ∨ Y, found by
+  one union-find pass on the wedge's names without building the wedge: the
+  same names, action and legs as ``wedge`` then ``coequalizer``.  Q's
+  action is read through the legs.
+
+  Contract: f and g are morphisms (any span, monic or not).  Q and the legs
+  are built unchecked; only the wedge's and the classes' names are checked
+  distinct (``InvalidStructure``).
+  """
+  if not f.source.same_carrier(g.source):
     raise InvalidStructure("pushout legs must share their source")
-  V, inc_x, inc_y = wedge(i.target, j.target)
-  left = i.compose(inc_x)
-  right = j.compose(inc_y)
-  Q, proj = coequalizer(left, right)
-  if name:
-    Q.name = name
-  return Q, inc_x.compose(proj), inc_y.compose(proj)
+  X, Y = f.target, g.target
+  to_x, to_y, elements = _wedge_names(X, Y)
+  uf = _UnionFind(elements)
+  fm, gm = f.mapping, g.mapping
+  for w in f.source.elements:
+    uf.union(to_x[fm[w]], to_y[gm[w]])
+  proj, carrier = _class_names(elements, X.base, uf)
+  jx = {x: proj[v] for x, v in to_x.items()}
+  jy = {y: proj[v] for y, v in to_y.items()}
+  action = {}
+  for gen, gx in X.action.items():
+    gy = Y.action[gen]
+    m = {jx[x]: jx[gx[x]] for x in X.elements}
+    m.update((jy[y], jy[gy[y]]) for y in Y.elements)
+    action[gen] = m
+  Q = FiniteASet._trusted(X.monoid, carrier, action, X.base)
+  return Q, ASetMap._trusted(X, Q, jx), ASetMap._trusted(Y, Q, jy)
 
 
 def _equivariant_maps(X, Y, choices, injective):

@@ -17,19 +17,21 @@ lattice version.
 
 Every diagram on X shares X's subquotient objects and subobject lattice
 (``FiniteASet.subquotient``); only the maps and the checks are per diagram.
+Per pair of sequences, ``KeyDiagram`` builds the eight square legs and the
+two derived sequences' four maps, all unchecked: the subsets are members of
+X's lattice and nested, so each leg is a morphism.  ``verify`` adds the
+fiber product of the monic cospan, the two pushouts (``pushout``, one
+union-find pass each, no wedge object), the product of the two quotients,
+and four validated maps, which are the checks themselves: the pullback
+witness, the product embedding and the two factorizations through the
+pushouts.  It composes no maps.
 """
 
 from __future__ import annotations
 
-from .asets import (ASetMap, ExactSeq, coequalizer, fiber_product, is_exact,
-                    product, pushout_monics, wedge)
+from .asets import (ASetMap, exact_seq_from_sub, fiber_product, is_exact,
+                    product, pushout)
 from .errors import InvalidStructure
-
-
-def _canonical_map(source, target, push):
-  """An inclusion or collapse between subquotients of one object, unchecked:
-  the key diagram's subsets are admissible and nested, so it is a map."""
-  return ASetMap._trusted(source, target, {x: push(x) for x in source.elements})
 
 
 def _kernels_correspond(across, leave, enter):
@@ -39,11 +41,18 @@ def _kernels_correspond(across, leave, enter):
   return len(image) == len(dead) and set(image) == dead
 
 
+def _commutes(corner, first, then, other_first, other_then):
+  """Do the two paths from ``corner`` agree at every element?"""
+  a, b = first.mapping, then.mapping
+  c, d = other_first.mapping, other_then.mapping
+  return all(b[a[x]] == d[c[x]] for x in corner.elements)
+
+
 def _legs_factor_as_iso(Q, legs, target):
   """Does the cocone factor through Q by an isomorphism?
 
   ``legs`` is a tuple of (corner, corner → Q, corner → target).  Every
-  element of Q must be hit by some leg (true for our wedge coequalizers);
+  element of Q must be hit by some leg (true for our pushouts);
   the universal map exists iff the leg assignments agree on overlaps.
   """
   assignment = {}
@@ -71,11 +80,12 @@ class KeyDiagram:
   """
 
   def __init__(self, X, set1, set2):
-    if not X.is_admissible_subset(set1) or not X.is_admissible_subset(set2):
-      raise InvalidStructure("key diagram needs two admissible subobjects")
+    subs = X.subobject_lattice()
     self.X = X
     self.s1 = frozenset(set1)
     self.s2 = frozenset(set2)
+    if self.s1 not in subs or self.s2 not in subs:
+      raise InvalidStructure("key diagram needs two admissible subobjects")
     self.s12 = self.s1 & self.s2
     self.su = self.s1 | self.s2
 
@@ -85,25 +95,31 @@ class KeyDiagram:
     self.sub2, self.quo2 = X.subquotient(self.s2)
     self.sub_u, self.quo_u = X.subquotient(self.su)
 
+    # the legs are morphisms by construction (the subsets are nested members
+    # of X's lattice), so they are built unchecked
+    base = X.base
+
+    def inclusion(S, T):
+      return ASetMap._trusted(S, T, {x: x for x in S.elements})
+
+    def collapse(Q, R, dead):
+      return ASetMap._trusted(
+          Q, R, {x: base if x in dead else x for x in Q.elements})
+
     # monic square legs (all literal inclusions)
-    ident = lambda x: x
-    self.i12_1 = _canonical_map(self.sub12, self.sub1, ident)
-    self.i12_2 = _canonical_map(self.sub12, self.sub2, ident)
-    self.i1_u = _canonical_map(self.sub1, self.sub_u, ident)
-    self.i2_u = _canonical_map(self.sub2, self.sub_u, ident)
+    self.i12_1 = inclusion(self.sub12, self.sub1)
+    self.i12_2 = inclusion(self.sub12, self.sub2)
+    self.i1_u = inclusion(self.sub1, self.sub_u)
+    self.i2_u = inclusion(self.sub2, self.sub_u)
 
     # epic square legs (collapse the larger kernel)
-    def collapse(dead):
-      return lambda x: X.base if x in dead else x
-    self.q12_1 = _canonical_map(self.quo12, self.quo1, collapse(self.s1))
-    self.q12_2 = _canonical_map(self.quo12, self.quo2, collapse(self.s2))
-    self.q1_u = _canonical_map(self.quo1, self.quo_u, collapse(self.su))
-    self.q2_u = _canonical_map(self.quo2, self.quo_u, collapse(self.su))
+    self.q12_1 = collapse(self.quo12, self.quo1, self.s1)
+    self.q12_2 = collapse(self.quo12, self.quo2, self.s2)
+    self.q1_u = collapse(self.quo1, self.quo_u, self.su)
+    self.q2_u = collapse(self.quo2, self.quo_u, self.su)
 
-    self.seq_meet = ExactSeq(_canonical_map(self.sub12, X, ident),
-                             _canonical_map(X, self.quo12, collapse(self.s12)))
-    self.seq_join = ExactSeq(_canonical_map(self.sub_u, X, ident),
-                             _canonical_map(X, self.quo_u, collapse(self.su)))
+    self.seq_meet = exact_seq_from_sub(X, self.s12)
+    self.seq_join = exact_seq_from_sub(X, self.su)
 
   def objects(self):
     return {"X'12": self.sub12, "X'1": self.sub1, "X'2": self.sub2,
@@ -131,10 +147,10 @@ class KeyDiagram:
     out = {}
 
     # -- commutativity of both squares
-    out["monic_square_commutes"] = (self.i12_1.compose(self.i1_u).mapping
-                                    == self.i12_2.compose(self.i2_u).mapping)
-    out["epic_square_commutes"] = (self.q12_1.compose(self.q1_u).mapping
-                                   == self.q12_2.compose(self.q2_u).mapping)
+    out["monic_square_commutes"] = _commutes(
+        self.sub12, self.i12_1, self.i1_u, self.i12_2, self.i2_u)
+    out["epic_square_commutes"] = _commutes(
+        self.quo12, self.q12_1, self.q1_u, self.q12_2, self.q2_u)
 
     # -- derived sequences
     out["meet_sequence_exact"] = is_exact(self.seq_meet)
@@ -152,7 +168,7 @@ class KeyDiagram:
       out["monic_square_ambient_pullback"] = False
 
     # -- monic square: genuine ambient pushout
-    PO, j1, j2 = pushout_monics(self.i12_1, self.i12_2)
+    PO, j1, j2 = pushout(self.i12_1, self.i12_2)
     out["monic_square_ambient_pushout"] = _legs_factor_as_iso(
         PO, ((self.sub1, j1, self.i1_u), (self.sub2, j2, self.i2_u)),
         self.sub_u)
@@ -168,15 +184,11 @@ class KeyDiagram:
     out["lattice_join"] = all(
         (k >= self.s1 and k >= self.s2) == (k >= self.su) for k in subs)
 
-    # -- epic square: genuine ambient pushout (coequalizer of the span)
-    V, a1, a2 = wedge(self.quo1, self.quo2)
-    left = self.q12_1.compose(a1)
-    right = self.q12_2.compose(a2)
-    Q, proj = coequalizer(left, right)
-    legs = ((self.quo1, a1.compose(proj), self.q1_u),
-            (self.quo2, a2.compose(proj), self.q2_u))
+    # -- epic square: genuine ambient pushout
+    Q, k1, k2 = pushout(self.q12_1, self.q12_2)
     out["epic_square_ambient_pushout"] = _legs_factor_as_iso(
-        Q, legs, self.quo_u)
+        Q, ((self.quo1, k1, self.q1_u), (self.quo2, k2, self.q2_u)),
+        self.quo_u)
 
     # -- epic square: kernel comparison (distinguished in both directions)
     out["epic_square_kernel_comparison_1"] = _kernels_correspond(

@@ -32,8 +32,9 @@ from __future__ import annotations
 import itertools
 import weakref
 
-from .asets import (ASetMap, FiniteASet, aset_length, coequalizer, hom_maps,
-                    identity_map, is_rooted_tree, point_aset, support, wedge)
+from .asets import (ASetMap, FiniteASet, aset_length, coequalizer,
+                    exact_seq_from_sub, hom_maps, identity_map, is_rooted_tree,
+                    point_aset, support, wedge)
 from .errors import (InvalidStructure, NotIso, PredicateClosureError,
                      Undecidable)
 from .monoids import NatMonoid
@@ -565,22 +566,23 @@ def _iso_candidates(V, pred):
 
   Three families: dense subobjects (φ the inclusion), quotients by kernels
   in C (φ the inverse of the projection), and wedges with a C-object (φ the
-  collapse).
+  collapse).  Each S, V/K and K is V's own lattice object, with its map
+  from ``exact_seq_from_sub``.
   """
   cands = []
   for s in admissible_subs(V, pred):
-    sub, incl = V.sub_aset(s)
-    cands.append((sub, QuotientHom.from_ambient(incl, pred)))
+    seq = exact_seq_from_sub(V, s)
+    cands.append((seq.sub, QuotientHom.from_ambient(seq.i, pred)))
   kernels = admissible_kernels(V, pred)
   for k in kernels:
-    quo, proj = V.quotient_by(k)
-    g = _inverse(QuotientHom.from_ambient(proj, pred))
+    seq = exact_seq_from_sub(V, k)
+    g = _inverse(QuotientHom.from_ambient(seq.p, pred))
     if g is not None:
-      cands.append((quo, g))
+      cands.append((seq.quotient, g))
   for k in kernels:
     if len(k) == 1:
       continue
-    T, _ = V.sub_aset(k)
+    T = V.subquotient(k)[0]
     W, inc_v, inc_t = wedge(V, T)
     collapse = {inc_v(x): x for x in V.elements}
     collapse.update({inc_t(t): V.base for t in T.elements})

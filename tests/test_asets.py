@@ -14,7 +14,7 @@ from monoidkit.asets import (ASetMap, ExactSeq, FiniteASet, NotFiniteLength,
                              irreducible_chain, is_exact, is_pc_aset,
                              is_rooted_tree, kernel,
                              nat_set, orbit_decomposition, point_aset,
-                             product, pushout_monics, smash, support,
+                             product, pushout, smash, support,
                              truncated_line, wedge)
 from monoidkit.errors import InvalidStructure
 from monoidkit.monoids import STAR, FiniteMonoid, NatMonoid
@@ -490,7 +490,7 @@ def test_fiber_product_and_pushout():
   assert p1.is_surjective()
   # pushout of S -> X along S -> point collapses S
   pt = point_aset(NatMonoid())
-  out, jx, jpt = pushout_monics(incl, ASetMap(S, pt, {s: STAR for s in S.elements}))
+  out, jx, jpt = pushout(incl, ASetMap(S, pt, {s: STAR for s in S.elements}))
   assert out.is_isomorphic(quo)
 
 

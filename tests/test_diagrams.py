@@ -10,6 +10,7 @@ object and compares kernels by an isomorphism search.
 import gc
 import random
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from monoidkit.asets import (ASetMap, ExactSeq, FiniteASet, STAR, _UnionFind,
                              coequalizer, exact_seq_from_sub, fiber_product,
                              hom_maps, identity_map, is_exact, point_aset,
-                             product, pushout_monics, truncated_line, wedge)
+                             product, pushout, truncated_line, wedge)
 from monoidkit.corpora import all_nilpotent_asets, all_nsets, all_pointed_sets
 from monoidkit.diagrams import KeyDiagram, _legs_factor_as_iso, key_diagram
 from monoidkit.errors import InvalidStructure
@@ -232,7 +233,7 @@ def test_distinguished_monic_square_is_pushout_and_pullback():
   FP, f1, f2 = fiber_product(i1, i2)
   assert FP.size() == s12.size() == 1
 
-  PO, j1, j2 = pushout_monics(bottom, left)
+  PO, j1, j2 = pushout(bottom, left)
   assert PO.size() == X.size()
   # the induced map to X is a bijection
   hits = {j1(x) for x in s1.elements} | {j2(x) for x in s2.elements}
@@ -388,6 +389,13 @@ def test_fiber_product_is_the_filtered_product(cospan):
   ASetMap(P, g.source, py.mapping)
 
 
+def assert_public(Q, *maps):
+  """Q and each map into or out of it pass the validating constructors."""
+  FiniteASet(Q.monoid, Q.elements, Q.action, Q.base)
+  for m in maps:
+    ASetMap(m.source, m.target, m.mapping)
+
+
 @settings(max_examples=300, deadline=None)
 @given(parallel_pairs())
 def test_coequalizer_is_the_sweep(pair):
@@ -396,6 +404,41 @@ def test_coequalizer_is_the_sweep(pair):
   Q0, proj0 = oracle_coequalizer(f, g)
   assert_same_object(Q, Q0)
   assert proj.mapping == proj0.mapping
+  # built unchecked, and the public constructors agree that it is valid
+  assert_public(Q, proj)
+
+
+@st.composite
+def spans(draw):
+  """X <-f- W -g-> Y; f is drawn non-monic whenever W → X has such a map."""
+  objects = SMALL[draw(st.sampled_from(sorted(SMALL)))]
+  W, X, Y = (draw(st.sampled_from(objects)) for _ in range(3))
+  to_x = hom_maps(W, X)
+  folds = [m for m in to_x if not m.is_injective()]
+  f = draw(st.sampled_from(folds if folds and draw(st.booleans()) else to_x))
+  return f, draw(st.sampled_from(hom_maps(W, Y)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spans())
+def test_pushout_is_the_wedge_sweep(span):
+  f, g = span
+  Q, jx, jy = pushout(f, g)
+  Q0, jx0, jy0 = oracle_pushout_monics(f, g)
+  assert_same_object(Q, Q0)
+  assert jx.mapping == jx0.mapping and jy.mapping == jy0.mapping
+  assert_public(Q, jx, jy)
+
+
+def test_class_names_that_print_alike_are_refused():
+  # 1 and "1" are distinct elements whose classes would both be named "1"
+  X = FiniteASet(F1, [STAR, 1, "1"], {}, STAR)
+  ident = identity_map(X)
+  with pytest.raises(InvalidStructure):
+    coequalizer(ident, ident)
+  pt = point_aset(F1)
+  with pytest.raises(InvalidStructure):
+    pushout(ASetMap(pt, X, {STAR: STAR}), identity_map(pt))
 
 
 def test_products_and_wedges_pass_the_public_constructors():
@@ -424,6 +467,53 @@ def test_fiber_product_refuses_colliding_labels():
   g = ASetMap(Y, Z, {y: STAR for y in Y.elements})
   with pytest.raises(InvalidStructure):
     fiber_product(f, g)
+
+
+def test_exact_seq_from_sub_reads_the_lattice():
+  X = all_nilpotent_asets(T3, 5)[-1]
+  for s in X.subobject_lattice():
+    S, Q = X.subquotient(s)
+    for given_as in (set(s), list(s)):
+      seq = exact_seq_from_sub(X, given_as)
+      assert seq.sub is S and seq.middle is X and seq.quotient is Q
+      assert is_exact(seq)
+      # the maps are the checked constructors' maps, and pass the public one
+      assert seq.i == X.sub_aset(s)[1] and seq.p == X.quotient_by(s)[1]
+      assert_public(S, seq.i, seq.p)
+
+
+@pytest.mark.parametrize("subset", [{STAR, "1"}, {STAR, "t", "nope"}],
+                         ids=["not closed", "foreign element"])
+def test_exact_seq_from_sub_refuses_a_non_subobject(subset):
+  with pytest.raises(InvalidStructure):
+    exact_seq_from_sub(truncated_line(2), subset)
+
+
+def test_a_key_diagram_validates_only_its_checks(monkeypatch):
+  # the legs, pushouts, fiber product and product are built unchecked; the
+  # validated maps are the pullback witness, the product embedding and the
+  # two factorizations through the pushouts
+  six = [X for X in all_nilpotent_asets(T3, 6) if X.size() == 6]
+  X = max(six, key=lambda Y: len(Y.subobject_lattice()))
+  subs = list(X.subobject_lattice())
+  counts = Counter()
+
+  def counted(key, fn):
+    def wrapper(*args, **kwargs):
+      counts[key] += 1
+      return fn(*args, **kwargs)
+    return wrapper
+
+  monkeypatch.setattr(FiniteASet, "__init__",
+                      counted("objects", FiniteASet.__init__))
+  monkeypatch.setattr(ASetMap, "__init__", counted("maps", ASetMap.__init__))
+  monkeypatch.setattr(ASetMap, "compose",
+                      counted("composites", ASetMap.compose))
+  seq1 = exact_seq_from_sub(X, subs[len(subs) // 2])
+  seq2 = exact_seq_from_sub(X, subs[-2])
+  assert all(key_diagram(X, seq1, seq2).verify().values())
+  assert counts["objects"] == 0 and counts["composites"] == 0
+  assert 0 < counts["maps"] <= 4
 
 
 def sequence_pairs(X):
@@ -519,6 +609,7 @@ def test_the_kernel_comparison_needs_a_bijection():
 
 
 def _diagrams_on(X):
+  # every sequence comes from exact_seq_from_sub and is dropped here
   for s1, s2 in sequence_pairs(X):
     kd = key_diagram(X, s1, s2)
     assert all(kd.verify().values())
