@@ -13,14 +13,15 @@ private ``_trusted`` constructors instead, which check nothing: subobjects
 and quotients (``sub_aset``, ``quotient_by``, after their admissibility
 check, or ``_sub_object``/``_quotient_object`` directly for a set closed by
 construction: a set of the lattice, or a union of orbits), the two maps
-of ``exact_seq_from_sub`` (after its lattice lookup), the maps
-``hom_maps`` finds (its search checks every equivariance square),
-composites (``ASetMap.compose``, after its carrier check), and the
+of ``exact_seq_from_sub`` (after its lattice lookup), ``identity_map``,
+the maps ``iter_hom_maps`` finds (its search checks every equivariance
+square), composites (``ASetMap.compose``, after its carrier check), and the
 quotients of ``coequalizer`` and ``pushout`` (their identifications are
 congruences; only the class names are checked distinct).
 
 Maps and isomorphisms come from one backtracking search,
-``_equivariant_maps``.  ``hom_maps`` lists every map it finds;
+``_equivariant_maps``.  ``iter_hom_maps`` yields the maps it finds one
+at a time, so a search for a witness stops at it; ``hom_maps`` lists them;
 ``find_isomorphism`` first compares the objects' ``iso_key`` (an invariant
 each object computes once and keeps) and then takes the first one-to-one map
 that sends each element to one of equal invariant.
@@ -595,7 +596,7 @@ class ASetMap:
 
 
 def identity_map(X):
-  return ASetMap(X, X, {x: x for x in X.elements})
+  return ASetMap._trusted(X, X, {x: x for x in X.elements})
 
 
 class ExactSeq:
@@ -967,8 +968,9 @@ def _equivariant_maps(X, Y, choices, injective):
       depth -= 1
 
 
-def hom_maps(X, Y):
-  """Every A-set map X → Y, by backtracking over images of nonbase elements.
+def iter_hom_maps(X, Y):
+  """Every A-set map X → Y, one at a time, by backtracking over images of
+  nonbase elements.
 
   Intended for small carriers; the partial-equivariance prune keeps the
   search far below |Y|^|X| in practice.  The search (shared with
@@ -976,13 +978,20 @@ def hom_maps(X, Y):
   elements of equal invariant) checks every equivariance square, so the
   maps found are built unchecked.  Maps come in lexicographic order of
   their images, nonbase elements in order, each image in the order of
-  ``Y.elements``.
+  ``Y.elements``.  The generator sets are compared on the call; the search
+  runs only as far as the caller reads, so a search for a witness stops
+  at it.
   """
   if set(X.action) != set(Y.action):
     raise InvalidStructure("hom needs a common acting generator set")
   choices = dict.fromkeys(X.nonbase(), Y.elements)
-  return [ASetMap._trusted(X, Y, m)
-          for m in _equivariant_maps(X, Y, choices, False)]
+  return (ASetMap._trusted(X, Y, m)
+          for m in _equivariant_maps(X, Y, choices, False))
+
+
+def hom_maps(X, Y):
+  """Every A-set map X → Y, as a list: ``iter_hom_maps`` read to its end."""
+  return list(iter_hom_maps(X, Y))
 
 
 # -- structure predicates --------------------------------------------------------------

@@ -20,6 +20,18 @@ half cannot go stale.  A ``PredicateClosureError`` is not kept: it is
 raised again on every call.  A ``QuotientHom`` is a map between the kept
 X′ and Y″; composing reads both off the representatives.
 
+What is checked where.  ``QuotientHom(...)`` and ``from_window`` check the
+representative they are given.  A rep that is a morphism by construction
+is built unchecked: ``hom_quotient`` takes the maps ``hom_maps`` finds,
+and ``from_ambient(f)`` restricts f to X′ and projects Y ↠ Y″, a composite
+of morphisms, from the trivial window, which every window refines.
+Composition has one checked routine, ``_composite``, which returns the
+composite of two reps as a dict; its two checks (f lands in Y′, the
+composite is equivariant) fail only under a predicate that is not Serre,
+and raise ``PredicateClosureError``.  ``compose_quotient`` wraps that
+dict unchecked, and condition (W)'s arrow test and ``_inverse`` compare it
+with a rep's mapping, building no map per composite.
+
 Isomorphism in M/C is decided without a morphism search: ``reduced_object``
 cuts X down to its minimal dense subobject and collapses that one's largest
 subobject in C, and two objects are isomorphic in M/C exactly when their
@@ -34,7 +46,7 @@ import weakref
 
 from .asets import (ASetMap, FiniteASet, aset_length, coequalizer,
                     exact_seq_from_sub, hom_maps, identity_map, is_rooted_tree,
-                    point_aset, support, wedge)
+                    iter_hom_maps, point_aset, support, wedge)
 from .errors import (InvalidStructure, NotIso, PredicateClosureError,
                      Undecidable)
 from .monoids import NatMonoid
@@ -400,7 +412,8 @@ class QuotientHom:
   for a map built outside the library, between objects with their carriers.
   The constructor refuses any other representative; ``from_window``
   canonicalizes one given at a coarser window, and ``_trusted`` (for
-  ``hom_quotient`` and ``compose_quotient``) checks nothing.
+  ``hom_quotient``, ``from_ambient`` and ``compose_quotient``) checks
+  nothing.
   """
 
   __slots__ = ("source", "target", "pred", "rep")
@@ -434,19 +447,25 @@ class QuotientHom:
     kernel, quo = _window_half(target, pred, 1)
     if not WindowPair(dense, kernel).refines(window):
       raise InvalidStructure("window does not refine to the canonical window")
-    # m lands in target/window.ykernel, whose survivors keep their names
-    # and whose basepoint is target.base; Y″ collapses the rest of the kernel
-    base, raw = target.base, m.mapping
-    rep = ASetMap(sub, quo, {x: base if raw[x] in kernel else raw[x]
-                             for x in sub.elements})
+    rep = ASetMap(sub, quo, _canonical_mapping(m, sub, kernel, target.base))
     return cls._trusted(source, target, pred, rep)
 
   @classmethod
   def from_ambient(cls, f, pred):
-    """The image of an honest A-set map under the quotient functor."""
-    trivial = WindowPair(frozenset(f.source.elements),
-                         frozenset({f.target.base}))
-    return cls.from_window(f.source, f.target, pred, trivial, f)
+    """The image of an honest A-set map f: X → Y under the quotient functor.
+
+    Its rep is f restricted to X′ and followed by Y ↠ Y″: a composite of
+    morphisms, so it is built unchecked.  f sits at the trivial window
+    (X, ∗), which every window refines, so no refinement is checked
+    either.  The window halves still raise ``PredicateClosureError`` for
+    a predicate that is not Serre.
+    """
+    source, target = f.source, f.target
+    sub = _dense_sub(source, pred)
+    kernel, quo = _window_half(target, pred, 1)
+    rep = ASetMap._trusted(sub, quo,
+                           _canonical_mapping(f, sub, kernel, target.base))
+    return cls._trusted(source, target, pred, rep)
 
   def is_zero(self):
     return all(v == self.rep.target.base for v in self.rep.mapping.values())
@@ -468,6 +487,17 @@ class QuotientHom:
             f": {pairs})")
 
 
+def _canonical_mapping(m, sub, kernel, base):
+  """m on X′ = ``sub``, with every image in the canonical kernel sent to ∗.
+
+  m lands in a quotient of Y by a smaller kernel, whose survivors keep
+  their names and whose basepoint is Y's; Y″ collapses the rest of the
+  kernel.
+  """
+  raw = m.mapping
+  return {x: base if raw[x] in kernel else raw[x] for x in sub.elements}
+
+
 def identity_quotient(X, pred):
   return QuotientHom.from_ambient(identity_map(X), pred)
 
@@ -480,45 +510,62 @@ def hom_quotient(X, Y, pred):
   return out
 
 
-def compose_quotient(f, g):
-  """g ∘ f for f: X → Y, g: Y → Z in M/C (diagrammatic argument order).
+def _composite(m, n):
+  """The mapping of m followed by n, for reps m: X′ → Y″ and n: Y′ → Z″.
 
   The composite of canonical representatives is computed by restriction to
-  D = f⁻¹(Y′ ∩ Y″) and descent of g; minimality of the canonical
-  subobject forces D to be the canonical subobject X′ of X again, so the
-  result needs no further normalization.  The canonical window of (X, Z)
-  is f's source half with g's target half.  No half is looked up: X′ and
-  Y″ are f's source and target, Y′ is g's source, and as f lands in Y″,
-  D is all of X′ exactly when f lands in Y′.
+  D = m⁻¹(Y′ ∩ Y″) and descent of n; minimality of the canonical
+  subobject forces D to be X′ again, so the result needs no further
+  normalization.  As m lands in Y″, D is all of X′ exactly when m lands in
+  Y′.  That, and the equivariance of the composite (each square, generator
+  by generator, in the order ``ASetMap`` checks them), are the two checks
+  that can fail, both only under a predicate that is not Serre; each
+  raises ``PredicateClosureError``.  The carriers and the basepoint hold
+  by construction.
   """
-  if not f.target.same_carrier(g.source) or f.pred != g.pred:
-    raise InvalidStructure("quotient morphisms do not compose")
-  sub, quo = f.rep.source, f.rep.target            # X′ and Y″
-  y_sub = g.rep.source._element_set                # Y′
-  if not y_sub.issuperset(f.rep.mapping.values()):
-    domain = sorted(x for x in sub.elements if f.rep(x) in y_sub)
+  sub, raw = m.source, m.mapping                   # X′
+  y_sub = n.source._element_set                    # Y′
+  if not y_sub.issuperset(raw.values()):
+    domain = sorted(x for x in sub.elements if raw[x] in y_sub)
     raise PredicateClosureError(
         "composite window is not admissible: the predicate fails closure "
         f"at domain {domain}")
-  mapping = {}
-  for x in sub.elements:
-    y = f.rep(x)
-    mapping[x] = g.rep.target.base if y == quo.base else g.rep(y)
-  try:
-    rep = ASetMap(sub, g.rep.target, mapping)
-  except InvalidStructure as err:
-    raise PredicateClosureError(
-        f"composite representative is not equivariant ({err}); "
-        "the predicate fails Serre closure") from err
+  images = n.mapping
+  mapping = {x: images[raw[x]] for x in sub.elements}
+  action = n.target.action
+  for g, gmap in sub.action.items():
+    tmap = action[g]
+    for x in sub.elements:
+      if mapping[gmap[x]] != tmap[mapping[x]]:
+        raise PredicateClosureError(
+            "composite representative is not equivariant (map is not "
+            f"equivariant at generator {g!r}, element {x!r}); "
+            "the predicate fails Serre closure")
+  return mapping
+
+
+def compose_quotient(f, g):
+  """g ∘ f for f: X → Y, g: Y → Z in M/C (diagrammatic argument order).
+
+  The rep is ``_composite`` of f's and g's, built unchecked.  The canonical
+  window of (X, Z) is f's source half with g's target half.  No half is
+  looked up: X′ and Y″ are the source and target of f's rep, and Y′ is
+  the source of g's.
+  """
+  if not f.target.same_carrier(g.source) or f.pred != g.pred:
+    raise InvalidStructure("quotient morphisms do not compose")
+  rep = ASetMap._trusted(f.rep.source, g.rep.target, _composite(f.rep, g.rep))
   return QuotientHom._trusted(f.source, g.target, f.pred, rep)
 
 
 def _inverse(f):
-  """f's two-sided inverse in M/C, or None."""
-  ident_s = identity_quotient(f.source, f.pred)
-  ident_t = identity_quotient(f.target, f.pred)
+  """f's two-sided inverse in M/C, or None: the first g of ``hom_quotient``
+  whose composites with f are the identities' reps."""
+  ident_s = identity_quotient(f.source, f.pred).rep.mapping
+  ident_t = identity_quotient(f.target, f.pred).rep.mapping
   for g in hom_quotient(f.target, f.source, f.pred):
-    if compose_quotient(f, g) == ident_s and compose_quotient(g, f) == ident_t:
+    if _composite(f.rep, g.rep) == ident_s \
+       and _composite(g.rep, f.rep) == ident_t:
       return g
   return None
 
@@ -535,7 +582,7 @@ def monic_representative(f):
   m: X′ → Y″ of f that is injective and admits p: Y″ → X′ with p ∘ m = id.
   Each window's X′ and Y″ are the objects ``subquotient`` keeps on the
   source and the target, so m's source and target are shared: never
-  rename them.
+  rename them.  Both searches stop at their witness.
   """
   if not is_iso_quotient(f):
     raise NotIso("monic_representative needs an isomorphism of M/C")
@@ -546,15 +593,15 @@ def monic_representative(f):
   for w in windows:
     sub = f.source.subquotient(w.xsub)[0]
     quo = f.target.subquotient(w.ykernel)[1]
-    for m in hom_maps(sub, quo):
+    for m in iter_hom_maps(sub, quo):
       if not m.is_injective():
         continue
       if QuotientHom.from_window(f.source, f.target, f.pred, w, m).rep.mapping \
          != canon:
         continue
-      for p in hom_maps(quo, sub):
-        if all(p(m(x)) == x for x in sub.elements):
-          return m
+      if any(all(p(m(x)) == x for x in sub.elements)
+             for p in iter_hom_maps(quo, sub)):
+        return m
   raise NotIso("no retract representative found in the finite window poset")
 
 
@@ -567,7 +614,8 @@ def _iso_candidates(V, pred):
   Three families: dense subobjects (φ the inclusion), quotients by kernels
   in C (φ the inverse of the projection), and wedges with a C-object (φ the
   collapse).  Each S, V/K and K is V's own lattice object, with its map
-  from ``exact_seq_from_sub``.
+  from ``exact_seq_from_sub``.  The collapse W → V is a morphism (T's
+  copy is action-closed in W), so it is built unchecked.
   """
   cands = []
   for s in admissible_subs(V, pred):
@@ -586,7 +634,8 @@ def _iso_candidates(V, pred):
     W, inc_v, inc_t = wedge(V, T)
     collapse = {inc_v(x): x for x in V.elements}
     collapse.update({inc_t(t): V.base for t in T.elements})
-    cands.append((W, QuotientHom.from_ambient(ASetMap(W, V, collapse), pred)))
+    cands.append((W, QuotientHom.from_ambient(
+        ASetMap._trusted(W, V, collapse), pred)))
   return cands
 
 
@@ -596,14 +645,17 @@ def check_condition_w(V, pred, pair_bound=40):
   Verifies (a) sampled pairs of candidate objects admit a common bound
   receiving honest maps compatible with the structure isos, and (b) sampled
   parallel pairs admit a weak coequalizer, built as the genuine coequalizer
-  in M and verified to remain invertible over V.
+  in M and verified to remain invertible over V.  An arrow a → b is an
+  honest map u with pb ∘ u = pa in M/C; it is tested on the reps' dicts,
+  and the maps u are enumerated only as far as the search reads.
   """
   cands = _iso_candidates(V, pred)
 
   def arrows(a, b):
     (Xa, pa), (Xb, pb) = a, b
-    for u in hom_maps(Xa, Xb):
-      if compose_quotient(QuotientHom.from_ambient(u, pred), pb) == pa:
+    for u in iter_hom_maps(Xa, Xb):
+      if _composite(QuotientHom.from_ambient(u, pred).rep, pb.rep) \
+         == pa.rep.mapping:
         yield u
 
   reaches = {}

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoidkit import serre
-from monoidkit.asets import (ASetMap, FiniteASet, cycle_nset,
+from monoidkit.asets import (ASetMap, FiniteASet, coequalizer, cycle_nset,
                              exact_seq_from_sub, hom_maps, nat_set, point_aset,
-                             product, truncated_line)
+                             product, truncated_line, wedge)
 from monoidkit.corpora import (all_gamma_asets, all_nilpotent_asets,
                                all_nsets, random_nset)
 from monoidkit.errors import InvalidStructure, NotIso, PredicateClosureError
@@ -796,12 +796,17 @@ def test_condition_w_with_zero_predicate_is_trivial():
 def test_condition_w_searches_each_ordered_pair_once_per_part(monkeypatch):
   """The upper-bound part decides "some arrow a → c" once per ordered pair
   of candidates; the weak-coequalizer part searches each pair once more at
-  most.  Every verdict on the N-sets to 5 elements is True."""
+  most.  Every verdict on the N-sets to 5 elements is True.  A search is
+  a call of either enumerator: the arrow searches read ``iter_hom_maps``,
+  ``hom_quotient`` lists ``hom_maps``."""
   searches = []
-  hom = serre.hom_maps
+
+  def counted(search):
+    return lambda X, Y: searches.append((X, Y)) or search(X, Y)
+
   # the objects are kept, so no id is reused within one call
-  monkeypatch.setattr(serre, "hom_maps", lambda X, Y: searches.append(
-      (X, Y)) or hom(X, Y))
+  for name in ("hom_maps", "iter_hom_maps"):
+    monkeypatch.setattr(serre, name, counted(getattr(serre, name)))
   preds = [TORSION, SerrePredicate.zero(N),
            SerrePredicate.support_in(N, ["(t)"])]
   total = 0
@@ -812,6 +817,302 @@ def test_condition_w_searches_each_ordered_pair_once_per_part(monkeypatch):
     assert max(counts.values(), default=0) <= 2, V
     total += len(searches)
   assert total > 1000
+
+
+def test_condition_w_validates_no_map_and_reads_no_map_past_a_witness(
+    monkeypatch):
+  """Under each predicate of the ``quotient_laws`` benchmark, one
+  check_condition_w builds no map through the validating ``ASetMap(...)``
+  (the public ``from_window`` keeps one, and is not on this path), and each
+  arrow search reads maps only up to its witness: it ends at an arrow, or
+  at the end of the hom-set, and reads at most two arrows."""
+  V = nat_set({"a": "b", "b": STAR, "c": "d", "d": "c"})
+  validated, runs = [], []
+  init, candidates = ASetMap.__init__, serre._iso_candidates
+  enumerate_maps = serre.iter_hom_maps
+
+  def counted_init(self, *args):
+    validated.append(args)
+    init(self, *args)
+
+  def kept_candidates(V, pred):
+    runs.append((pred, candidates(V, pred), []))
+    return runs[-1][1]
+
+  def read(X, Y):
+    pulled = []
+    runs[-1][2].append((X, Y, pulled))
+    for u in enumerate_maps(X, Y):
+      pulled.append(u)
+      yield u
+
+  monkeypatch.setattr(ASetMap, "__init__", counted_init)
+  monkeypatch.setattr(serre, "_iso_candidates", kept_candidates)
+  monkeypatch.setattr(serre, "iter_hom_maps", read)
+  for pred in (TORSION, SerrePredicate.zero(N),
+               SerrePredicate.support_in(N, ["(t)"])):
+    assert check_condition_w(V, pred, pair_bound=25) is True
+  monkeypatch.undo()
+  assert validated == []
+  read_maps = listed_maps = 0
+  for pred, cands, searches in runs:
+    assert searches, pred
+    for X, Y, pulled in searches:
+      (_, pa), = [c for c in cands if c[0] is X]
+      (_, pb), = [c for c in cands if c[0] is Y]
+      arrows = [compose_quotient(QuotientHom.from_ambient(u, pred), pb) == pa
+                for u in pulled]
+      listed = hom_maps(X, Y)
+      assert [u.mapping for u in pulled] == \
+          [u.mapping for u in listed[:len(pulled)]]
+      assert sum(arrows) <= 2 and (len(pulled) == len(listed) or arrows[-1])
+      read_maps += len(pulled)
+      listed_maps += len(listed)
+  assert read_maps < listed_maps, (read_maps, listed_maps)
+
+
+# ------------------------------------------ condition (W) against its oracle
+#
+# from_ambient, compose_quotient, _inverse, _iso_candidates and
+# check_condition_w as first written: every rep through the public,
+# checking ASetMap, every composite a QuotientHom compared as one, and
+# every hom-set listed in full.
+
+
+def oracle_from_ambient(f, pred):
+  trivial = WindowPair(frozenset(f.source.elements),
+                       frozenset({f.target.base}))
+  return QuotientHom.from_window(f.source, f.target, pred, trivial, f)
+
+
+def oracle_identity(X, pred):
+  return oracle_from_ambient(ASetMap(X, X, {x: x for x in X.elements}), pred)
+
+
+def oracle_composite(m, n):
+  """The rep of compose_quotient as first written, for reps m and n."""
+  sub, quo = m.source, m.target                    # X′ and Y″
+  y_sub = n.source._element_set                    # Y′
+  if not y_sub.issuperset(m.mapping.values()):
+    domain = sorted(x for x in sub.elements if m(x) in y_sub)
+    raise PredicateClosureError(
+        "composite window is not admissible: the predicate fails closure "
+        f"at domain {domain}")
+  mapping = {}
+  for x in sub.elements:
+    y = m(x)
+    mapping[x] = n.target.base if y == quo.base else n(y)
+  try:
+    return ASetMap(sub, n.target, mapping)
+  except InvalidStructure as err:
+    raise PredicateClosureError(
+        f"composite representative is not equivariant ({err}); "
+        "the predicate fails Serre closure") from err
+
+
+def oracle_compose_quotient(f, g):
+  if not f.target.same_carrier(g.source) or f.pred != g.pred:
+    raise InvalidStructure("quotient morphisms do not compose")
+  return QuotientHom._trusted(f.source, g.target, f.pred,
+                              oracle_composite(f.rep, g.rep))
+
+
+def oracle_inverse(f):
+  ident_s = oracle_identity(f.source, f.pred)
+  ident_t = oracle_identity(f.target, f.pred)
+  for g in hom_quotient(f.target, f.source, f.pred):
+    if oracle_compose_quotient(f, g) == ident_s and \
+       oracle_compose_quotient(g, f) == ident_t:
+      return g
+  return None
+
+
+def oracle_iso_candidates(V, pred):
+  cands = []
+  for s in admissible_subs(V, pred):
+    seq = exact_seq_from_sub(V, s)
+    cands.append((seq.sub, oracle_from_ambient(seq.i, pred)))
+  kernels = admissible_kernels(V, pred)
+  for k in kernels:
+    seq = exact_seq_from_sub(V, k)
+    g = oracle_inverse(oracle_from_ambient(seq.p, pred))
+    if g is not None:
+      cands.append((seq.quotient, g))
+  for k in kernels:
+    if len(k) == 1:
+      continue
+    T = V.subquotient(k)[0]
+    W, inc_v, inc_t = wedge(V, T)
+    collapse = {inc_v(x): x for x in V.elements}
+    collapse.update({inc_t(t): V.base for t in T.elements})
+    cands.append((W, oracle_from_ambient(ASetMap(W, V, collapse), pred)))
+  return cands
+
+
+def oracle_check_condition_w(V, pred, pair_bound=40):
+  cands = oracle_iso_candidates(V, pred)
+
+  def arrows(a, b):
+    (Xa, pa), (Xb, pb) = a, b
+    for u in hom_maps(Xa, Xb):
+      if oracle_compose_quotient(oracle_from_ambient(u, pred), pb) == pa:
+        yield u
+
+  reaches = {}
+
+  def reach(a, c):
+    if (a, c) not in reaches:
+      reaches[a, c] = next(arrows(cands[a], cands[c]), None) is not None
+    return reaches[a, c]
+
+  for a, b in itertools.islice(
+      itertools.combinations(range(len(cands)), 2), pair_bound):
+    if not any(reach(a, c) and reach(b, c) for c in range(len(cands))):
+      return False
+
+  checked = 0
+  for a, b in itertools.combinations(cands, 2):
+    if checked >= pair_bound:
+      break
+    pair = list(itertools.islice(arrows(a, b), 2))
+    if len(pair) < 2:
+      continue
+    checked += 1
+    u, v = pair
+    Q, proj = coequalizer(u, v)
+    pq = oracle_from_ambient(proj, pred)
+    if oracle_inverse(pq) is None:
+      return False
+  return True
+
+
+def condition_w_corpus():
+  """(V, pred) pairs: the N-sets with at most 4 non-base elements under
+  torsion, zero, support in (t), finite length and the two lists of
+  ``window_corpus`` that are not Serre, and the Z/2₊-sets to 5 elements
+  under zero, finite length and support in each set of primes."""
+  nat_preds = [TORSION, SerrePredicate.zero(N),
+               SerrePredicate.support_in(N, ["(t)"]),
+               SerrePredicate.finite_length(N),
+               SerrePredicate.explicit(N, [point_aset(N), truncated_line(1)]),
+               SerrePredicate.explicit(N, [truncated_line(1)])]
+  z2_preds = [SerrePredicate.zero(Z2), SerrePredicate.finite_length(Z2),
+              SerrePredicate.support_in(Z2, []), SerrePredicate.everything(Z2)]
+  return ([(V, p) for V in all_nsets(5) for p in nat_preds]
+          + [(V, p) for V, _ in all_gamma_asets(Z2, 5) for p in z2_preds])
+
+
+def observed(fn, *args):
+  """fn's value, or the type and message of what it raised."""
+  try:
+    return fn(*args)
+  except Exception as err:        # every error is compared, of any type
+    return type(err), str(err)
+
+
+def mapping_of(f):
+  return None if f is None else f.rep.mapping
+
+
+def recording(calls, fn):
+  """fn, appending (args, value or (type, message) raised) to ``calls``."""
+  def call(*args):
+    try:
+      out = fn(*args)
+    except Exception as err:
+      calls.append((args, (type(err), str(err))))
+      raise
+    calls.append((args, out))
+    return out
+  return call
+
+
+def test_condition_w_matches_its_oracle(monkeypatch):
+  """On every (V, pred) of the corpus: the verdict, the candidates, every
+  ambient image and every composite that condition (W) computes, the
+  inverses of the candidates and of every endomorphism of V, and the
+  public composites with identities, equal the oracle's, and so do the
+  type and message of everything raised."""
+  composites, images = [], []
+  monkeypatch.setattr(serre, "_composite",
+                      recording(composites, serre._composite))
+  monkeypatch.setattr(QuotientHom, "from_ambient", staticmethod(
+      recording(images, QuotientHom.from_ambient)))
+  tally = collections.Counter()
+  for V, pred in condition_w_corpus():
+    composites.clear()
+    images.clear()
+    got = observed(check_condition_w, V, pred, 25)
+    assert got == observed(oracle_check_condition_w, V, pred, 25), (V, pred)
+    tally[got if isinstance(got, bool) else got[0].__name__] += 1
+    for (u, _), image in images:
+      assert image == observed(oracle_from_ambient, u, pred), (V, pred)
+    for (m, n), mapping in composites:
+      want = observed(lambda: oracle_composite(m, n).mapping)
+      assert mapping == want, (V, pred, m.mapping, n.mapping)
+      tally[mapping[1].split(":")[0].split(" (")[0]
+            if isinstance(mapping, tuple) else "composites"] += 1
+    cands = observed(serre._iso_candidates, V, pred)
+    want = observed(oracle_iso_candidates, V, pred)
+    if isinstance(want, tuple):
+      assert cands == want, (V, pred)
+      continue
+    assert [(X.elements, X.action, p.rep.mapping) for X, p in cands] == \
+        [(X.elements, X.action, p.rep.mapping) for X, p in want], (V, pred)
+    # the structure isos, and V's first four endomorphisms (mostly not isos)
+    ends = observed(hom_quotient, V, V, pred)
+    for f in [p for _, p in cands] + ([] if isinstance(ends, tuple) else ends[:4]):
+      inverse = observed(lambda: mapping_of(serre._inverse(f)))
+      assert inverse == observed(lambda: mapping_of(oracle_inverse(f))), \
+          (V, pred)
+      tally["no inverse" if inverse is None else "inverse"] += 1
+    for X, p in cands:
+      for f, g in ((identity_quotient(X, pred), p),
+                   (p, identity_quotient(V, pred))):
+        assert compose_quotient(f, g) == oracle_compose_quotient(f, g)
+  assert (tally[True], tally[False], tally["PredicateClosureError"]) == \
+      (346, 5, 105)
+  assert tally["composite representative is not equivariant"] == 2
+  assert tally["composites"] > 50000
+  assert tally["inverse"] > 0 and tally["no inverse"] > 0
+
+
+def check_rep(rep, mapping):
+  """rep passes the public ASetMap(...) and has ``mapping``."""
+  assert ASetMap(rep.source, rep.target, rep.mapping).mapping == rep.mapping
+  assert rep.mapping == mapping
+
+
+def test_unchecked_quotient_reps_pass_the_public_constructor(monkeypatch):
+  """Every rep from_ambient builds while condition (W) runs on the corpus,
+  the identities of V and of each candidate, and the composites of each
+  structure iso with them, all built unchecked, pass ``ASetMap(...)`` and
+  equal what they are by definition: f on X′ followed by Y ↠ Y″, and the
+  composite of the two reps."""
+  images = []
+  monkeypatch.setattr(QuotientHom, "from_ambient", staticmethod(
+      recording(images, QuotientHom.from_ambient)))
+  checked = 0
+  for V, pred in condition_w_corpus():
+    images.clear()
+    try:
+      check_condition_w(V, pred, 25)
+      cands = serre._iso_candidates(V, pred)
+    except PredicateClosureError:
+      continue
+    for X, p in cands:
+      # identity_quotient is from_ambient of the identity: an image too
+      for g, h in ((identity_quotient(X, pred), p),
+                   (p, identity_quotient(V, pred))):
+        check_rep(compose_quotient(g, h).rep,
+                  {x: h.rep(g.rep(x)) for x in g.rep.source.elements})
+        checked += 1
+    for (u, _), f in images:
+      kernel, base = maximal_kernel(f.target, pred), f.target.base
+      check_rep(f.rep, {x: base if u(x) in kernel else u(x)
+                        for x in minimal_dense_sub(f.source, pred)})
+      checked += 1
+  assert checked > 10000
 
 
 # ----------------------------------------------- quotient versus localization
