@@ -16,8 +16,8 @@ construction: a set of the lattice, or a union of orbits), the two maps
 of ``exact_seq_from_sub`` (after its lattice lookup), ``identity_map``,
 the maps ``iter_hom_maps`` finds (its search checks every equivariance
 square), composites (``ASetMap.compose``, after its carrier check), and the
-quotients of ``coequalizer`` and ``pushout`` (their identifications are
-congruences; only the class names are checked distinct).
+quotient of ``coequalizer`` (its identification is a congruence; only the
+class names are checked distinct).
 
 Maps and isomorphisms come from one backtracking search,
 ``_equivariant_maps``.  ``iter_hom_maps`` yields the maps it finds one
@@ -40,8 +40,10 @@ inside a bucket; a canonical key's bucket holds one class, so its lookup is
 a dict lookup.
 
 The category is not abelian, but images, kernels, cokernels, fiber products,
-pushouts and coequalizers all exist on finite carriers and are constructed
-here explicitly.
+pushouts and coequalizers all exist on finite carriers.  Kernels,
+cokernels, wedges, smash products and coequalizers are constructed here;
+the key diagram (``diagrams``) decides its fiber product and pushouts on
+the carriers without building them.
 """
 
 from __future__ import annotations
@@ -718,30 +720,6 @@ def point_aset(monoid, base=STAR):
   return FiniteASet(monoid, [base], action, base, name="point")
 
 
-def _pair_object(X, Y, pairs, name):
-  """(P, to X, to Y) on ``pairs``, labelled "(x,y)", diagonal action; the
-  caller guarantees that ``pairs`` is an action-closed pointed subset."""
-  if X.monoid != Y.monoid or set(X.action) != set(Y.action):
-    raise InvalidStructure("a product needs a common acting monoid")
-  label = {p: f"({p[0]},{p[1]})" for p in pairs}
-  if len(set(label.values())) != len(label):
-    raise InvalidStructure("two pairs have the same label")
-  action = {g: {label[p]: label[(gx[p[0]], Y.action[g][p[1]])] for p in pairs}
-            for g, gx in X.action.items()}
-  P = FiniteASet._trusted(X.monoid, list(label.values()), action,
-                          label[(X.base, Y.base)], name)
-  proj_x = ASetMap._trusted(P, X, {label[p]: p[0] for p in pairs})
-  proj_y = ASetMap._trusted(P, Y, {label[p]: p[1] for p in pairs})
-  return P, proj_x, proj_y
-
-
-def product(X, Y, name=None):
-  """Cartesian product with diagonal action and basepoint pair; projections
-  (equivariant, though not pointed-set sections)."""
-  return _pair_object(X, Y, [(x, y) for x in X.elements for y in Y.elements],
-                      name)
-
-
 class _UnionFind:
   def __init__(self, items):
     self.parent = {x: x for x in items}
@@ -852,55 +830,6 @@ def coequalizer(f, g):
             for g, gmap in Y.action.items()}
   Q = FiniteASet._trusted(Y.monoid, carrier, action, Y.base)
   return Q, ASetMap._trusted(Y, Q, proj)
-
-
-def fiber_product(f, g, name=None):
-  """(P, to_source_of_f, to_source_of_g) for maps f: X→Z ← Y :g.
-
-  P is the subobject of X × Y where f(x) = g(y), with the product's order
-  and labels, found by a hash join on Z.
-  """
-  if not f.target.same_carrier(g.target):
-    raise InvalidStructure("fiber product needs a common target")
-  over = {}
-  for y in g.source.elements:
-    over.setdefault(g.mapping[y], []).append(y)
-  pairs = [(x, y) for x in f.source.elements
-           for y in over.get(f.mapping[x], ())]
-  return _pair_object(f.source, g.source, pairs, name)
-
-
-def pushout(f, g):
-  """(Q, X → Q, Y → Q): the pushout of a span X <--f-- W --g--> Y.
-
-  Q is the coequalizer of f and g followed into the wedge X ∨ Y, found by
-  one union-find pass on the wedge's names without building the wedge: the
-  same names, action and legs as ``wedge`` then ``coequalizer``.  Q's
-  action is read through the legs.
-
-  Contract: f and g are morphisms (any span, monic or not).  Q and the legs
-  are built unchecked; only the wedge's and the classes' names are checked
-  distinct (``InvalidStructure``).
-  """
-  if not f.source.same_carrier(g.source):
-    raise InvalidStructure("pushout legs must share their source")
-  X, Y = f.target, g.target
-  to_x, to_y, elements = _wedge_names(X, Y)
-  uf = _UnionFind(elements)
-  fm, gm = f.mapping, g.mapping
-  for w in f.source.elements:
-    uf.union(to_x[fm[w]], to_y[gm[w]])
-  proj, carrier = _class_names(elements, X.base, uf)
-  jx = {x: proj[v] for x, v in to_x.items()}
-  jy = {y: proj[v] for y, v in to_y.items()}
-  action = {}
-  for gen, gx in X.action.items():
-    gy = Y.action[gen]
-    m = {jx[x]: jx[gx[x]] for x in X.elements}
-    m.update((jy[y], jy[gy[y]]) for y in Y.elements)
-    action[gen] = m
-  Q = FiniteASet._trusted(X.monoid, carrier, action, X.base)
-  return Q, ASetMap._trusted(X, Q, jx), ASetMap._trusted(Y, Q, jy)
 
 
 def _equivariant_maps(X, Y, choices, injective):

@@ -19,18 +19,16 @@ Every diagram on X shares X's subquotient objects and subobject lattice
 (``FiniteASet.subquotient``); only the maps and the checks are per diagram.
 Per pair of sequences, ``KeyDiagram`` builds the eight square legs and the
 two derived sequences' four maps, all unchecked: the subsets are members of
-X's lattice and nested, so each leg is a morphism.  ``verify`` adds the
-fiber product of the monic cospan, the two pushouts (``pushout``, one
-union-find pass each, no wedge object), the product of the two quotients,
-and four validated maps, which are the checks themselves: the pullback
-witness, the product embedding and the two factorizations through the
-pushouts.  It composes no maps.
+X's lattice and nested, so each leg is a morphism.  ``verify`` decides every
+entry on X's carrier and the legs' mappings: a hash join for the pullback,
+one union-find pass over the tagged wedge for each pushout, the set of
+pairs for the product embedding, and the action closure of the meet and
+the join.  It builds no object and no map, and composes none.
 """
 
 from __future__ import annotations
 
-from .asets import (ASetMap, exact_seq_from_sub, fiber_product, is_exact,
-                    product, pushout)
+from .asets import ASetMap, exact_seq_from_sub, is_exact
 from .errors import InvalidStructure
 
 
@@ -48,27 +46,51 @@ def _commutes(corner, first, then, other_first, other_then):
   return all(b[a[x]] == d[c[x]] for x in corner.elements)
 
 
-def _legs_factor_as_iso(Q, legs, target):
-  """Does the cocone factor through Q by an isomorphism?
+def _equivariant(m):
+  """Does m commute with every generator, at every element?"""
+  mp, action = m.mapping, m.target.action
+  return all(mp[gmap[x]] == action[g][mp[x]]
+             for g, gmap in m.source.action.items() for x in m.source.elements)
 
-  ``legs`` is a tuple of (corner, corner → Q, corner → target).  Every
-  element of Q must be hit by some leg (true for our pushouts);
-  the universal map exists iff the leg assignments agree on overlaps.
+
+def _pushout_is(f, g, to_1, to_2):
+  """Is the cocone (to_1, to_2) under the span A <-f- W -g-> B a pushout?
+
+  The pushout's elements are the classes of the wedge of A and B (the
+  basepoints glued) under f(w) ~ g(w).  The cocone descends to them when
+  it agrees across each such pair and at the basepoints, which it must
+  send to T's.  One union-find pass over the tagged wedge (node i for A's
+  i-th element, len(A) + j for B's j-th) counts the classes; the induced
+  map is one-to-one onto T when they are as many as T's elements and the
+  legs cover T.  The pushout's action is read through its legs, so the
+  induced map is equivariant when the legs are.
   """
-  assignment = {}
-  for corner, to_q, to_target in legs:
-    for x in corner.elements:
-      q = to_q(x)
-      t = to_target(x)
-      if assignment.setdefault(q, t) != t:
-        return False          # cocone does not descend to Q
-  if set(assignment) != set(Q.elements):
-    return False              # legs do not jointly cover Q
-  try:
-    w = ASetMap(Q, target, assignment)
-  except InvalidStructure:
-    return False
-  return w.is_isomorphism()
+  A, B, T = f.target, g.target, to_1.target
+  fm, gm, c1, c2 = f.mapping, g.mapping, to_1.mapping, to_2.mapping
+  if c1[A.base] != T.base or c2[B.base] != T.base \
+     or any(c1[fm[w]] != c2[gm[w]] for w in f.source.elements):
+    return False              # the cocone does not descend, or misses ∗
+  n, m = len(A.elements), len(B.elements)
+  node_1 = dict(zip(A.elements, range(n)))
+  node_2 = dict(zip(B.elements, range(n, n + m)))
+  node_2[B.base] = node_1[A.base]
+  parent = list(range(n + m))
+
+  def find(i):
+    while parent[i] != i:
+      parent[i] = parent[parent[i]]
+      i = parent[i]
+    return i
+
+  classes = n + m - 1
+  for w in f.source.elements:
+    a, b = find(node_1[fm[w]]), find(node_2[gm[w]])
+    if a != b:
+      parent[a] = b
+      classes -= 1
+  return (classes == len(T.elements)
+          and set(c1.values()) | set(c2.values()) == T._element_set
+          and _equivariant(to_1) and _equivariant(to_2))
 
 
 class KeyDiagram:
@@ -141,8 +163,15 @@ class KeyDiagram:
     kernels iff it lies below their intersection).
 
     Distinguished means that q12_2 restricts to a bijection of ker q12_1
-    onto ker q2_u, and q12_1 one of ker q12_2 onto ker q1_u.  The lattice is
-    X's ``subobject_lattice()``, walked once per object.
+    onto ker q2_u, and q12_1 one of ker q12_2 onto ker q1_u.
+
+    Every entry is decided on X's carrier and the legs' mappings, and each
+    can fail; no object or map is built.  The ambient pullback is a hash
+    join of X'1 and X'2 over X', the two pushouts are one union-find pass
+    each (``_pushout_is``), and the product embedding is the set of pairs
+    (q12_1 x, q12_2 x).  The lattice entries test that the meet and the
+    join are subobjects: ``s12`` is S1 ∩ S2, ``su`` is S1 ∪ S2, and each
+    holds ∗ and is closed under every generator.
     """
     out = {}
 
@@ -156,39 +185,40 @@ class KeyDiagram:
     out["meet_sequence_exact"] = is_exact(self.seq_meet)
     out["join_sequence_exact"] = is_exact(self.seq_join)
 
-    # -- monic square: genuine ambient pullback
-    FP, f1, f2 = fiber_product(self.i1_u, self.i2_u)
-    try:
-      # the canonical map sub12 → FP is x ↦ (x, x); match via projections
-      witness = {(f1(e), f2(e)): e for e in FP.elements}
-      m = ASetMap(self.sub12, FP,
-                  {x: witness[(x, x)] for x in self.sub12.elements})
-      out["monic_square_ambient_pullback"] = m.is_isomorphism()
-    except (KeyError, InvalidStructure):
-      out["monic_square_ambient_pullback"] = False
+    # -- monic square: genuine ambient pullback.  X'12 → X'1 ×_X' X'2 is an
+    # isomorphism when the fiber product's pairs are exactly the diagonal
+    # of X'12 and x ↦ (x, x) is equivariant.
+    over = {}
+    for y, z in self.i2_u.mapping.items():
+      over.setdefault(z, []).append(y)
+    pairs = {(x, y) for x, z in self.i1_u.mapping.items()
+             for y in over.get(z, ())}
+    meet = self.sub12
+    a1, a2 = self.sub1.action, self.sub2.action
+    out["monic_square_ambient_pullback"] = (
+        pairs == {(x, x) for x in meet.elements}
+        and all(a1[g][x] == gmap[x] == a2[g][x]
+                for g, gmap in meet.action.items() for x in meet.elements))
 
     # -- monic square: genuine ambient pushout
-    PO, j1, j2 = pushout(self.i12_1, self.i12_2)
-    out["monic_square_ambient_pushout"] = _legs_factor_as_iso(
-        PO, ((self.sub1, j1, self.i1_u), (self.sub2, j2, self.i2_u)),
-        self.sub_u)
+    out["monic_square_ambient_pushout"] = _pushout_is(
+        self.i12_1, self.i12_2, self.i1_u, self.i2_u)
 
-    # -- lattice universal properties, quantified over every subobject of X.
-    # On the monic side these say S12 is the meet and Su the join.  Read on
-    # the quotient side they are exactly the cone conditions: X/K admits a
-    # cone over the cospan X''1 → X'' ← X''2 iff K ≤ S1 and K ≤ S2, and it
-    # factors through X''12 iff K ≤ S12; dually for cocones under the span.
-    subs = self.X.subobject_lattice()
-    out["lattice_meet"] = all(
-        (k <= self.s1 and k <= self.s2) == (k <= self.s12) for k in subs)
-    out["lattice_join"] = all(
-        (k >= self.s1 and k >= self.s2) == (k >= self.su) for k in subs)
+    # -- the meet and the join are subobjects.  As S12 and Su are the set
+    # meet and join, this is the lattice universal property: k ≤ S1 and
+    # k ≤ S2 iff k ≤ S12, and dually.  Read on the quotient side these are
+    # the cone conditions: X/K admits a cone over the cospan X''1 → X'' ←
+    # X''2 iff K ≤ S1 and K ≤ S2, and it factors through X''12 iff K ≤ S12;
+    # dually for cocones under the span.
+    X = self.X
+    out["lattice_meet"] = (self.s12 == self.s1 & self.s2
+                           and X.is_admissible_subset(self.s12))
+    out["lattice_join"] = (self.su == self.s1 | self.s2
+                           and X.is_admissible_subset(self.su))
 
     # -- epic square: genuine ambient pushout
-    Q, k1, k2 = pushout(self.q12_1, self.q12_2)
-    out["epic_square_ambient_pushout"] = _legs_factor_as_iso(
-        Q, ((self.quo1, k1, self.q1_u), (self.quo2, k2, self.q2_u)),
-        self.quo_u)
+    out["epic_square_ambient_pushout"] = _pushout_is(
+        self.q12_1, self.q12_2, self.q1_u, self.q2_u)
 
     # -- epic square: kernel comparison (distinguished in both directions)
     out["epic_square_kernel_comparison_1"] = _kernels_correspond(
@@ -196,15 +226,12 @@ class KeyDiagram:
     out["epic_square_kernel_comparison_2"] = _kernels_correspond(
         self.q12_1, self.q12_2, self.q1_u)
 
-    # -- the quotient by the meet embeds in the product of the quotients
-    P, pr1, pr2 = product(self.quo1, self.quo2)
-    pair_of = {}
-    for e in P.elements:
-      pair_of.setdefault((pr1(e), pr2(e)), e)
-    emb = ASetMap(self.quo12, P,
-                  {x: pair_of[(self.q12_1(x), self.q12_2(x))]
-                   for x in self.quo12.elements})
-    out["meet_quotient_embeds_in_product"] = emb.is_injective()
+    # -- the quotient by the meet embeds in the product of the quotients:
+    # x ↦ (q12_1 x, q12_2 x) is one-to-one
+    b1, b2 = self.q12_1.mapping, self.q12_2.mapping
+    out["meet_quotient_embeds_in_product"] = (
+        len({(b1[x], b2[x]) for x in self.quo12.elements})
+        == len(self.quo12.elements))
 
     return out
 

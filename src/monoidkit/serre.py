@@ -652,10 +652,15 @@ def check_condition_w(V, pred, pair_bound=40):
   cands = _iso_candidates(V, pred)
 
   def arrows(a, b):
+    # u's image in M/C has the rep u on Xa′ followed by Xb ↠ Xb″: Xa′ is
+    # pa's source, and Xb's target half is read once per pair
     (Xa, pa), (Xb, pb) = a, b
+    sub = pa.rep.source
+    kernel, quo = _window_half(Xb, pred, 1)
     for u in iter_hom_maps(Xa, Xb):
-      if _composite(QuotientHom.from_ambient(u, pred).rep, pb.rep) \
-         == pa.rep.mapping:
+      rep = ASetMap._trusted(
+          sub, quo, _canonical_mapping(u, sub, kernel, Xb.base))
+      if _composite(rep, pb.rep) == pa.rep.mapping:
         yield u
 
   reaches = {}

@@ -10,14 +10,14 @@ from monoidkit import corpora
 from monoidkit.asets import (ASetMap, ExactSeq, FiniteASet, NotFiniteLength,
                              aset_length, coequalizer,
                              cokernel, cycle_nset, exact_seq_from_sub,
-                             fiber_product, hom_maps, identity_map,
+                             hom_maps, identity_map,
                              irreducible_chain, is_exact, is_pc_aset,
                              is_rooted_tree, kernel,
                              nat_set, orbit_decomposition, point_aset,
-                             product, pushout, smash, support,
-                             truncated_line, wedge)
+                             smash, support, truncated_line, wedge)
 from monoidkit.errors import InvalidStructure
 from monoidkit.monoids import STAR, FiniteMonoid, NatMonoid
+from test_diagrams import fiber_product, product, pushout
 
 import math
 

@@ -1,13 +1,17 @@
 """Distinguished squares and the nine-object diagram.
 
-The constructions ``KeyDiagram.verify`` stands on are checked here against
-their first, plain versions, kept as oracles: ``oracle_fiber_product``
-filters the whole product, ``oracle_coequalizer`` sweeps every element
-until nothing changes, and ``oracle_verify`` builds every kernel as an
-object and compares kernels by an isomorphism search.
+``KeyDiagram.verify`` decides its entries on X's carrier and the legs'
+mappings.  The constructions it stood on before, the product, the fiber
+product, the pushout and the factorization of a cocone through a pushout,
+are kept here as the oracles of those checks, and are checked in turn
+against their first, plain versions: ``oracle_fiber_product`` filters the
+whole product, ``oracle_coequalizer`` sweeps every element until nothing
+changes, and ``oracle_verify`` builds every kernel as an object and
+compares kernels by an isomorphism search.
 """
 
 import gc
+import itertools
 import random
 import weakref
 from collections import Counter
@@ -16,12 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoidkit.asets import (ASetMap, ExactSeq, FiniteASet, STAR, _UnionFind,
-                             coequalizer, exact_seq_from_sub, fiber_product,
-                             hom_maps, identity_map, is_exact, point_aset,
-                             product, pushout, truncated_line, wedge)
+from monoidkit.asets import (ASetMap, ExactSeq, FiniteASet, STAR,
+                             _class_names, _UnionFind, _wedge_names,
+                             coequalizer, exact_seq_from_sub, hom_maps,
+                             identity_map, is_exact, point_aset,
+                             truncated_line, wedge)
 from monoidkit.corpora import all_nilpotent_asets, all_nsets, all_pointed_sets
-from monoidkit.diagrams import KeyDiagram, _legs_factor_as_iso, key_diagram
+from monoidkit.diagrams import KeyDiagram, _pushout_is, key_diagram
 from monoidkit.errors import InvalidStructure
 from monoidkit.monoids import FiniteMonoid
 
@@ -75,6 +80,102 @@ def is_distinguished_square(bottom, top, left, right):
 
 
 # -------------------------------------------------------------------- oracles
+#
+# The product, fiber product and pushout objects, and the factorization of a
+# cocone through a pushout: what ``KeyDiagram.verify`` built before it read
+# its entries off the carrier, and what ``oracle_verify`` still builds.
+
+
+def _pair_object(X, Y, pairs, name):
+  """(P, to X, to Y) on ``pairs``, labelled "(x,y)", diagonal action; the
+  caller guarantees that ``pairs`` is an action-closed pointed subset."""
+  if X.monoid != Y.monoid or set(X.action) != set(Y.action):
+    raise InvalidStructure("a product needs a common acting monoid")
+  label = {p: f"({p[0]},{p[1]})" for p in pairs}
+  if len(set(label.values())) != len(label):
+    raise InvalidStructure("two pairs have the same label")
+  action = {g: {label[p]: label[(gx[p[0]], Y.action[g][p[1]])] for p in pairs}
+            for g, gx in X.action.items()}
+  P = FiniteASet._trusted(X.monoid, list(label.values()), action,
+                          label[(X.base, Y.base)], name)
+  proj_x = ASetMap._trusted(P, X, {label[p]: p[0] for p in pairs})
+  proj_y = ASetMap._trusted(P, Y, {label[p]: p[1] for p in pairs})
+  return P, proj_x, proj_y
+
+
+def product(X, Y, name=None):
+  """Cartesian product with diagonal action and basepoint pair; projections
+  (equivariant, though not pointed-set sections)."""
+  return _pair_object(X, Y, [(x, y) for x in X.elements for y in Y.elements],
+                      name)
+
+
+def fiber_product(f, g, name=None):
+  """(P, to_source_of_f, to_source_of_g) for maps f: X→Z ← Y :g.
+
+  P is the subobject of X × Y where f(x) = g(y), with the product's order
+  and labels, found by a hash join on Z.
+  """
+  if not f.target.same_carrier(g.target):
+    raise InvalidStructure("fiber product needs a common target")
+  over = {}
+  for y in g.source.elements:
+    over.setdefault(g.mapping[y], []).append(y)
+  pairs = [(x, y) for x in f.source.elements
+           for y in over.get(f.mapping[x], ())]
+  return _pair_object(f.source, g.source, pairs, name)
+
+
+def pushout(f, g):
+  """(Q, X → Q, Y → Q): the pushout of a span X <--f-- W --g--> Y.
+
+  One union-find pass on the wedge's names without building the wedge: the
+  same names, action and legs as ``wedge`` then ``coequalizer``.  Q and the
+  legs are built unchecked; only the wedge's and the classes' names are
+  checked distinct (``InvalidStructure``).
+  """
+  if not f.source.same_carrier(g.source):
+    raise InvalidStructure("pushout legs must share their source")
+  X, Y = f.target, g.target
+  to_x, to_y, elements = _wedge_names(X, Y)
+  uf = _UnionFind(elements)
+  fm, gm = f.mapping, g.mapping
+  for w in f.source.elements:
+    uf.union(to_x[fm[w]], to_y[gm[w]])
+  proj, carrier = _class_names(elements, X.base, uf)
+  jx = {x: proj[v] for x, v in to_x.items()}
+  jy = {y: proj[v] for y, v in to_y.items()}
+  action = {}
+  for gen, gx in X.action.items():
+    gy = Y.action[gen]
+    m = {jx[x]: jx[gx[x]] for x in X.elements}
+    m.update((jy[y], jy[gy[y]]) for y in Y.elements)
+    action[gen] = m
+  Q = FiniteASet._trusted(X.monoid, carrier, action, X.base)
+  return Q, ASetMap._trusted(X, Q, jx), ASetMap._trusted(Y, Q, jy)
+
+
+def legs_factor_as_iso(Q, legs, target):
+  """Does the cocone factor through Q by an isomorphism?
+
+  ``legs`` is a tuple of (corner, corner → Q, corner → target).  Every
+  element of Q must be hit by some leg (true for pushouts); the universal
+  map exists iff the leg assignments agree on overlaps.
+  """
+  assignment = {}
+  for corner, to_q, to_target in legs:
+    for x in corner.elements:
+      q = to_q(x)
+      t = to_target(x)
+      if assignment.setdefault(q, t) != t:
+        return False          # cocone does not descend to Q
+  if set(assignment) != set(Q.elements):
+    return False              # legs do not jointly cover Q
+  try:
+    w = ASetMap(Q, target, assignment)
+  except InvalidStructure:
+    return False
+  return w.is_isomorphism()
 
 
 def oracle_fiber_product(f, g):
@@ -143,7 +244,7 @@ def oracle_verify(kd):
     out["monic_square_ambient_pullback"] = False
 
   PO, j1, j2 = oracle_pushout_monics(kd.i12_1, kd.i12_2)
-  out["monic_square_ambient_pushout"] = _legs_factor_as_iso(
+  out["monic_square_ambient_pushout"] = legs_factor_as_iso(
       PO, ((kd.sub1, j1, kd.i1_u), (kd.sub2, j2, kd.i2_u)), kd.sub_u)
 
   subs = kd.X.subobject_sets()
@@ -156,7 +257,7 @@ def oracle_verify(kd):
   Q, proj = oracle_coequalizer(kd.q12_1.compose(a1), kd.q12_2.compose(a2))
   legs = ((kd.quo1, a1.compose(proj), kd.q1_u),
           (kd.quo2, a2.compose(proj), kd.q2_u))
-  out["epic_square_ambient_pushout"] = _legs_factor_as_iso(
+  out["epic_square_ambient_pushout"] = legs_factor_as_iso(
       Q, legs, kd.quo_u)
 
   def kernel_set(pmap):
@@ -430,6 +531,38 @@ def test_pushout_is_the_wedge_sweep(span):
   assert_public(Q, jx, jy)
 
 
+@st.composite
+def cocones(draw):
+  """A span X <-f- W -g-> Y of morphisms and two maps X → T ← Y: half the
+  time the pushout's own legs followed by a bijection of the pushout (an
+  automorphism or not, pointed or not), else any two pointed maps into
+  any T."""
+  objects = SMALL[draw(st.sampled_from(sorted(SMALL)))]
+  W, X, Y = (draw(st.sampled_from(objects)) for _ in range(3))
+  f = draw(st.sampled_from(hom_maps(W, X)))
+  g = draw(st.sampled_from(hom_maps(W, Y)))
+  Q, jx, jy = pushout(f, g)
+  if draw(st.booleans()):
+    T = Q
+    h = dict(zip(Q.elements, draw(st.permutations(Q.elements))))
+    legs = [{x: h[q] for x, q in j.mapping.items()} for j in (jx, jy)]
+  else:
+    T = draw(st.sampled_from(objects + [Q]))
+    legs = [{x: T.base if x == S.base else draw(st.sampled_from(T.elements))
+             for x in S.elements} for S in (X, Y)]
+  return (f, g, ASetMap._trusted(X, T, legs[0]),
+          ASetMap._trusted(Y, T, legs[1]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(cocones())
+def test_the_pushout_check_is_the_factorization_through_the_pushout(cocone):
+  f, g, c1, c2 = cocone
+  Q, jx, jy = pushout(f, g)
+  assert _pushout_is(f, g, c1, c2) == legs_factor_as_iso(
+      Q, ((f.target, jx, c1), (g.target, jy, c2)), c1.target)
+
+
 def test_class_names_that_print_alike_are_refused():
   # 1 and "1" are distinct elements whose classes would both be named "1"
   X = FiniteASet(F1, [STAR, 1, "1"], {}, STAR)
@@ -490,9 +623,9 @@ def test_exact_seq_from_sub_refuses_a_non_subobject(subset):
 
 
 def test_a_key_diagram_validates_only_its_checks(monkeypatch):
-  # the legs, pushouts, fiber product and product are built unchecked; the
-  # validated maps are the pullback witness, the product embedding and the
-  # two factorizations through the pushouts
+  # the legs and the derived sequences are built unchecked, and verify
+  # decides every entry on the carrier: it builds no object and no map,
+  # checked or not, and composes none
   six = [X for X in all_nilpotent_asets(T3, 6) if X.size() == 6]
   X = max(six, key=lambda Y: len(Y.subobject_lattice()))
   subs = list(X.subobject_lattice())
@@ -511,9 +644,14 @@ def test_a_key_diagram_validates_only_its_checks(monkeypatch):
                       counted("composites", ASetMap.compose))
   seq1 = exact_seq_from_sub(X, subs[len(subs) // 2])
   seq2 = exact_seq_from_sub(X, subs[-2])
-  assert all(key_diagram(X, seq1, seq2).verify().values())
-  assert counts["objects"] == 0 and counts["composites"] == 0
-  assert 0 < counts["maps"] <= 4
+  kd = key_diagram(X, seq1, seq2)
+  assert counts["objects"] == counts["maps"] == counts["composites"] == 0
+  for cls, key in ((FiniteASet, "trusted objects"), (ASetMap, "trusted maps")):
+    monkeypatch.setattr(cls, "_trusted",
+                        classmethod(counted(key, cls._trusted.__func__)))
+  assert all(kd.verify().values())
+  # objects, maps and composites are 0, and so are trusted objects and maps
+  assert counts == Counter()
 
 
 def sequence_pairs(X):
@@ -537,13 +675,14 @@ def assert_verdicts_agree(X, s1, s2):
 
 
 def test_verify_agrees_with_the_oracle_up_to_five_elements():
-  corpus = all_pointed_sets(F1, 5) + all_nilpotent_asets(T3, 5)
+  corpus = (all_pointed_sets(F1, 5) + all_nilpotent_asets(T3, 5)
+            + all_nsets(5))
   pairs = 0
   for X in corpus:
     for s1, s2 in sequence_pairs(X):
       assert_verdicts_agree(X, s1, s2)
       pairs += 1
-  assert pairs == 1323
+  assert pairs == 1323 + 4494
 
 
 def test_verify_agrees_with_the_oracle_on_six_element_samples():
@@ -606,6 +745,85 @@ def test_the_kernel_comparison_needs_a_bijection():
   assert {kd.q12_2(x) for x in (STAR, "a", "b")} == {STAR, "a"}
   assert kd.q2_u.preimage({STAR}) == {STAR, "a"}
   assert not kd.verify()["epic_square_kernel_comparison_1"]
+
+
+def a_diagram_with_room():
+  """(kd, x): the first diagram on a 6-element N/(t³)-set with S1 and S2
+  incomparable and S1 ∩ S2 ≠ ∗, and an element x outside S1 ∪ S2 whose
+  image under t is outside S1 ∪ S2 ∪ {x}: adding x to any of the four
+  sets leaves it not closed under t."""
+  for X in all_nilpotent_asets(T3, 6):
+    t = X.action["t"]
+    for s1, s2 in itertools.combinations(X.subobject_sets(), 2):
+      su = s1 | s2
+      if s1 <= s2 or s2 <= s1 or len(s1 & s2) == 1:
+        continue
+      for x in X.nonbase():
+        if x not in su and t[x] not in su | {x}:
+          return KeyDiagram(X, s1, s2), x
+  raise AssertionError("no such diagram")
+
+
+def failing(report):
+  return {k for k, v in report.items() if not v}
+
+
+@pytest.mark.parametrize("attr, entry", [("s12", "lattice_meet"),
+                                         ("su", "lattice_join")])
+def test_a_meet_or_join_that_is_not_a_subobject_fails_its_entry(attr, entry):
+  kd, x = a_diagram_with_room()
+  assert failing(kd.verify()) == set()
+  s = getattr(kd, attr)
+  # not closed; misses ∗; a subobject, but S1 is neither S1 ∩ S2 nor S1 ∪ S2
+  for bad in (s | {x}, s - {STAR}, kd.s1):
+    setattr(kd, attr, bad)
+    assert failing(kd.verify()) == {entry}
+
+
+def test_the_lattice_entries_test_closure_not_only_the_set_identities():
+  # x joins all four sets: S12 is still S1 ∩ S2 and Su still S1 ∪ S2, but
+  # neither is closed.  The lattice walk the entries replaced tests only
+  # the set identities, so it passes.
+  kd, x = a_diagram_with_room()
+  kd.s1, kd.s2, kd.s12, kd.su = (s | {x} for s in (kd.s1, kd.s2, kd.s12,
+                                                    kd.su))
+  assert kd.s12 == kd.s1 & kd.s2 and kd.su == kd.s1 | kd.s2
+  assert failing(kd.verify()) == {"lattice_meet", "lattice_join"}
+  assert failing(oracle_verify(kd)) == set()
+
+
+def test_a_meet_object_with_another_action_fails_only_the_pullback():
+  # the diagonal X'12 → X'1 ×_X' X'2 must be equivariant: X'12 on the same
+  # carrier, with t acting as the identity, fails it and nothing else
+  kd, _ = a_diagram_with_room()
+  S = kd.sub12
+  assert any(gmap[x] != x for gmap in S.action.values() for x in S.elements)
+  kd.sub12 = FiniteASet._trusted(
+      S.monoid, S.elements, {g: {x: x for x in S.elements} for g in S.action},
+      S.base)
+  assert failing(kd.verify()) == {"monic_square_ambient_pullback"}
+  assert failing(oracle_verify(kd)) == {"monic_square_ambient_pullback"}
+
+
+@pytest.mark.parametrize("leg, entry", [
+    ("q12_1", "meet_quotient_embeds_in_product"),
+    ("i1_u", "monic_square_ambient_pullback")])
+def test_a_corrupted_leg_fails_the_product_and_pullback_entries(leg, entry):
+  # the zero map is a morphism; q12_1 becomes non-injective on X''12, and
+  # i1_u sends X'1 to ∗.  With the other legs right, the product
+  # embedding follows from the kernel comparisons and the commuting epic
+  # square, and the pullback from the commuting monic square and its
+  # pushout, so neither can fail alone; the old code path fails the same
+  # entries, up to its kernel comparison by isomorphism
+  kd, _ = a_diagram_with_room()
+  good = getattr(kd, leg)
+  bad = corrupted(good, lambda x, y: good.target.base)
+  if leg == "q12_1":
+    assert not bad.is_injective()
+  setattr(kd, leg, bad)
+  new, old = failing(kd.verify()), failing(oracle_verify(kd))
+  assert entry in new
+  assert new - KERNEL_KEYS == old - KERNEL_KEYS
 
 
 def _diagrams_on(X):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from monoidkit import serre
 from monoidkit.asets import (ASetMap, FiniteASet, coequalizer, cycle_nset,
                              exact_seq_from_sub, hom_maps, nat_set, point_aset,
-                             product, truncated_line, wedge)
+                             truncated_line, wedge)
 from monoidkit.corpora import (all_gamma_asets, all_nilpotent_asets,
                                all_nsets, random_nset)
 from monoidkit.errors import InvalidStructure, NotIso, PredicateClosureError
@@ -24,6 +24,7 @@ from monoidkit.serre import (IndexPoset, QuotientHom, SerrePredicate,
                              index_poset, is_iso_quotient, maximal_kernel,
                              minimal_dense_sub, monic_representative,
                              quotient_equivalence_report, reduced_object)
+from test_diagrams import product
 
 N = NatMonoid()
 TORSION = SerrePredicate.torsion(N)
@@ -1084,16 +1085,20 @@ def check_rep(rep, mapping):
 
 def test_unchecked_quotient_reps_pass_the_public_constructor(monkeypatch):
   """Every rep from_ambient builds while condition (W) runs on the corpus,
-  the identities of V and of each candidate, and the composites of each
-  structure iso with them, all built unchecked, pass ``ASetMap(...)`` and
-  equal what they are by definition: f on X′ followed by Y ↠ Y″, and the
-  composite of the two reps."""
-  images = []
+  the rep of every map its arrow search tests, the identities of V and of
+  each candidate, and the composites of each structure iso with them, all
+  built unchecked, pass ``ASetMap(...)`` and equal what they are by
+  definition: f on X′ followed by Y ↠ Y″, and the composite of the two
+  reps."""
+  images, mappings = [], []
   monkeypatch.setattr(QuotientHom, "from_ambient", staticmethod(
       recording(images, QuotientHom.from_ambient)))
+  monkeypatch.setattr(serre, "_canonical_mapping",
+                      recording(mappings, serre._canonical_mapping))
   checked = 0
   for V, pred in condition_w_corpus():
     images.clear()
+    mappings.clear()
     try:
       check_condition_w(V, pred, 25)
       cands = serre._iso_candidates(V, pred)
@@ -1110,6 +1115,15 @@ def test_unchecked_quotient_reps_pass_the_public_constructor(monkeypatch):
       kernel, base = maximal_kernel(f.target, pred), f.target.base
       check_rep(f.rep, {x: base if u(x) in kernel else u(x)
                         for x in minimal_dense_sub(f.source, pred)})
+      checked += 1
+    # from_ambient's and the arrow search's: each reads X′ and Y's kernel
+    for (u, sub, kernel, _), mapping in mappings:
+      assert sub is serre._dense_sub(u.source, pred)
+      assert kernel == maximal_kernel(u.target, pred)
+      base = u.target.base
+      check_rep(ASetMap._trusted(sub, serre._collapsed(u.target, pred),
+                                 mapping),
+                {x: base if u(x) in kernel else u(x) for x in sub.elements})
       checked += 1
   assert checked > 10000
 
