@@ -13,11 +13,16 @@ private ``_trusted`` constructors instead, which check nothing: subobjects
 and quotients (``sub_aset``, ``quotient_by``, after their admissibility
 check, or ``_sub_object``/``_quotient_object`` directly for a set closed by
 construction: a set of the lattice, or a union of orbits), the two maps
-of ``exact_seq_from_sub`` (after its lattice lookup), ``identity_map``,
-the maps ``iter_hom_maps`` finds (its search checks every equivariance
-square), composites (``ASetMap.compose``, after its carrier check), and the
-quotient of ``coequalizer`` (its identification is a congruence; only the
-class names are checked distinct).
+of ``exact_seq_from_sub`` (after ``subquotient``'s admissibility check),
+``identity_map``, the maps ``iter_hom_maps`` finds (its search checks
+every equivariance square), composites (``ASetMap.compose``, after its
+carrier check), and the quotient of ``coequalizer`` (its identification
+is a congruence; only the class names are checked distinct).
+
+An object's subobject lattice is walked once and kept on it as int masks,
+one bit per non-base element in the one layout of ``_bits``;
+``subobject_sets()`` hands out fresh frozensets, and ``subquotient``
+builds (S, X/S) only for the sets it is asked for.
 
 Maps and isomorphisms come from one backtracking search,
 ``_equivariant_maps``.  ``iter_hom_maps`` yields the maps it finds one
@@ -218,27 +223,28 @@ class FiniteASet:
     return all(s.issuperset(map(gmap.__getitem__, s))
                for gmap in self.action.values())
 
-  def subobject_sets(self):
-    """Every action-closed subset containing the basepoint, as frozensets.
+  def _bits(self):
+    """Element ↦ its bit in X's subobject masks, the one bit layout:
+    ``nonbase()[i]`` is bit n-1-i, so among masks of one popcount the
+    ``itertools.combinations`` order is descending numeric order.  The
+    basepoint is 0, in no mask; it is the dict's last key."""
+    rest = self.nonbase()
+    top = len(rest) - 1
+    bit = {x: 1 << (top - i) for i, x in enumerate(rest)}
+    bit[self.base] = 0
+    return bit
 
-    The order is fixed: by size, and within one size by the positions of
-    the elements in ``nonbase()``, in ``itertools.combinations`` order (the
-    order of a filter over all subsets, smallest first).
+  def _walk_masks(self):
+    """The masks of ``subobject_sets()``, walked afresh and kept nowhere.
 
-    A subobject is the basepoint plus a union of orbits, so the subsets are
+    A subobject is the basepoint plus a union of orbits, so the masks are
     built, not filtered: the work grows with the number of subobjects
     times the carrier size, not with 2^n.
     """
-    base = self.base
-    rest = self.nonbase()
-    # nonbase()[i] is bit n-1-i, so among masks of one popcount the
-    # combinations order is descending numeric order
-    bits = [1 << k for k in range(len(rest) - 1, -1, -1)]
-    bit = dict(zip(rest, bits))
-    bit[base] = 0
+    bit = self._bits()
     gmaps = list(self.action.values())
-    down = []                       # orbit(x) as a mask, for each x in rest
-    for x, m in zip(rest, bits):
+    down = []               # (x's bit, orbit(x) as a mask), x in nonbase()
+    for x, m in zip(self.nonbase(), bit.values()):
       frontier = [x]
       while frontier:
         y = frontier.pop()
@@ -248,18 +254,38 @@ class FiniteASet:
           if b and not m & b:
             m |= b
             frontier.append(z)
-      down.append(m)
+      down.append((bit[x], m))
     # include/exclude walk in nonbase() order: every mask kept is closed,
     # and an element left out earlier stays out, so x may join only when
     # its orbit's earlier elements are all in already
     masks = [0]
-    for b, d in zip(bits, down):
+    for b, d in down:
       earlier = d & -(b << 1)
       masks += [m | d for m in masks if not m & b and m & earlier == earlier]
     masks.sort(reverse=True)
-    masks.sort(key=int.bit_count)
-    pairs = list(zip(bits, rest))
-    return [frozenset([base] + [x for b, x in pairs if m & b]) for m in masks]
+    return sorted(masks, key=int.bit_count)
+
+  def _masks(self):
+    """X's subobject masks, walked once and kept on X."""
+    kept = self._kept()
+    kept.lattice = kept.lattice or tuple(self._walk_masks())
+    return kept.lattice
+
+  def _sets_of(self, masks):
+    """The subobject of each mask, as a frozenset, one at a time."""
+    bits = list(self._bits().items())
+    return (frozenset([self.base] + [x for x, b in bits if m & b])
+            for m in masks)
+
+  def subobject_sets(self):
+    """Every action-closed subset containing the basepoint, as frozensets,
+    in a new list on each call (the masks behind it are kept on X).
+
+    The order is fixed: by size, and within one size by the positions of
+    the elements in ``nonbase()``, in ``itertools.combinations`` order (the
+    order of a filter over all subsets, smallest first).
+    """
+    return list(self._sets_of(self._masks()))
 
   def sub_aset(self, subset, name=None):
     """(subobject, inclusion) for an action-closed subset."""
@@ -303,29 +329,18 @@ class FiniteASet:
       self._derived = _Derived()
     return self._derived
 
-  def _lattice_table(self):
-    """Subobject S ↦ (S, X/S) once built, else the lattice's own S."""
-    kept = self._kept()
-    if kept.lattice is None:
-      kept.lattice = {s: s for s in self.subobject_sets()}
-    return kept.lattice
-
-  def subobject_lattice(self):
-    """The subobjects of ``subobject_sets()``, walked once and kept on X."""
-    return self._lattice_table().keys()
-
   def subquotient(self, subset):
-    """(S, X/S) for an admissible frozenset S, built once on the lattice's
-    own S and shared by all callers (never rename them); ``sub_aset`` and
-    ``quotient_by`` stay uncached."""
-    table = self._lattice_table()
-    entry = table.get(subset)
-    if entry is None:
-      raise InvalidStructure("subset is not action-closed (or misses the basepoint)")
-    if isinstance(entry, frozenset):
-      entry = table[subset] = (self._sub_object(entry),
-                               self._quotient_object(entry))
-    return entry
+    """(S, X/S) for an admissible frozenset S, built on the first ask and
+    kept on X under the frozenset asked for (S's carrier set is that
+    frozenset), so all callers share them: never rename them.  Only the
+    pairs asked for are kept; ``sub_aset`` and ``quotient_by`` stay
+    uncached."""
+    kept = self._kept().subquotients
+    if subset not in kept:
+      if not self.is_admissible_subset(subset):
+        raise InvalidStructure("not an action-closed subset with the basepoint")
+      kept[subset] = self._sub_object(subset), self._quotient_object(subset)
+    return kept[subset]
 
   # -- comparisons ------------------------------------------------------------------
 
@@ -384,8 +399,8 @@ class FiniteASet:
     mask), or None when X has no ``canonical_key``; the walk also sets that
     key, so a caller that needs both walks X once.
 
-    The element bits are those of ``subobject_sets()`` (``nonbase()[i]`` is
-    bit n-1-i), so a subobject's mask is the union of its orbits' masks.  A
+    The element bits are ``_bits()``, the layout of the subobject masks,
+    so a subobject's mask is the union of its orbits' masks.  A
     stabilizer is a bit mask over the ``unit_tree``'s units: one walk of the
     tree from an orbit's first element reads u·x for every unit u off the
     generator maps, |Γ| dict reads per orbit, no ``full_action``, no ``mul``.
@@ -396,12 +411,10 @@ class FiniteASet:
       self._canonical = None
       return None
     steps = [(parent, self.action[g]) for _, parent, g in tree[1:]]
-    rest = self.nonbase()
-    bit = {x: 1 << k for k, x in enumerate(reversed(rest))}
-    bit[self.base] = 0
+    bit = self._bits()
     orbits, seen = [], 0
-    for x in rest:
-      if not seen & bit[x]:
+    for x, b in bit.items():
+      if b and not seen & b:
         images = [x]
         for parent, gmap in steps:
           images.append(gmap[images[parent]])
@@ -462,14 +475,16 @@ class FiniteASet:
 
 
 class _Derived:
-  """What an object computes about itself once and keeps: the subobject
-  table of ``subquotient`` and ``serre``'s window halves.  Nothing here may
-  refer to the object, or it would live until a cyclic GC pass."""
+  """What an object computes about itself once and keeps: its subobject
+  masks (``_masks``), the (S, X/S) pairs ``subquotient`` was asked for, and
+  ``serre``'s window halves and admissible lists.  Nothing here may refer
+  to the object, or it would live until a cyclic GC pass."""
 
-  __slots__ = ("lattice", "windows")
+  __slots__ = ("lattice", "subquotients", "windows")
 
   def __init__(self):
     self.lattice = None
+    self.subquotients = {}
     self.windows = {}
 
 
@@ -645,23 +660,23 @@ def is_exact(seq):
 
 
 def kernel(p):
-  """(kernel object, inclusion): the fiber of p over the basepoint."""
-  sub, incl = p.source.sub_aset(p.preimage({p.target.base}))
-  return incl
+  """The inclusion of ker p, the fiber of p over the basepoint (the kernel
+  object is its source)."""
+  return p.source.sub_aset(p.preimage({p.target.base}))[1]
 
 
 def cokernel(i):
-  """(cokernel object, projection): the target with the image collapsed."""
-  quo, proj = i.target.quotient_by(i.image_set())
-  return proj
+  """The projection onto coker i, the target with the image collapsed (the
+  cokernel object is its target)."""
+  return i.target.quotient_by(i.image_set())[1]
 
 
 def exact_seq_from_sub(X, subset):
   """The canonical sequence S >--> X -->> X/S for an admissible subset.
 
-  S and X/S are X's own ``subquotient`` objects, and membership in X's
-  lattice is the admissibility check (``InvalidStructure`` otherwise); the
-  inclusion and the collapse are then morphisms and are built unchecked.
+  S and X/S are X's own ``subquotient`` objects, and ``subquotient`` checks
+  admissibility (``InvalidStructure`` otherwise); the inclusion and the
+  collapse are then morphisms and are built unchecked.
   """
   s = frozenset(subset)
   sub, quo = X.subquotient(s)

@@ -368,15 +368,15 @@ def _subobject_steps(X, orbits):
   c_H ≤ m_H it takes the first c_H orbits of each stabilizer H (swapping in
   an earlier orbit raises the mask), and sorting these by (size, −mask) is
   the lattice order.  Both keys are (monoid, size, sorted stabilizers), read
-  off X's one orbit walk.  Otherwise every subobject is listed, with no keys.
+  off X's one orbit walk.  Otherwise every subobject is listed, with no keys,
+  from a fresh walk of X's masks that keeps nothing on X.
   """
   if orbits is None:
-    return [(s, None, None) for s in X.subobject_sets()]
-  rest = X.nonbase()
-  pairs = list(zip([1 << k for k in range(len(rest) - 1, -1, -1)], rest))
+    return [(s, None, None) for s in X._sets_of(X._walk_masks())]
+  bits = list(X._bits().items())
   by_type = {}
   for mask, stabilizer in orbits:
-    members = tuple([x for b, x in pairs if mask & b])
+    members = tuple([x for x, b in bits if mask & b])
     by_type.setdefault(stabilizer, []).append((mask, members))
   # per stabilizer H, one option per count c ≤ m_H: (mask, elements, c
   # copies of H, m_H − c copies of H), the first c orbits of that type

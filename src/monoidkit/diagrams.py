@@ -15,15 +15,16 @@ for the three-element counterexample — so the pullback property on that side
 is the kernel comparison (the square is distinguished both ways) and the
 lattice version.
 
-Every diagram on X shares X's subquotient objects and subobject lattice
-(``FiniteASet.subquotient``); only the maps and the checks are per diagram.
-Per pair of sequences, ``KeyDiagram`` builds the eight square legs and the
-two derived sequences' four maps, all unchecked: the subsets are members of
-X's lattice and nested, so each leg is a morphism.  ``verify`` decides every
-entry on X's carrier and the legs' mappings: a hash join for the pullback,
-one union-find pass over the tagged wedge for each pushout, the set of
-pairs for the product embedding, and the action closure of the meet and
-the join.  It builds no object and no map, and composes none.
+Every diagram on X shares X's subquotient objects
+(``FiniteASet.subquotient``, which builds each (S, X/S) on its first ask
+and refuses a set that is not a subobject); only the maps and the checks
+are per diagram.  Per pair of sequences, ``KeyDiagram`` builds the eight
+square legs and the two derived sequences' four maps, all unchecked: the
+subsets are nested subobjects of X, so each leg is a morphism.  ``verify``
+decides every entry on X's carrier and the legs' mappings: a hash join for
+the pullback, one union-find pass over the tagged wedge for each pushout,
+the set of pairs for the product embedding, and the action closure of the
+meet and the join.  It builds no object and no map, and composes none.
 """
 
 from __future__ import annotations
@@ -102,23 +103,20 @@ class KeyDiagram:
   """
 
   def __init__(self, X, set1, set2):
-    subs = X.subobject_lattice()
     self.X = X
     self.s1 = frozenset(set1)
     self.s2 = frozenset(set2)
-    if self.s1 not in subs or self.s2 not in subs:
-      raise InvalidStructure("key diagram needs two admissible subobjects")
-    self.s12 = self.s1 & self.s2
-    self.su = self.s1 | self.s2
-
-    # meets and joins of action-closed subsets are action-closed
-    self.sub12, self.quo12 = X.subquotient(self.s12)
+    # subquotient refuses a set that is not a subobject (InvalidStructure)
     self.sub1, self.quo1 = X.subquotient(self.s1)
     self.sub2, self.quo2 = X.subquotient(self.s2)
+    # meets and joins of action-closed subsets are action-closed
+    self.s12 = self.s1 & self.s2
+    self.su = self.s1 | self.s2
+    self.sub12, self.quo12 = X.subquotient(self.s12)
     self.sub_u, self.quo_u = X.subquotient(self.su)
 
-    # the legs are morphisms by construction (the subsets are nested members
-    # of X's lattice), so they are built unchecked
+    # the legs are morphisms by construction (the subsets are nested
+    # subobjects of X), so they are built unchecked
     base = X.base
 
     def inclusion(S, T):

@@ -122,15 +122,16 @@ class K0Result:
                       tuple(row[j] % d for j, d in torsion)) for row in rows]
     self._moduli = [d for _, d in torsion]
     self.group = AbelianGroupPresentation(len(free), self._moduli)
-    self._iso_classes = IsoClasses(reps)
+    self._iso_classes = None        # built on the first index_of
 
   def class_vector(self, index):
     return self._classes[index]
 
   def index_of(self, X):
-    """The index of X's class, looked up in the reps' ``IsoClasses``: X is
-    compared only with the reps of equal class key, and with a canonical
-    key that is one rep and no search."""
+    """The index of X's class, looked up in the reps' ``IsoClasses``
+    (built on the first call): X is compared only with the reps of equal
+    class key, and with a canonical key that is one rep and no search."""
+    self._iso_classes = self._iso_classes or IsoClasses(self.reps)
     i = self._iso_classes.find(X)
     if i is None:
       raise InvalidStructure("object is not in the closed corpus")

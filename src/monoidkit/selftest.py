@@ -234,7 +234,7 @@ def case_11_key_diagram():
   pairs = failures = 0
   for corpus in (all_pointed_sets(f1, 6), all_nilpotent_asets(t3, 6)):
     for X in corpus:
-      seqs = [exact_seq_from_sub(X, s) for s in X.subobject_lattice()]
+      seqs = [exact_seq_from_sub(X, s) for s in X.subobject_sets()]
       for s1 in seqs:
         for s2 in seqs:
           checks = key_diagram(X, s1, s2).verify()

@@ -15,10 +15,11 @@ x), and Y″ collapses each orbit whose cyclic subobject lies in C.
 X′ depends only on (X, C) and Y″ only on (Y, C).  Each object keeps, in
 its derived-data slot and per predicate under a weak reference, a source
 half (X′'s carrier, X′) and a target half (K, Y/K), each computed together
-on first use and fetched in one lookup.  Objects are never mutated, so a
-half cannot go stale.  A ``PredicateClosureError`` is not kept: it is
-raised again on every call.  A ``QuotientHom`` is a map between the kept
-X′ and Y″; composing reads both off the representatives.
+on first use and fetched in one lookup, and so the admissible lists of
+``index_poset`` (the sets S with X/S in C, the sets K in C).  Objects are
+never mutated, so none of these can go stale.  A ``PredicateClosureError``
+is not kept: it is raised again on every call.  A ``QuotientHom`` is a map
+between the kept X′ and Y″; composing reads both off the representatives.
 
 What is checked where.  ``QuotientHom(...)`` and ``from_window`` check the
 representative they are given.  A rep that is a morphism by construction
@@ -44,9 +45,9 @@ from __future__ import annotations
 import itertools
 import weakref
 
-from .asets import (ASetMap, FiniteASet, aset_length, coequalizer,
-                    exact_seq_from_sub, hom_maps, identity_map, is_rooted_tree,
-                    iter_hom_maps, point_aset, support, wedge)
+from .asets import (ASetMap, FiniteASet, aset_length, coequalizer, hom_maps,
+                    identity_map, is_rooted_tree, iter_hom_maps, point_aset,
+                    support, wedge)
 from .errors import (InvalidStructure, NotIso, PredicateClosureError,
                      Undecidable)
 from .monoids import NatMonoid
@@ -249,20 +250,19 @@ class IndexPoset:
 def admissible_subs(X, pred):
   """Subobject sets S ⊆ X whose cokernel X/S lies in C, in lattice order.
 
-  Filtered from X's kept ``subobject_lattice()``, each X/S read off
-  ``subquotient``, so X's lattice is walked and each X/S built once
-  whatever the number of predicates or callers.
+  Filtered from X's kept subobject masks, one frozenset at a time, each
+  X/S built only for the ``pred.contains`` test and then dropped.  The list
+  is kept with X's window halves, so X's lattice is walked once and each
+  X/S built once per predicate, whatever the number of callers.
   """
-  return [s for s in X.subobject_lattice()
-          if pred.contains(X.subquotient(s)[1])]
+  return list(_window_half(X, pred, 2))
 
 
 def admissible_kernels(Y, pred):
   """Subobject sets K ⊆ Y lying in C (kernels of admissible epics Y ↠ Y/K),
-  in lattice order; filtered from Y's kept lattice as ``admissible_subs``
-  is."""
-  return [s for s in Y.subobject_lattice()
-          if pred.contains(Y.subquotient(s)[0])]
+  in lattice order; filtered and kept as ``admissible_subs`` is, each K
+  built for its test only."""
+  return list(_window_half(Y, pred, 3))
 
 
 def index_poset(X, Y, pred):
@@ -301,20 +301,28 @@ def check_filtered(poset):
 
 
 def _window_half(X, pred, side):
-  """X's source half (side 0: X′'s carrier, X′) or target half (side 1:
-  K, X/K) under pred, kept in X's derived-data slot.  The key's weak
-  reference lets neither pin the other, even when an explicit pred lists X.
+  """X's source half (side 0: X′'s carrier, X′), target half (side 1:
+  K, X/K), admissible subobjects (side 2) or admissible kernels (side 3)
+  under pred, kept in X's derived-data slot.  The key's weak reference
+  lets neither pin the other, even when an explicit pred lists X.
   """
   kept = X._kept().windows
   key = (side, weakref.ref(pred))
   half = kept.get(key)
   if half is None:
-    if side:
+    if side == 0:
+      dense = _dense_set(X, pred)
+      half = dense, X._sub_object(dense)
+    elif side == 1:
       kernel = _kernel_set(X, pred)
       half = kernel, X._quotient_object(kernel)
     else:
-      dense = _dense_set(X, pred)
-      half = dense, X._sub_object(dense)
+      # the lattice's sets are closed by construction: build unchecked.  A
+      # list, not tuple(generator): that tuple is allocated at one size and
+      # freed at another, so CPython's tuple free lists would keep growing
+      build = X._quotient_object if side == 2 else X._sub_object
+      half = [s for s in X._sets_of(X._masks())
+              if pred.contains(build(s))]
     kept[key] = half
   return half
 
@@ -580,9 +588,9 @@ def monic_representative(f):
 
   Searches the window poset (coarsest subobject first) for a representative
   m: X′ → Y″ of f that is injective and admits p: Y″ → X′ with p ∘ m = id.
-  Each window's X′ and Y″ are the objects ``subquotient`` keeps on the
-  source and the target, so m's source and target are shared: never
-  rename them.  Both searches stop at their witness.
+  Each window's X′ and Y″ are built unchecked (the window's sets are
+  admissible by construction) and only for the windows tried; both
+  searches stop at their witness.
   """
   if not is_iso_quotient(f):
     raise NotIso("monic_representative needs an isomorphism of M/C")
@@ -591,8 +599,8 @@ def monic_representative(f):
   windows = sorted(poset.pairs,
                    key=lambda w: (-len(w.xsub), len(w.ykernel)))
   for w in windows:
-    sub = f.source.subquotient(w.xsub)[0]
-    quo = f.target.subquotient(w.ykernel)[1]
+    sub = f.source._sub_object(w.xsub)
+    quo = f.target._quotient_object(w.ykernel)
     for m in iter_hom_maps(sub, quo):
       if not m.is_injective():
         continue
@@ -613,24 +621,27 @@ def _iso_candidates(V, pred):
 
   Three families: dense subobjects (φ the inclusion), quotients by kernels
   in C (φ the inverse of the projection), and wedges with a C-object (φ the
-  collapse).  Each S, V/K and K is V's own lattice object, with its map
-  from ``exact_seq_from_sub``.  The collapse W → V is a morphism (T's
-  copy is action-closed in W), so it is built unchecked.
+  collapse).  The sets are V's admissible lists, closed by construction,
+  so each S, V/K and K is built once here, unchecked, and only where it is
+  used; so are the inclusion, the projection and the collapse W → V (T's
+  copy is action-closed in W), all morphisms.
   """
   cands = []
   for s in admissible_subs(V, pred):
-    seq = exact_seq_from_sub(V, s)
-    cands.append((seq.sub, QuotientHom.from_ambient(seq.i, pred)))
+    S = V._sub_object(s)
+    incl = ASetMap._trusted(S, V, {x: x for x in S.elements})
+    cands.append((S, QuotientHom.from_ambient(incl, pred)))
   kernels = admissible_kernels(V, pred)
   for k in kernels:
-    seq = exact_seq_from_sub(V, k)
-    g = _inverse(QuotientHom.from_ambient(seq.p, pred))
+    Q = V._quotient_object(k)
+    g = _inverse(QuotientHom.from_ambient(ASetMap._trusted(
+        V, Q, {x: V.base if x in k else x for x in V.elements}), pred))
     if g is not None:
-      cands.append((seq.quotient, g))
+      cands.append((Q, g))
   for k in kernels:
     if len(k) == 1:
       continue
-    T = V.subquotient(k)[0]
+    T = V._sub_object(k)
     W, inc_v, inc_t = wedge(V, T)
     collapse = {inc_v(x): x for x in V.elements}
     collapse.update({inc_t(t): V.base for t in T.elements})

@@ -204,6 +204,18 @@ def test_subobject_sets_match_the_filter_in_order():
     assert X.subobject_sets() == filter_subobjects(X), X
 
 
+def test_subobject_sets_is_a_new_list_on_each_call():
+  # the masks are kept on X, the frozensets and the list are not
+  for X in lattice_corpus()[::7]:
+    first = X.subobject_sets()
+    want = filter_subobjects(X)
+    assert first == want
+    first.pop()
+    first.append(frozenset({"not a subobject"}))
+    second = X.subobject_sets()
+    assert second is not first and second == want, X
+
+
 def test_subobject_sets_of_a_long_line():
   # 41 subobjects out of 2^40 subsets: out of reach of the filter
   assert len(truncated_line(40).subobject_sets()) == 41

@@ -144,18 +144,18 @@ def test_the_closure_walk_builds_what_sub_aset_and_quotient_by_build(
   object the public, checking constructors build, in the same element
   order."""
   walked, indexed = [], []
-  lattice, index = FiniteASet.subobject_sets, corpora.IsoClasses.index
+  walk, index = FiniteASet._walk_masks, corpora.IsoClasses.index
 
-  def spy_lattice(X):
-    subs = lattice(X)
-    walked.append((X, subs))
-    return subs
+  def spy_walk(X):
+    masks = walk(X)
+    walked.append((X, list(X._sets_of(masks))))
+    return masks
 
   def spy_index(classes, X):
     indexed.append(X)
     return index(classes, X)
 
-  monkeypatch.setattr(FiniteASet, "subobject_sets", spy_lattice)
+  monkeypatch.setattr(FiniteASet, "_walk_masks", spy_walk)
   monkeypatch.setattr(corpora.IsoClasses, "index", spy_index)
   seeds = all_nsets(5)
   subquotient_relations(seeds, bound=128)
@@ -195,6 +195,8 @@ def test_the_gamma_walk_builds_only_the_classes_it_opens(monkeypatch):
   monkeypatch.undo()
   opened = {id(R) for R in reps[len(seeds):]}
   assert len(built) == len(opened) > 20
+  # the walk keeps nothing on X; the checks below read X's lattice
+  assert all(X._derived is None for _, X, _, _ in built)
   for name, X, s, got in built:
     assert id(got) in opened
     want = (X.sub_aset(s) if name == "_sub_object" else X.quotient_by(s))[0]
@@ -203,7 +205,6 @@ def test_the_gamma_walk_builds_only_the_classes_it_opens(monkeypatch):
     first = next(t for t in X.subobject_sets()
                  if X.sub_aset(t)[0].canonical_key() == key)
     assert first == s
-    assert X._derived is None
 
 
 def test_derived_keys_are_the_built_objects_keys():

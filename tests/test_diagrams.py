@@ -604,7 +604,7 @@ def test_fiber_product_refuses_colliding_labels():
 
 def test_exact_seq_from_sub_reads_the_lattice():
   X = all_nilpotent_asets(T3, 5)[-1]
-  for s in X.subobject_lattice():
+  for s in X.subobject_sets():
     S, Q = X.subquotient(s)
     for given_as in (set(s), list(s)):
       seq = exact_seq_from_sub(X, given_as)
@@ -627,8 +627,8 @@ def test_a_key_diagram_validates_only_its_checks(monkeypatch):
   # decides every entry on the carrier: it builds no object and no map,
   # checked or not, and composes none
   six = [X for X in all_nilpotent_asets(T3, 6) if X.size() == 6]
-  X = max(six, key=lambda Y: len(Y.subobject_lattice()))
-  subs = list(X.subobject_lattice())
+  X = max(six, key=lambda Y: len(Y.subobject_sets()))
+  subs = list(X.subobject_sets())
   counts = Counter()
 
   def counted(key, fn):
@@ -836,17 +836,20 @@ def _diagrams_on(X):
 
 def test_the_table_keeps_one_copy_of_each_subobject_set():
   X = all_nilpotent_asets(T3, 5)[-1]
-  for s in X.subobject_lattice():
+  for s in X.subobject_sets():
     copy = frozenset(list(s))
     assert copy is not s
     S, Q = X.subquotient(copy)
-    # the stored subobject's carrier set is the lattice's own frozenset
-    assert S._element_set is s
+    # the stored subobject's carrier set is the frozenset first asked for
+    assert S._element_set is copy
     assert S.same_carrier(X.sub_aset(s)[0])
     assert Q.same_carrier(X.quotient_by(s)[0])
     assert X.subquotient(s)[0] is S and X.subquotient(s)[1] is Q
-  with pytest.raises(InvalidStructure):
-    X.subquotient(frozenset({STAR, "not an element"}))
+  # a foreign element, and a set inside the carrier that is not closed
+  for Y, bad in ((X, {STAR, "not an element"}),
+                 (truncated_line(2), {STAR, "1"})):
+    with pytest.raises(InvalidStructure):
+      Y.subquotient(frozenset(bad))
 
 
 def test_the_object_table_pins_nothing():

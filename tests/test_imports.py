@@ -77,9 +77,64 @@ KEPT_UNREAD = {
                            "Burnside-mark certificate",
     "coset_orbit_aset": "one orbit Γ/H, which the tests build Γ₊-sets "
                         "from; all_gamma_asets reads the same coset table",
+    "kernel": "a construction of the paper's quasi-exact category",
     "cokernel": "a construction of the paper's quasi-exact category",
     "smash": "a construction of the paper's quasi-exact category",
 }
+
+
+def _bound(fn):
+  """The names bound in the own scope of function or lambda ``fn``: its
+  parameters and every name its body assigns, imports, defines or catches,
+  less those it declares ``global``.  Nested function and class bodies are
+  not entered; comprehension targets count as bound in ``fn``."""
+  args = fn.args
+  names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                           args.vararg, args.kwarg) if a}
+  declared = set()
+  todo = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+  while todo:
+    node = todo.pop()
+    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+      names.add(node.id)
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                           ast.ClassDef)):
+      names.add(node.name)
+      continue
+    elif isinstance(node, ast.Lambda):
+      continue
+    elif isinstance(node, (ast.Import, ast.ImportFrom)):
+      names.update(a.asname or a.name.split(".")[0] for a in node.names)
+    elif isinstance(node, ast.ExceptHandler) and node.name:
+      names.add(node.name)
+    elif isinstance(node, ast.Global):
+      declared.update(node.names)
+    todo.extend(ast.iter_child_nodes(node))
+  return names - declared
+
+
+def _global_reads(tree):
+  """The names ``tree`` loads where no enclosing function binds them: at
+  module or class level, or in a function whose scope chain leaves the
+  name to the module."""
+  read = set()
+  todo = [(tree, frozenset())]
+  while todo:
+    node, local = todo.pop()
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+      # decorators and defaults are read in the enclosing scope
+      outer = [*getattr(node, "decorator_list", ()), *node.args.defaults,
+               *(d for d in node.args.kw_defaults if d)]
+      todo += [(child, local) for child in outer]
+      inner = local | _bound(node)
+      body = node.body if isinstance(node.body, list) else [node.body]
+      todo += [(child, inner) for child in body]
+      continue
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+       and node.id not in local:
+      read.add(node.id)
+    todo += [(child, local) for child in ast.iter_child_nodes(node)]
+  return read
 
 
 def unread_definitions(sources):
@@ -87,17 +142,17 @@ def unread_definitions(sources):
   (module name to source) that no module reads: as a loaded name, as an
   attribute or as an imported name, ``__init__``'s exports included.
 
-  A name is not told apart from a local variable of the same name: a
-  function whose only reader is a variable called like it (``kernel`` in
-  ``serre`` is one) is not flagged.
+  Reads are scope-aware: a name that an enclosing function binds (a
+  parameter or an assignment) is that function's local, so a function
+  whose only reader is a variable called like it (``kernel`` in ``serre``
+  is one) is flagged.
   """
   trees = {module: ast.parse(source) for module, source in sources.items()}
   read = set()
   for tree in trees.values():
+    read |= _global_reads(tree)
     for node in ast.walk(tree):
-      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-        read.add(node.id)
-      elif isinstance(node, ast.Attribute):
+      if isinstance(node, ast.Attribute):
         read.add(node.attr)
       elif isinstance(node, ast.ImportFrom):
         read.update(alias.name for alias in node.names)
@@ -127,6 +182,22 @@ def test_the_check_sees_an_unread_definition():
            "only_stored = None\n",
       "c": "def used_by_import(): pass\n",
   }
-  # ``shadowed`` is read only as f's local variable: the known blind spot
+  # ``shadowed`` is read only as f's local variable, so it is unread
   assert unread_definitions(sources) == [
-      ("a", "Unread"), ("a", "dead"), ("a", "f"), ("b", "only_stored")]
+      ("a", "Unread"), ("a", "dead"), ("a", "f"), ("a", "shadowed"),
+      ("b", "only_stored")]
+
+
+def test_the_check_reads_names_by_scope():
+  source = ("def param(): pass\ndef outer(): pass\ndef inner(): pass\n"
+            "def in_default(): pass\ndef in_lambda(): pass\n"
+            "def module_read(): pass\ndef global_read(): pass\n"
+            "def g(param, y=in_default()):\n  return param\n"
+            "def h():\n  outer = 1\n  def k():\n    return outer, inner\n"
+            "  return k, lambda inner: inner, lambda: in_lambda\n"
+            "def m():\n  global global_read\n  global_read = 2\n"
+            "  return global_read, module_read\n"
+            "g, h, m\n")
+  # a parameter and an enclosing function's local hide the definition; a
+  # default, a lambda's free name and a ``global`` name read it
+  assert unread_definitions({"a": source}) == [("a", "outer"), ("a", "param")]

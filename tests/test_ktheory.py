@@ -621,6 +621,22 @@ def test_index_of_searches_only_the_reps_of_equal_key():
     k0.index_of(truncated_line(2))
 
 
+def test_the_class_index_is_built_on_the_first_index_of(monkeypatch):
+  from monoidkit.asets import FiniteASet
+  G = FiniteMonoid.group_with_zero([2, 2])
+  reps, rows = subquotient_relations([X for X, _ in all_gamma_asets(G, 6)])
+  keys = []
+  class_key = FiniteASet.class_key
+  monkeypatch.setattr(FiniteASet, "class_key",
+                      lambda self: keys.append(self) or class_key(self))
+  k0 = K0Result(reps, rows)
+  assert keys == []                   # the reps are filed on first use
+  assert k0.index_of(reps[-1]) == len(reps) - 1
+  assert len(keys) == len(reps) + 1
+  keys.clear()
+  assert k0.index_of(reps[0]) == 0 and len(keys) == 1
+
+
 def test_gamma_set_classes_are_found_without_an_isomorphism_search(
     monkeypatch):
   from monoidkit.asets import FiniteASet

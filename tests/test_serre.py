@@ -2,6 +2,7 @@ import collections
 import gc
 import itertools
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -282,9 +283,9 @@ def test_admissible_lists_match_the_public_constructor_filter():
 
 def test_index_poset_walks_each_lattice_once(monkeypatch):
   walked = []
-  lattice = FiniteASet.subobject_sets
-  monkeypatch.setattr(FiniteASet, "subobject_sets",
-                      lambda self: walked.append(self) or lattice(self))
+  walk = FiniteASet._walk_masks
+  monkeypatch.setattr(FiniteASet, "_walk_masks",
+                      lambda self: walked.append(self) or walk(self))
   corpus = all_nsets(4)
   for X in corpus:
     for Y in corpus:
@@ -293,9 +294,38 @@ def test_index_poset_walks_each_lattice_once(monkeypatch):
   assert len(walked) == len({id(X) for X in walked}) <= len(corpus)
 
 
+def test_admissible_lists_are_filtered_once_per_predicate(monkeypatch):
+  contains = SerrePredicate.contains
+  calls = []
+  monkeypatch.setattr(SerrePredicate, "contains",
+                      lambda self, X: calls.append(X) or contains(self, X))
+  for X in all_nsets(4)[::3]:
+    for pred in (TORSION, SerrePredicate.support_in(N, ["(t)"])):
+      calls.clear()
+      first = (admissible_subs(X, pred), admissible_kernels(X, pred))
+      assert len(calls) == 2 * len(X.subobject_sets())
+      calls.clear()
+      assert (admissible_subs(X, pred), admissible_kernels(X, pred)) == first
+      assert calls == [], (X, pred)
+
+
+def test_the_lattice_of_a_window_holds_only_masks():
+  # 4,096 subobjects and one window: X keeps its masks and the two
+  # one-element admissible lists, not an S and an X/S per subobject
+  X = nat_set({f"p{i}": f"p{i}" for i in range(12)})
+  tracemalloc.start()
+  try:
+    poset = index_poset(X, X, TORSION)
+    held, peak = tracemalloc.get_traced_memory()
+  finally:
+    tracemalloc.stop()
+  assert len(poset) == 1 and len(X._derived.lattice) == 4096
+  assert peak <= 2.9e6 and held <= 0.5e6, (peak, held)
+
+
 def test_window_functions_never_list_the_lattice(monkeypatch):
   lattice_calls = []
-  monkeypatch.setattr(FiniteASet, "subobject_sets",
+  monkeypatch.setattr(FiniteASet, "_walk_masks",
                       lambda self: lattice_calls.append(self))
   contains = SerrePredicate.contains
   pred_calls = []
