@@ -40,7 +40,7 @@ def solve_inequalities(constraints, nvars):
   Fourier-Motzkin elimination; exact, intended for a handful of variables.
   Constraints are (coeffs, rhs) pairs with Fraction-compatible entries.
   """
-  constraints = [(tuple(Fraction(c) for c in coeffs), Fraction(rhs))
+  constraints = [(tuple([Fraction(c) for c in coeffs]), Fraction(rhs))
                  for coeffs, rhs in constraints]
   if nvars == 0:
     return [] if all(rhs <= 0 for _, rhs in constraints) else None
@@ -57,7 +57,7 @@ def solve_inequalities(constraints, nvars):
   for cp, rp in pos:
     for cn, rn in neg:
       ap, an = cp[k], -cn[k]
-      coeffs = tuple(an * cp[i] + ap * cn[i] for i in range(k))
+      coeffs = tuple([an * cp[i] + ap * cn[i] for i in range(k)])
       projected.append((coeffs, an * rp + ap * rn))
   sub = solve_inequalities(projected, k)
   if sub is None:

@@ -22,7 +22,11 @@ is a congruence; only the class names are checked distinct).
 An object's subobject lattice is walked once and kept on it as int masks,
 one bit per non-base element in the one layout of ``_bits``;
 ``subobject_sets()`` hands out fresh frozensets, and ``subquotient``
-builds (S, X/S) only for the sets it is asked for.
+builds (S, X/S) only for the sets it is asked for.  Beside each pair that
+``exact_seq_from_sub`` asks for, X keeps the two mappings of S ↣ X ↠ X/S
+and one exactness verdict; each sequence it hands out for (X, S) wraps the
+kept mappings in two fresh ``_trusted`` maps.  So a trusted map's mapping
+may be shared, and no caller mutates a map's mapping.
 
 Maps and isomorphisms come from one backtracking search,
 ``_equivariant_maps``.  ``iter_hom_maps`` yields the maps it finds one
@@ -476,16 +480,32 @@ class FiniteASet:
 
 class _Derived:
   """What an object computes about itself once and keeps: its subobject
-  masks (``_masks``), the (S, X/S) pairs ``subquotient`` was asked for, and
+  masks (``_masks``), the (S, X/S) pairs ``subquotient`` was asked for, the
+  ``_KeptSequence`` of each S that ``exact_seq_from_sub`` was asked for, and
   ``serre``'s window halves and admissible lists.  Nothing here may refer
   to the object, or it would live until a cyclic GC pass."""
 
-  __slots__ = ("lattice", "subquotients", "windows")
+  __slots__ = ("lattice", "subquotients", "sequences", "windows")
 
   def __init__(self):
     self.lattice = None
     self.subquotients = {}
+    self.sequences = {}
     self.windows = {}
+
+
+class _KeptSequence:
+  """What X keeps of S ↣ X ↠ X/S for one admissible S: the inclusion's and
+  the projection's mappings (element names only, no object) and the
+  exactness verdict, None until ``is_exact`` first judges a sequence of
+  (X, S).  Nothing here refers to X."""
+
+  __slots__ = ("inclusion", "projection", "_exact")
+
+  def __init__(self, inclusion, projection):
+    self.inclusion = inclusion
+    self.projection = projection
+    self._exact = None
 
 
 class IsoClasses:
@@ -564,7 +584,9 @@ class ASetMap:
   def _trusted(cls, source, target, mapping):
     """A map the caller guarantees is a morphism source → target, unchecked.
 
-    ``mapping`` is a fresh dict and is kept, not copied.
+    ``mapping`` is kept, not copied: a fresh dict, or one of the mappings
+    X keeps for ``exact_seq_from_sub``, which every sequence of (X, S)
+    shares and no one mutates.
     """
     self = object.__new__(cls)
     self.source = source
@@ -617,7 +639,13 @@ def identity_map(X):
 
 
 class ExactSeq:
-  """X' >--i--> X --p-->> X'': an admissible monic and its cokernel."""
+  """X' >--i--> X --p-->> X'': an admissible monic and its cokernel.
+
+  A sequence built by hand keeps its own exactness verdict; one from
+  ``exact_seq_from_sub`` reads the verdict its middle object keeps for
+  (X, S) in ``_kept``, a ``_KeptSequence`` shared by every sequence of
+  (X, S).
+  """
 
   def __init__(self, i, p):
     if not i.target.same_carrier(p.source):
@@ -625,6 +653,7 @@ class ExactSeq:
     self.i = i
     self.p = p
     self._exact = None
+    self._kept = None
 
   @property
   def sub(self):
@@ -647,16 +676,20 @@ def is_exact(seq):
 
   Requires i injective, p surjective, the fiber of p over the basepoint to be
   exactly the image of i, and every other fiber to be a single point.  The
-  verdict is kept on ``seq``, so each sequence is checked once.
+  check runs once and its verdict is kept: for a sequence from
+  ``exact_seq_from_sub``, on X's record of (X, S), so it runs once per
+  (X, S) however many sequences of (X, S) are judged; for one built by
+  hand, on ``seq`` itself.
   """
-  if seq._exact is None:
+  held = seq._kept or seq
+  if held._exact is None:
     i, p = seq.i, seq.p
     image = i.image_set()
     outside = [p(x) for x in p.source.elements if x not in image]
-    seq._exact = (i.is_injective() and p.is_surjective()
-                  and p.preimage({p.target.base}) == image
-                  and len(set(outside)) == len(outside))
-  return seq._exact
+    held._exact = (i.is_injective() and p.is_surjective()
+                   and p.preimage({p.target.base}) == image
+                   and len(set(outside)) == len(outside))
+  return held._exact
 
 
 def kernel(p):
@@ -676,14 +709,25 @@ def exact_seq_from_sub(X, subset):
 
   S and X/S are X's own ``subquotient`` objects, and ``subquotient`` checks
   admissibility (``InvalidStructure`` otherwise); the inclusion and the
-  collapse are then morphisms and are built unchecked.
+  collapse are then morphisms.  Their mappings are built on the first ask
+  for (X, S) and kept on X, with the exactness verdict, in a
+  ``_KeptSequence``; each call wraps them in two fresh unchecked maps and
+  a fresh ``ExactSeq`` that reads the kept verdict, so ``is_exact`` checks
+  each (X, S) once.
   """
   s = frozenset(subset)
   sub, quo = X.subquotient(s)
-  base = X.base
-  return ExactSeq(
-      ASetMap._trusted(sub, X, {x: x for x in sub.elements}),
-      ASetMap._trusted(X, quo, {x: base if x in s else x for x in X.elements}))
+  kept = X._derived.sequences        # subquotient made the slot
+  record = kept.get(s)
+  if record is None:
+    base = X.base
+    record = kept[s] = _KeptSequence(
+        {x: x for x in sub.elements},
+        {x: base if x in s else x for x in X.elements})
+  seq = ExactSeq(ASetMap._trusted(sub, X, record.inclusion),
+                 ASetMap._trusted(X, quo, record.projection))
+  seq._kept = record
+  return seq
 
 
 # -- constructions ------------------------------------------------------------------

@@ -316,7 +316,7 @@ def all_gamma_asets(monoid, max_elements):
     name = f"{len(chosen)} orbit(s)" if chosen else "point"
     parts = [(tables[i], f"o{k}") for k, i in enumerate(chosen)]
     out.append((_orbit_wedge(monoid, parts, name),
-                tuple(len(subgroups[i]) for i in chosen)))
+                tuple([len(subgroups[i]) for i in chosen])))
     stack += [(budget - sizes[i], i, chosen + [i])
               for i in reversed(range(start, len(subgroups)))
               if sizes[i] <= budget]

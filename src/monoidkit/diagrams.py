@@ -17,14 +17,17 @@ lattice version.
 
 Every diagram on X shares X's subquotient objects
 (``FiniteASet.subquotient``, which builds each (S, X/S) on its first ask
-and refuses a set that is not a subobject); only the maps and the checks
-are per diagram.  Per pair of sequences, ``KeyDiagram`` builds the eight
-square legs and the two derived sequences' four maps, all unchecked: the
-subsets are nested subobjects of X, so each leg is a morphism.  ``verify``
-decides every entry on X's carrier and the legs' mappings: a hash join for
-the pullback, one union-find pass over the tagged wedge for each pushout,
-the set of pairs for the product embedding, and the action closure of the
-meet and the join.  It builds no object and no map, and composes none.
+and refuses a set that is not a subobject), and the mappings and the
+exactness verdict of each derived sequence S ↣ X ↠ X/S, which X keeps per
+S for ``exact_seq_from_sub``: each is built and judged once per (X, S).
+Per pair of sequences, ``KeyDiagram`` builds the eight square legs,
+unchecked (the subsets are nested subobjects of X, so each leg is a
+morphism), and wraps the derived sequences' kept mappings in four fresh
+maps; ``is_exact`` reads their kept verdicts.  ``verify`` decides every
+entry on X's carrier and the legs' mappings: a hash join for the pullback,
+one union-find pass over the tagged wedge for each pushout, the set of
+pairs for the product embedding, and the action closure of the meet and
+the join.  It builds no object and no map, and composes none.
 """
 
 from __future__ import annotations

@@ -152,14 +152,14 @@ class FiniteAbelianGroup:
     orders = [int(n) for n in orders]
     assert all(n >= 1 for n in orders)
     self.orders = orders
-    self.identity = tuple(0 for _ in orders)
+    self.identity = tuple([0 for _ in orders])
     self.elements = [tuple(x) for x in itertools.product(*(range(n) for n in orders))]
 
   def add(self, a, b):
-    return tuple((x + y) % n for x, y, n in zip(a, b, self.orders))
+    return tuple([(x + y) % n for x, y, n in zip(a, b, self.orders)])
 
   def neg(self, a):
-    return tuple((-x) % n for x, n in zip(a, self.orders))
+    return tuple([(-x) % n for x, n in zip(a, self.orders)])
 
   def span(self, gens):
     seen = {self.identity}

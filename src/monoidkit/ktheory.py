@@ -118,8 +118,8 @@ class K0Result:
       rows.append(row)
     signs = [next((1 if row[j] > 0 else -1 for row in rows if row[j]), 1)
              for j in free]
-    self._classes = [(tuple(s * row[j] for s, j in zip(signs, free)),
-                      tuple(row[j] % d for j, d in torsion)) for row in rows]
+    self._classes = [(tuple([s * row[j] for s, j in zip(signs, free)]),
+                      tuple([row[j] % d for j, d in torsion])) for row in rows]
     self._moduli = [d for _, d in torsion]
     self.group = AbelianGroupPresentation(len(free), self._moduli)
     self._iso_classes = None        # built on the first index_of

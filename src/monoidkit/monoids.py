@@ -234,9 +234,9 @@ class FiniteMonoid:
     """The invertible elements in element order, as a tuple.  The search
     runs over the whole table, so it runs once and is kept."""
     if self._units is None:
-      self._units = tuple(a for a in self.elements
-                          if any(self.mul(a, b) == self.one
-                                 for b in self.elements))
+      self._units = tuple([a for a in self.elements
+                           if any(self.mul(a, b) == self.one
+                                  for b in self.elements)])
     return self._units
 
   def unit_tree(self):
@@ -309,8 +309,8 @@ class FiniteMonoid:
     for s in found:
       below = [heights[t] for t in found if t < s]
       heights[s] = max(below) + 1 if below else 0
-    self._primes = tuple(PrimeIdeal(self, heights[s], subset=s)
-                         for s in found)
+    self._primes = tuple([PrimeIdeal(self, heights[s], subset=s)
+                          for s in found])
     return self._primes
 
   # -- localization -----------------------------------------------------------

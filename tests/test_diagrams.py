@@ -29,6 +29,7 @@ from monoidkit.corpora import all_nilpotent_asets, all_nsets, all_pointed_sets
 from monoidkit.diagrams import KeyDiagram, _pushout_is, key_diagram
 from monoidkit.errors import InvalidStructure
 from monoidkit.monoids import FiniteMonoid
+from monoidkit.selftest import case_11_key_diagram
 
 F1 = FiniteMonoid.f1()
 T3 = FiniteMonoid.truncated_free(2)          # N/(t^3)
@@ -622,6 +623,85 @@ def test_exact_seq_from_sub_refuses_a_non_subobject(subset):
     exact_seq_from_sub(truncated_line(2), subset)
 
 
+def test_the_sequences_of_one_subobject_share_its_mappings_and_verdict():
+  X = all_nilpotent_asets(T3, 5)[-1]
+  for s in X.subobject_sets():
+    seqs = [exact_seq_from_sub(X, given_as)
+            for given_as in (s, s, set(s), list(s), frozenset(list(s)))]
+    first = seqs[0]
+    assert first._kept._exact is None               # not judged yet
+    assert is_exact(seqs[-1])
+    for seq in seqs:
+      # a fresh sequence and fresh maps around the kept mappings
+      assert seq is first or (seq.i is not first.i and seq.p is not first.p)
+      assert seq.i.mapping is first.i.mapping
+      assert seq.p.mapping is first.p.mapping
+      assert seq.sub is first.sub and seq.quotient is first.quotient
+      assert seq._kept is first._kept and seq._kept._exact is True
+  assert len(X._derived.sequences) == len(X.subobject_sets())
+
+
+def counted_verdicts(monkeypatch):
+  """A Counter whose "verdicts" entry counts exactness checks run from now
+  on: ``is_exact`` calls ``is_surjective`` once per check it runs."""
+  calls = Counter()
+  surjective = ASetMap.is_surjective
+
+  def counted(m):
+    calls["verdicts"] += 1
+    return surjective(m)
+
+  monkeypatch.setattr(ASetMap, "is_surjective", counted)
+  return calls
+
+
+def test_is_exact_checks_each_subobject_once(monkeypatch):
+  X = all_nilpotent_asets(T3, 5)[-1]
+  subs = X.subobject_sets()
+  calls = counted_verdicts(monkeypatch)
+  for _ in range(3):
+    for s in subs:
+      assert is_exact(exact_seq_from_sub(X, s))
+  assert calls["verdicts"] == len(subs)
+  # a sequence built by hand, even on the kept maps, is checked on its own
+  kept = exact_seq_from_sub(X, subs[-1])
+  by_hand = ExactSeq(kept.i, kept.p)
+  assert is_exact(by_hand) and is_exact(by_hand)
+  assert calls["verdicts"] == len(subs) + 1
+
+
+@pytest.mark.parametrize("leg", ["i", "p"])
+def test_a_corrupted_hand_built_sequence_does_not_touch_the_kept_verdict(leg):
+  X = all_nilpotent_asets(T3, 5)[-1]
+  s = next(s for s in X.subobject_sets() if 1 < len(s) < X.size())
+  kept = exact_seq_from_sub(X, s)
+  assert is_exact(kept)
+  # the zero map: i is no longer one-to-one, and p kills more than S
+  m = getattr(kept, leg)
+  zero = corrupted(m, lambda x, y: m.target.base)
+  assert zero.mapping != m.mapping
+  maps = {"i": kept.i, "p": kept.p, leg: zero}
+  by_hand = ExactSeq(maps["i"], maps["p"])
+  assert by_hand.sub is kept.sub and by_hand.quotient is kept.quotient
+  assert not is_exact(by_hand)
+  assert kept._kept._exact is True
+  assert is_exact(exact_seq_from_sub(X, s))
+  # the kept mappings are the checked constructors' maps still
+  assert kept.i == X.sub_aset(s)[1] and kept.p == X.quotient_by(s)[1]
+
+
+def test_case_11_judges_each_sequence_of_its_corpus_once(monkeypatch):
+  # 6,739 sequence pairs over 415 (X, S): one exactness check per (X, S),
+  # not one per sequence built
+  corpus = all_pointed_sets(F1, 6) + all_nilpotent_asets(T3, 6)
+  assert sum(len(X.subobject_sets()) for X in corpus) == 415
+  calls = counted_verdicts(monkeypatch)
+  result = case_11_key_diagram()
+  assert result.passed
+  assert result.computed == "0 failures over 6739 sequence pairs"
+  assert calls["verdicts"] == 415
+
+
 def test_a_key_diagram_validates_only_its_checks(monkeypatch):
   # the legs and the derived sequences are built unchecked, and verify
   # decides every entry on the carrier: it builds no object and no map,
@@ -860,9 +940,15 @@ def test_the_object_table_pins_nothing():
   try:
     X = all_nilpotent_asets(T3, 5)[-1]
     _diagrams_on(X)
+    # every sequence's mappings and verdict are kept on X, and none of them
+    # refers to X: X dies while a record of it is still held
+    records = X._derived.sequences
+    assert set(records) == set(X.subobject_sets())
+    assert all(record._exact is True for record in records.values())
     alive = weakref.ref(X)
     del X
     assert alive() is None
+    assert all(record._exact is True for record in records.values())
   finally:
     if enabled:
       gc.enable()

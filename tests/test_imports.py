@@ -1,6 +1,7 @@
 """Every name a package module imports is read somewhere in that module,
-no package module imports another one's private (underscore) names, and
-every module-level function and class is read somewhere in the package.
+no package module imports another one's private (underscore) names, every
+module-level function and class is read somewhere in the package, and no
+``tuple(...)`` call in ``src/`` takes a generator expression.
 
 A stdlib stand-in for a linter's unused-import, private-import and
 dead-code rules.  ``__init__.py`` is left out of the first: it imports
@@ -15,6 +16,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "monoidkit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+SOURCES = sorted(PACKAGE.parent.rglob("*.py"))
 
 
 def unused_imports(source):
@@ -201,3 +203,33 @@ def test_the_check_reads_names_by_scope():
   # a parameter and an enclosing function's local hide the definition; a
   # default, a lambda's free name and a ``global`` name read it
   assert unread_definitions({"a": source}) == [("a", "outer"), ("a", "param")]
+
+
+def tuple_generator_calls(source):
+  """Line of each ``tuple(<generator expression>)`` call in ``source``.
+
+  A generator has no length, so CPython sizes such a tuple by guessing and
+  shrinks it at the end: it is allocated at one size and freed at another,
+  and over a long run the tuple free lists fill up.  ``tuple([...])``
+  builds the list first and allocates the tuple once, at its size.
+  """
+  return sorted(
+      node.lineno for node in ast.walk(ast.parse(source))
+      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+      and node.func.id == "tuple" and len(node.args) == 1
+      and isinstance(node.args[0], ast.GeneratorExp))
+
+
+def test_no_tuple_call_takes_a_generator():
+  found = [f"{path.relative_to(PACKAGE.parent.parent)}:{line}"
+           for path in SOURCES
+           for line in tuple_generator_calls(path.read_text(encoding="utf-8"))]
+  assert found == [], f"tuple(<generator>) at {', '.join(found)}"
+
+
+def test_the_check_sees_a_tuple_of_a_generator():
+  source = ("a = tuple(x for x in range(3))\n"
+            "b = tuple([x for x in range(3)])\n"
+            "c = tuple(sorted(x for x in range(3)))\n"
+            "d = (tuple(\n  y for y in a), list(x for x in b))\n")
+  assert tuple_generator_calls(source) == [1, 4]
