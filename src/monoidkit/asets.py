@@ -1014,11 +1014,17 @@ def is_rooted_tree(X):
   """For an N-set: does every orbit fall into ∗ (no off-base loop)?"""
   if not isinstance(X.monoid, NatMonoid):
     raise InvalidStructure("rooted-tree shape is an N-set notion")
+  return falls_into(X, X.nonbase(), (X.base,))
+
+
+def falls_into(X, elements, dead):
+  """For an N-set: does every x in ``elements`` reach ``dead``, an
+  action-closed subset holding ∗, under some power of t?"""
   # each element is walked once: a walk stops at the first element already
-  # known to fall into ∗, and then its whole path falls too
+  # known to fall, and then its whole path falls too
   step = X.action["t"]
-  falls = {X.base}
-  for x in X.nonbase():
+  falls = set(dead)
+  for x in elements:
     path = set()
     while x not in falls:
       if x in path:

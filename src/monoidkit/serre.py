@@ -12,6 +12,15 @@ under subobjects, quotients and extensions gives that maximum one element at
 a time: X′ is ∗ and each x with X/U_x ∉ C (U_x the largest subobject missing
 x), and Y″ collapses each orbit whose cyclic subobject lies in C.
 
+Each of those questions is about a subobject or a quotient of X on a set
+closed by construction, so it goes to ``pred.contains_sub(X, s)`` or
+``pred.contains_quotient(X, s)``.  For ``support_in`` and ``torsion`` these
+read X's action (its successor map over N, its one ``full_action`` table
+otherwise) and build no object; ``finite_length`` and ``explicit`` build
+the object they are asked about (``explicit`` only when its size allows a
+match).  So a window half builds only X′ or Y″, and an admissible list
+builds nothing under the carrier kinds.
+
 X′ depends only on (X, C) and Y″ only on (Y, C).  Each object keeps, in
 its derived-data slot and per predicate under a weak reference, a source
 half (X′'s carrier, X′) and a target half (K, Y/K), each computed together
@@ -45,12 +54,15 @@ from __future__ import annotations
 import itertools
 import weakref
 
-from .asets import (ASetMap, FiniteASet, aset_length, coequalizer, hom_maps,
-                    identity_map, is_rooted_tree, iter_hom_maps, point_aset,
-                    support, wedge)
+from .asets import (ASetMap, FiniteASet, aset_length, coequalizer,
+                    falls_into, hom_maps, identity_map, iter_hom_maps,
+                    point_aset, wedge)
 from .errors import (InvalidStructure, NotIso, PredicateClosureError,
                      Undecidable)
 from .monoids import NatMonoid
+
+
+_CARRIER_KINDS = ("support_in", "torsion")
 
 
 class SerrePredicate:
@@ -60,6 +72,14 @@ class SerrePredicate:
   ``torsion`` (every element killed by the multiplicative set), ``finite_length``,
   ``explicit`` (isomorphic to a listed object).  Predicates are data: the four
   kinds make closure checking decidable.
+
+  ``contains`` takes an object; ``contains_sub`` and ``contains_quotient``
+  take an admissible set s of X and ask about the subobject on s and about
+  X/s.  ``support_in`` and ``torsion`` decide all three on X's carrier
+  (``_kills``) and build nothing.  ``finite_length`` builds the object;
+  ``explicit`` builds it only when its size is that of a listed object
+  other than the point, since isomorphic objects have equal size and every
+  one-element object is the point.
   """
 
   KINDS = ("support_in", "torsion", "finite_length", "explicit")
@@ -72,6 +92,8 @@ class SerrePredicate:
     self.primes = frozenset(primes)
     self.mult_set = tuple(mult_set)
     self.objects = list(objects)
+    self._sizes = frozenset(len(W.elements) for W in self.objects)
+    self._rules = None              # the carrier test's killers, on first use
 
   # -- constructors ---------------------------------------------------------
 
@@ -106,13 +128,72 @@ class SerrePredicate:
   # -- membership -------------------------------------------------------------
 
   def contains(self, X):
-    if self.kind == "support_in":
-      return all(p.label in self.primes for p in support(X))
-    if self.kind == "torsion":
-      return self._is_torsion(X)
+    if self.kind in _CARRIER_KINDS:
+      return self._kills(X, X.nonbase(), (X.base,))
     if self.kind == "finite_length":
       return aset_length(X) is not None
     return any(X.is_isomorphic(W) for W in self.objects)
+
+  def contains_sub(self, X, s):
+    """Is the subobject of X on the admissible set s in C?"""
+    if self.kind in _CARRIER_KINDS:
+      return self._kills(X, [x for x in s if x != X.base], (X.base,))
+    if self.kind == "explicit" and (len(s) == 1 or len(s) not in self._sizes):
+      return len(s) in self._sizes
+    return self.contains(X._sub_object(s))
+
+  def contains_quotient(self, X, s):
+    """Is X/s in C, for an admissible set s of X?"""
+    if self.kind in _CARRIER_KINDS:
+      return self._kills(X, [x for x in X.elements if x not in s], s)
+    size = len(X.elements) - len(s) + 1
+    if self.kind == "explicit" and (size == 1 or size not in self._sizes):
+      return size in self._sizes
+    return self.contains(X._quotient_object(s))
+
+  def _kills(self, X, elements, dead):
+    """Is the object on ``elements`` ∪ {∗} in C, where ``dead`` (an
+    action-closed set of X holding ∗ and none of ``elements``) is its ∗?
+
+    That object's action is X's, with every image in ``dead`` read as ∗.
+    Over a finite monoid, each rule is a set of monoid elements, and the
+    object is in C when each rule has an element sending each x into
+    ``dead``: under ``torsion`` the one rule is the multiplicative closure,
+    under ``support_in`` the rules are the complements of the excluded
+    primes (x outside ``dead`` is killed by no element of one such
+    complement exactly when that prime is in the object's support).  Over
+    N the complement of (t) is {1}, so excluding (t) asks for no elements
+    at all; the complement of (0), like torsion's closure of {t}, is every
+    power of t, so x must fall into ``dead``.
+    """
+    rules = self._rules
+    if rules is None:
+      rules = self._rules = self._carrier_rules()
+    if isinstance(self.monoid, NatMonoid):
+      trivial, falls = rules
+      if trivial and elements:
+        return False
+      return not falls or falls_into(X, elements, dead)
+    table = X.full_action()
+    return all(any(table[a][x] in dead for a in rule)
+               for rule in rules for x in elements)
+
+  def _carrier_rules(self):
+    """``_kills``' rules, once per predicate: (trivial, falls) over N, else
+    a list of lists of monoid elements."""
+    m = self.monoid
+    if isinstance(m, NatMonoid):
+      if self.kind == "torsion":
+        if self.mult_set != ("t",):
+          raise Undecidable(
+              "torsion over N supports the multiplicative set {t}")
+        return False, True
+      excluded = {p.label for p in m.primes()} - self.primes
+      return "(t)" in excluded, "(0)" in excluded
+    if self.kind == "torsion":
+      return [list(self._mult_closure())]
+    return [[a for a in m.elements if a not in p.subset]
+            for p in m.primes() if p.label not in self.primes]
 
   def _mult_closure(self):
     m = self.monoid
@@ -126,16 +207,6 @@ class SerrePredicate:
           seen.add(b)
           frontier.append(b)
     return seen
-
-  def _is_torsion(self, X):
-    if isinstance(self.monoid, NatMonoid):
-      if tuple(self.mult_set) != ("t",):
-        raise Undecidable("torsion over N supports the multiplicative set {t}")
-      return is_rooted_tree(X)
-    closure = self._mult_closure()
-    table = X.full_action()
-    return all(any(table[s][x] == X.base for s in closure)
-               for x in X.nonbase())
 
   def __eq__(self, other):
     if self is other:               # skips the isomorphism tests of a list
@@ -250,18 +321,19 @@ class IndexPoset:
 def admissible_subs(X, pred):
   """Subobject sets S ⊆ X whose cokernel X/S lies in C, in lattice order.
 
-  Filtered from X's kept subobject masks, one frozenset at a time, each
-  X/S built only for the ``pred.contains`` test and then dropped.  The list
-  is kept with X's window halves, so X's lattice is walked once and each
-  X/S built once per predicate, whatever the number of callers.
+  Filtered from X's kept subobject masks, one frozenset at a time, by
+  ``pred.contains_quotient``, which builds X/S only under ``finite_length``
+  and ``explicit``.  The list is kept with X's window halves, so X's
+  lattice is walked once and each S decided once per predicate, whatever
+  the number of callers.
   """
   return list(_window_half(X, pred, 2))
 
 
 def admissible_kernels(Y, pred):
   """Subobject sets K ⊆ Y lying in C (kernels of admissible epics Y ↠ Y/K),
-  in lattice order; filtered and kept as ``admissible_subs`` is, each K
-  built for its test only."""
+  in lattice order; filtered by ``pred.contains_sub`` and kept as
+  ``admissible_subs`` is."""
   return list(_window_half(Y, pred, 3))
 
 
@@ -317,12 +389,12 @@ def _window_half(X, pred, side):
       kernel = _kernel_set(X, pred)
       half = kernel, X._quotient_object(kernel)
     else:
-      # the lattice's sets are closed by construction: build unchecked.  A
-      # list, not tuple(generator): that tuple is allocated at one size and
-      # freed at another, so CPython's tuple free lists would keep growing
-      build = X._quotient_object if side == 2 else X._sub_object
-      half = [s for s in X._sets_of(X._masks())
-              if pred.contains(build(s))]
+      # the lattice's sets are closed by construction, so pred decides each
+      # on X's carrier.  A list, not tuple(generator): that tuple is
+      # allocated at one size and freed at another, so CPython's tuple free
+      # lists would keep growing
+      test = pred.contains_quotient if side == 2 else pred.contains_sub
+      half = [s for s in X._sets_of(X._masks()) if test(X, s)]
     kept[key] = half
   return half
 
@@ -340,14 +412,14 @@ def minimal_dense_sub(X, pred):
 
 def _dense_set(X, pred):
   # U_x and every union of orbits are action-closed by construction, so
-  # their quotients are built unchecked and with no map
+  # pred decides their quotients on X's carrier
   orbits = {x: X.orbit(x) for x in X.nonbase()}
   out = frozenset({X.base})
   for x in orbits:
     u_x = {X.base} | {y for y, o in orbits.items() if x not in o}
-    if x not in out and not pred.contains(X._quotient_object(u_x)):
+    if x not in out and not pred.contains_quotient(X, u_x):
       out |= orbits[x]
-  if not pred.contains(X._quotient_object(out)):
+  if not pred.contains_quotient(X, out):
     raise PredicateClosureError(f"the predicate is not Serre: the cokernel "
                                 f"of {sorted(out)} is not in C")
   return out
@@ -366,9 +438,9 @@ def _kernel_set(Y, pred):
   out = frozenset({Y.base})
   for y in Y.nonbase():
     cyclic = Y.orbit(y)
-    if y not in out and pred.contains(Y._sub_object(cyclic)):
+    if y not in out and pred.contains_sub(Y, cyclic):
       out |= cyclic
-  if not pred.contains(Y._sub_object(out)):
+  if not pred.contains_sub(Y, out):
     raise PredicateClosureError(f"the predicate is not Serre: the kernel "
                                 f"{sorted(out)} is not in C")
   return out

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from monoidkit import serre
 from monoidkit.asets import (ASetMap, FiniteASet, coequalizer, cycle_nset,
-                             exact_seq_from_sub, hom_maps, nat_set, point_aset,
-                             truncated_line, wedge)
+                             exact_seq_from_sub, hom_maps, is_rooted_tree,
+                             nat_set, point_aset, support, truncated_line,
+                             wedge)
 from monoidkit.corpora import (all_gamma_asets, all_nilpotent_asets,
                                all_nsets, random_nset)
-from monoidkit.errors import InvalidStructure, NotIso, PredicateClosureError
+from monoidkit.errors import (InvalidStructure, NotIso, PredicateClosureError,
+                              Undecidable)
 from monoidkit.monoids import STAR, FiniteMonoid, NatMonoid, ValidationReport
 from monoidkit.serre import (IndexPoset, QuotientHom, SerrePredicate,
                              WindowPair, admissible_kernels, admissible_subs,
@@ -294,11 +296,18 @@ def test_index_poset_walks_each_lattice_once(monkeypatch):
   assert len(walked) == len({id(X) for X in walked}) <= len(corpus)
 
 
+def count_carrier_tests(monkeypatch, calls):
+  """Log each ``contains_sub``/``contains_quotient`` call's object in calls."""
+  for name in ("contains_sub", "contains_quotient"):
+    test = getattr(SerrePredicate, name)
+    monkeypatch.setattr(
+        SerrePredicate, name,
+        lambda self, X, s, test=test: calls.append(X) or test(self, X, s))
+
+
 def test_admissible_lists_are_filtered_once_per_predicate(monkeypatch):
-  contains = SerrePredicate.contains
   calls = []
-  monkeypatch.setattr(SerrePredicate, "contains",
-                      lambda self, X: calls.append(X) or contains(self, X))
+  count_carrier_tests(monkeypatch, calls)
   for X in all_nsets(4)[::3]:
     for pred in (TORSION, SerrePredicate.support_in(N, ["(t)"])):
       calls.clear()
@@ -327,14 +336,8 @@ def test_window_functions_never_list_the_lattice(monkeypatch):
   lattice_calls = []
   monkeypatch.setattr(FiniteASet, "_walk_masks",
                       lambda self: lattice_calls.append(self))
-  contains = SerrePredicate.contains
   pred_calls = []
-
-  def counted(self, X):
-    pred_calls.append(X)
-    return contains(self, X)
-
-  monkeypatch.setattr(SerrePredicate, "contains", counted)
+  count_carrier_tests(monkeypatch, pred_calls)
   fixed = nat_set({f"p{i}": f"p{i}" for i in range(24)})
   preds = [TORSION, SerrePredicate.zero(N), SerrePredicate.everything(N),
            SerrePredicate.finite_length(N)]
@@ -348,6 +351,81 @@ def test_window_functions_never_list_the_lattice(monkeypatch):
         assert len(pred_calls) <= n + 1, (fn.__name__, X, pred)
       canonical_window(X, X, pred)
   assert lattice_calls == []
+
+
+def oracle_contains(pred, X):
+  """Membership of a built object as first written: the support by
+  ``support``, torsion by rooted-tree shape over N and by the full action
+  table otherwise; the other kinds have only the object path."""
+  if pred.kind == "support_in":
+    return all(p.label in pred.primes for p in support(X))
+  if pred.kind == "torsion" and isinstance(X.monoid, NatMonoid):
+    return is_rooted_tree(X)
+  if pred.kind == "torsion":
+    table, closure = X.full_action(), pred._mult_closure()
+    return all(any(table[a][x] == X.base for a in closure)
+               for x in X.nonbase())
+  return pred.contains(X)
+
+
+def test_carrier_tests_match_membership_of_the_built_objects():
+  # the window corpus has torsion over N only: add it over the finite
+  # monoids, with and without the zero in the multiplicative closure
+  z2, t3 = FiniteMonoid.group_with_zero([2]), FiniteMonoid.truncated_free(2)
+  extra = [(X, SerrePredicate.torsion(M, mult))
+           for M, objects in [(z2, [X for X, _ in all_gamma_asets(z2, 5)]),
+                              (t3, all_nilpotent_asets(t3, 5))]
+           for mult in ([], ["1"], M.elements[1:2], M.elements[2:3])
+           for X in objects]
+  decisions, answers = [], collections.defaultdict(set)
+  for pairs in (window_corpus(), extra):
+    decisions.append(0)
+    for X, pred in pairs:
+      for s in X.subobject_sets():
+        for got, built in [(pred.contains_sub(X, s), X._sub_object(s)),
+                           (pred.contains_quotient(X, s),
+                            X._quotient_object(s))]:
+          assert got == pred.contains(built) == oracle_contains(pred, built), \
+              (X, pred, sorted(s))
+          answers[pred.kind, isinstance(pred.monoid, NatMonoid)].add(got)
+          decisions[-1] += 1
+  assert decisions == [41_442, 1_272]
+  # every kind, over N and over the finite monoids, answers both ways
+  assert len(answers) == 8, answers
+  assert all(a == {True, False} for a in answers.values()), answers
+
+
+def test_torsion_over_n_is_decided_for_the_powers_of_t_only():
+  X = cycle_nset(2, tail=1)
+  for pred in (SerrePredicate.torsion(N, []),
+               SerrePredicate.torsion(N, ["t^2"])):
+    for _ in range(2):
+      for ask in (pred.contains, lambda X: minimal_dense_sub(X, pred),
+                  lambda X: admissible_subs(X, pred)):
+        with pytest.raises(Undecidable):
+          ask(X)
+
+
+def test_window_halves_and_admissible_lists_build_only_x_dense_and_y_collapsed(
+    monkeypatch):
+  builds = []
+
+  def logged(kind):
+    build = getattr(FiniteASet, kind)
+    return lambda X, s, name=None: builds.append((kind, X, s)) or \
+        build(X, s, name)
+
+  for kind in ("_sub_object", "_quotient_object"):
+    monkeypatch.setattr(FiniteASet, kind, logged(kind))
+  for X in all_nsets(4) + [cycle_nset(2, tail=2), truncated_line(5)]:
+    # fresh predicates, so that no half is kept from an earlier test
+    for pred in (SerrePredicate.torsion(N), SerrePredicate.zero(N),
+                 SerrePredicate.support_in(N, ["(t)"])):
+      builds.clear()
+      dense, kernel = minimal_dense_sub(X, pred), maximal_kernel(X, pred)
+      admissible_subs(X, pred), admissible_kernels(X, pred)
+      assert builds == [("_sub_object", X, dense),
+                        ("_quotient_object", X, kernel)], (X, pred)
 
 
 def oracle_reduced_object(X, pred):
