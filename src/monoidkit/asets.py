@@ -91,9 +91,9 @@ class FiniteASet:
       for x, y in full.items():
         if x not in self._element_set or y not in self._element_set:
           raise InvalidStructure(f"action of {gen!r} mentions unknown element")
-      missing = self._element_set - set(full)
+      missing = sorted(self._element_set - set(full), key=str)
       if missing:
-        raise InvalidStructure(f"action of {gen!r} is not total: missing {sorted(missing)}")
+        raise InvalidStructure(f"action of {gen!r} is not total: missing {missing}")
       if full[base] != base:
         raise InvalidStructure(f"action of {gen!r} moves the basepoint")
       self.action[gen] = full
@@ -176,10 +176,10 @@ class FiniteASet:
         else:
           table[b] = composed
           frontier.append(b)
-    missing = set(m.elements) - set(table)
+    missing = sorted(set(m.elements) - set(table), key=str)
     if missing:
       raise InvalidStructure(
-          f"action keys do not generate the monoid (missing {sorted(missing)})")
+          f"action keys do not generate the monoid (missing {missing})")
     const = {x: self.base for x in self.elements}
     if table[m.zero] != const:
       raise InvalidStructure("the monoid zero does not act as the basepoint map")
@@ -291,14 +291,14 @@ class FiniteASet:
     """
     return list(self._sets_of(self._masks()))
 
-  def sub_aset(self, subset, name=None):
+  def sub_aset(self, subset):
     """(subobject, inclusion) for an action-closed subset."""
     if not self.is_admissible_subset(subset):
       raise InvalidStructure("subset is not action-closed (or misses the basepoint)")
-    sub = self._sub_object(set(subset), name)
+    sub = self._sub_object(set(subset))
     return sub, ASetMap._trusted(sub, self, {x: x for x in sub.elements})
 
-  def quotient_by(self, subset, name=None):
+  def quotient_by(self, subset):
     """(quotient, projection) collapsing an admissible subset to the basepoint.
 
     Surviving elements keep their names.
@@ -306,24 +306,24 @@ class FiniteASet:
     if not self.is_admissible_subset(subset):
       raise InvalidStructure("can only collapse an action-closed subset")
     s = set(subset)
-    quo = self._quotient_object(s, name)
+    quo = self._quotient_object(s)
     push = {x: self.base if x in s else x for x in self.elements}
     return quo, ASetMap._trusted(self, quo, push)
 
-  def _sub_object(self, s, name=None):
+  def _sub_object(self, s):
     """The subobject on an admissible set s, built unchecked; s becomes its
     carrier set, so the caller must never change it."""
     keep = [x for x in self.elements if x in s]
     action = {g: {x: gmap[x] for x in keep} for g, gmap in self.action.items()}
-    return FiniteASet._trusted(self.monoid, keep, action, self.base, name, s)
+    return FiniteASet._trusted(self.monoid, keep, action, self.base, element_set=s)
 
-  def _quotient_object(self, s, name=None):
+  def _quotient_object(self, s):
     """X/s for an admissible set s (it holds the basepoint), unchecked."""
     base = self.base
     keep = [x for x in self.elements if x == base or x not in s]
     action = {g: {x: base if gmap[x] in s else gmap[x] for x in keep}
               for g, gmap in self.action.items()}
-    return FiniteASet._trusted(self.monoid, keep, action, base, name)
+    return FiniteASet._trusted(self.monoid, keep, action, base)
 
   # -- derived data kept on the object ----------------------------------------------
 
@@ -759,7 +759,7 @@ def _wedge_names(X, Y):
   return to_x, to_y, elements
 
 
-def wedge(X, Y, name=None):
+def wedge(X, Y):
   """(X ∨ Y, inclusion of X, inclusion of Y): disjoint union glued at ∗.
   Built unchecked but for the distinctness of the new names."""
   to_x, to_y, elements = _wedge_names(X, Y)
@@ -769,7 +769,7 @@ def wedge(X, Y, name=None):
     m = {to_x[x]: to_x[gx[x]] for x in X.elements}
     m.update((to_y[y], to_y[gy[y]]) for y in Y.nonbase())
     action[g] = m
-  W = FiniteASet._trusted(X.monoid, elements, action, X.base, name)
+  W = FiniteASet._trusted(X.monoid, elements, action, X.base)
   return W, ASetMap._trusted(X, W, to_x), ASetMap._trusted(Y, W, to_y)
 
 
@@ -797,7 +797,7 @@ class _UnionFind:
     return False
 
 
-def smash(X, Y, name=None):
+def smash(X, Y):
   """X ∧_A Y: pairs modulo (a·x, y) ~ (x, a·y), pairs with a ∗ collapsed."""
   if X.monoid != Y.monoid:
     raise InvalidStructure("smash needs a common acting monoid")
@@ -821,11 +821,8 @@ def smash(X, Y, name=None):
     reps.setdefault(uf.find((x, y)), []).append((x, y))
   base_root = uf.find("*base*")
 
-  def cname(root):
-    x, y = min(reps[root], key=str)
-    return f"({x},{y})"
-
-  class_names = {root: cname(root) for root in reps if root != base_root}
+  class_names = {root: "({},{})".format(*min(reps[root], key=str))
+                 for root in reps if root != base_root}
   elements = [STAR] + sorted(class_names.values())
   action = {}
   for g in X.action:
@@ -836,8 +833,7 @@ def smash(X, Y, name=None):
       r = uf.find(tgt)
       gmap[nm] = STAR if r == base_root else class_names[r]
     action[g] = gmap
-  S = FiniteASet(X.monoid, elements, action, STAR, name=name)
-  return S
+  return FiniteASet(X.monoid, elements, action, STAR)
 
 
 def _class_names(elements, base, uf):

@@ -122,9 +122,11 @@ def cmd_aset_check(args):
 
 
 def _hom_json(f):
-  return {"window_sub": sorted(f.window.xsub),
-          "window_kernel": sorted(f.window.ykernel),
-          "map": {x: y for x, y in sorted(f.rep.mapping.items())}}
+  # names in str order, keys as str: a carrier may mix ints and strs
+  mapping = f.rep.mapping
+  return {"window_sub": sorted(f.window.xsub, key=str),
+          "window_kernel": sorted(f.window.ykernel, key=str),
+          "map": {str(x): mapping[x] for x in sorted(mapping, key=str)}}
 
 
 def cmd_quotient(args):

@@ -30,17 +30,17 @@ never mutated, so none of these can go stale.  A ``PredicateClosureError``
 is not kept: it is raised again on every call.  A ``QuotientHom`` is a map
 between the kept X′ and Y″; composing reads both off the representatives.
 
-What is checked where.  ``QuotientHom(...)`` and ``from_window`` check the
-representative they are given.  A rep that is a morphism by construction
-is built unchecked: ``hom_quotient`` takes the maps ``hom_maps`` finds,
-and ``from_ambient(f)`` restricts f to X′ and projects Y ↠ Y″, a composite
-of morphisms, from the trivial window, which every window refines.
-Composition has one checked routine, ``_composite``, which returns the
-composite of two reps as a dict; its two checks (f lands in Y′, the
-composite is equivariant) fail only under a predicate that is not Serre,
-and raise ``PredicateClosureError``.  ``compose_quotient`` wraps that
-dict unchecked, and condition (W)'s arrow test and ``_inverse`` compare it
-with a rep's mapping, building no map per composite.
+What is checked where.  Only the public ``QuotientHom(...)`` and
+``from_window`` check the representative they are given.  A rep built
+inside is a morphism by construction and is built unchecked: a map
+``hom_maps`` finds (``hom_quotient`` keeps the enumerator's order), or
+``from_ambient(f)``, f on X′ followed by Y ↠ Y″ from the trivial window,
+which every window refines.  ``_composite``, the one checked composition,
+returns a dict; its two checks (f lands in Y′, the composite is
+equivariant) fail only under a predicate that is not Serre, and raise
+``PredicateClosureError``.  Every witness search reads ``iter_hom_maps``
+only up to its witness: (W)'s arrows, ``monic_representative``, and
+``_inverse``, which stops at the unique inverse.
 
 Isomorphism in M/C is decided without a morphism search: ``reduced_object``
 cuts X down to its minimal dense subobject and collapses that one's largest
@@ -286,7 +286,8 @@ class WindowPair:
     return hash((self.xsub, self.ykernel))
 
   def __repr__(self):
-    return f"WindowPair(sub={sorted(self.xsub)}, kernel={sorted(self.ykernel)})"
+    return (f"WindowPair(sub={sorted(self.xsub, key=str)}, "
+            f"kernel={sorted(self.ykernel, key=str)})")
 
 
 class IndexPoset:
@@ -421,7 +422,7 @@ def _dense_set(X, pred):
       out |= orbits[x]
   if not pred.contains_quotient(X, out):
     raise PredicateClosureError(f"the predicate is not Serre: the cokernel "
-                                f"of {sorted(out)} is not in C")
+                                f"of {sorted(out, key=str)} is not in C")
   return out
 
 
@@ -442,7 +443,7 @@ def _kernel_set(Y, pred):
       out |= cyclic
   if not pred.contains_sub(Y, out):
     raise PredicateClosureError(f"the predicate is not Serre: the kernel "
-                                f"{sorted(out)} is not in C")
+                                f"{sorted(out, key=str)} is not in C")
   return out
 
 
@@ -491,9 +492,8 @@ class QuotientHom:
   ``source`` keeps under pred to the target half that ``target`` keeps, or,
   for a map built outside the library, between objects with their carriers.
   The constructor refuses any other representative; ``from_window``
-  canonicalizes one given at a coarser window, and ``_trusted`` (for
-  ``hom_quotient``, ``from_ambient`` and ``compose_quotient``) checks
-  nothing.
+  canonicalizes one given at a coarser window, and ``_trusted``, for the
+  reps built inside, checks nothing.
   """
 
   __slots__ = ("source", "target", "pred", "rep")
@@ -561,9 +561,10 @@ class QuotientHom:
     return hash(frozenset(self.rep.mapping.items()))
 
   def __repr__(self):
-    pairs = ", ".join(f"{x}->{y}" for x, y in sorted(self.rep.mapping.items()))
-    return (f"QuotientHom({sorted(self.window.xsub)} -> "
-            f"{self.target.name or 'target'}/{sorted(self.window.ykernel)}"
+    mapping, window = self.rep.mapping, self.window
+    pairs = ", ".join(f"{x}->{mapping[x]}" for x in sorted(mapping, key=str))
+    return (f"QuotientHom({sorted(window.xsub, key=str)} -> "
+            f"{self.target.name or 'target'}/{sorted(window.ykernel, key=str)}"
             f": {pairs})")
 
 
@@ -583,11 +584,10 @@ def identity_quotient(X, pred):
 
 
 def hom_quotient(X, Y, pred):
-  """All morphisms X → Y in M/C: the literal hom-set at the canonical window."""
-  out = [QuotientHom._trusted(X, Y, pred, m)
-         for m in hom_maps(_dense_sub(X, pred), _collapsed(Y, pred))]
-  out.sort(key=lambda f: sorted(f.rep.mapping.items()))
-  return out
+  """All morphisms X → Y in M/C: the literal hom-set at the canonical window,
+  in ``hom_maps``' order (lexicographic in the images, by carrier order)."""
+  return [QuotientHom._trusted(X, Y, pred, m)
+          for m in hom_maps(_dense_sub(X, pred), _collapsed(Y, pred))]
 
 
 def _composite(m, n):
@@ -606,7 +606,7 @@ def _composite(m, n):
   sub, raw = m.source, m.mapping                   # X′
   y_sub = n.source._element_set                    # Y′
   if not y_sub.issuperset(raw.values()):
-    domain = sorted(x for x in sub.elements if raw[x] in y_sub)
+    domain = sorted((x for x in sub.elements if raw[x] in y_sub), key=str)
     raise PredicateClosureError(
         "composite window is not admissible: the predicate fails closure "
         f"at domain {domain}")
@@ -639,14 +639,16 @@ def compose_quotient(f, g):
 
 
 def _inverse(f):
-  """f's two-sided inverse in M/C, or None: the first g of ``hom_quotient``
-  whose composites with f are the identities' reps."""
-  ident_s = identity_quotient(f.source, f.pred).rep.mapping
-  ident_t = identity_quotient(f.target, f.pred).rep.mapping
-  for g in hom_quotient(f.target, f.source, f.pred):
-    if _composite(f.rep, g.rep) == ident_s \
-       and _composite(g.rep, f.rep) == ident_t:
-      return g
+  """f's two-sided inverse in M/C, or None.  Inverses are unique and each
+  germ has one rep at the canonical window, so the search reads
+  ``iter_hom_maps`` only up to the first map Y′ → X″ whose composites with
+  f's rep are the identities' reps, and wraps only that one."""
+  X, Y, pred = f.source, f.target, f.pred
+  ident_s = identity_quotient(X, pred).rep.mapping
+  ident_t = identity_quotient(Y, pred).rep.mapping
+  for g in iter_hom_maps(_dense_sub(Y, pred), _collapsed(X, pred)):
+    if _composite(f.rep, g) == ident_s and _composite(g, f.rep) == ident_t:
+      return QuotientHom._trusted(Y, X, pred, g)
   return None
 
 
@@ -666,18 +668,15 @@ def monic_representative(f):
   """
   if not is_iso_quotient(f):
     raise NotIso("monic_representative needs an isomorphism of M/C")
-  canon = f.rep.mapping
-  poset = index_poset(f.source, f.target, f.pred)
-  windows = sorted(poset.pairs,
+  kernel = maximal_kernel(f.target, f.pred)
+  windows = sorted(index_poset(f.source, f.target, f.pred).pairs,
                    key=lambda w: (-len(w.xsub), len(w.ykernel)))
   for w in windows:
     sub = f.source._sub_object(w.xsub)
     quo = f.target._quotient_object(w.ykernel)
     for m in iter_hom_maps(sub, quo):
-      if not m.is_injective():
-        continue
-      if QuotientHom.from_window(f.source, f.target, f.pred, w, m).rep.mapping \
-         != canon:
+      if not m.is_injective() or _canonical_mapping(
+          m, f.rep.source, kernel, f.target.base) != f.rep.mapping:
         continue
       if any(all(p(m(x)) == x for x in sub.elements)
              for p in iter_hom_maps(quo, sub)):

@@ -203,6 +203,43 @@ def test_quotient_hom_on_24_fixed_points(tmp_path, capsys):
   assert "1 morphism " in out
 
 
+@pytest.mark.parametrize("action", ["hom", "compose", "check-w"])
+@pytest.mark.parametrize("fmt", [(), ("--json",)])
+def test_quotient_on_mixed_element_names(tmp_path, capsys, action, fmt):
+  # JSON element names may be ints and strs at once; no report orders
+  # them with < between names
+  files = []
+  for name, elements in (("ints", ["*", 1, 2]), ("mixed", ["*", 1, "a"])):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"monoid": "F1", "elements": elements,
+                                "action": {}}))
+    files.append(str(path))
+  zero = tmp_path / "zero.json"
+  zero.write_text(json.dumps({"kind": "explicit", "objects": [
+      {"elements": ["*"], "base": "*", "action": {}}]}))
+  code, out, err = run(capsys, "quotient", "F1", str(zero), *files, action,
+                       *fmt)
+  assert code == 0, err
+  if action == "hom" and fmt:
+    data = json.loads(out)
+    assert data["count"] == 9
+    assert data["morphisms"][0] == {"window_sub": ["*", 1, 2],
+                                    "window_kernel": ["*"],
+                                    "map": {"*": "*", "1": "*", "2": "*"}}
+  elif action == "hom":
+    assert out.startswith("9 morphisms ")
+    assert "QuotientHom(['*', 1, 2] -> target/['*']: *->*, 1->a, 2->1)" in out
+
+
+def test_aset_check_exit_3_on_mixed_element_names(tmp_path, capsys):
+  path = tmp_path / "partial.json"
+  path.write_text(json.dumps({"monoid": "N", "elements": ["*", 1, "a"],
+                              "action": {"t": {}}}))
+  code, _, err = run(capsys, "aset-check", "N", str(path))
+  assert code == 3
+  assert "not total: missing [1, 'a']" in err
+
+
 def test_k0_of_catspec(capsys):
   code, data = run_json(capsys, "k0", fixture("catspec_pointed.json"))
   assert code == 0

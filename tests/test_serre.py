@@ -412,8 +412,7 @@ def test_window_halves_and_admissible_lists_build_only_x_dense_and_y_collapsed(
 
   def logged(kind):
     build = getattr(FiniteASet, kind)
-    return lambda X, s, name=None: builds.append((kind, X, s)) or \
-        build(X, s, name)
+    return lambda X, s: builds.append((kind, X, s)) or build(X, s)
 
   for kind in ("_sub_object", "_quotient_object"):
     monkeypatch.setattr(FiniteASet, kind, logged(kind))
@@ -933,30 +932,46 @@ def test_condition_w_validates_no_map_and_reads_no_map_past_a_witness(
   """Under each predicate of the ``quotient_laws`` benchmark, one
   check_condition_w builds no map through the validating ``ASetMap(...)``
   (the public ``from_window`` keeps one, and is not on this path), and each
-  arrow search reads maps only up to its witness: it ends at an arrow, or
-  at the end of the hom-set, and reads at most two arrows."""
+  search reads maps only up to its witness.  An arrow search ends at an
+  arrow, or at the end of the hom-set, and reads at most two arrows.  An
+  inverse search (``_inverse``, tagged apart) reads a prefix of
+  Hom(Y′, X″) and ends at the one map whose composites with f are the
+  identities, or reads the whole hom-set and finds none."""
   V = nat_set({"a": "b", "b": STAR, "c": "d", "d": "c"})
-  validated, runs = [], []
+  validated, runs, inverting = [], [], []
   init, candidates = ASetMap.__init__, serre._iso_candidates
-  enumerate_maps = serre.iter_hom_maps
+  inverse, enumerate_maps = serre._inverse, serre.iter_hom_maps
 
   def counted_init(self, *args):
     validated.append(args)
     init(self, *args)
 
   def kept_candidates(V, pred):
-    runs.append((pred, candidates(V, pred), []))
+    # (pred, candidates, arrow searches, inverse searches); _iso_candidates
+    # itself asks for inverses, so the run is opened first
+    runs.append((pred, [], [], []))
+    runs[-1][1].extend(candidates(V, pred))
     return runs[-1][1]
 
+  def tagged_inverse(f):
+    inverting.append([])
+    g = inverse(f)
+    runs[-1][3].append((f, g, inverting.pop()))
+    return g
+
   def read(X, Y):
-    pulled = []
-    runs[-1][2].append((X, Y, pulled))
+    if inverting:
+      pulled = inverting[-1]
+    else:
+      pulled = []
+      runs[-1][2].append((X, Y, pulled))
     for u in enumerate_maps(X, Y):
       pulled.append(u)
       yield u
 
   monkeypatch.setattr(ASetMap, "__init__", counted_init)
   monkeypatch.setattr(serre, "_iso_candidates", kept_candidates)
+  monkeypatch.setattr(serre, "_inverse", tagged_inverse)
   monkeypatch.setattr(serre, "iter_hom_maps", read)
   for pred in (TORSION, SerrePredicate.zero(N),
                SerrePredicate.support_in(N, ["(t)"])):
@@ -964,7 +979,8 @@ def test_condition_w_validates_no_map_and_reads_no_map_past_a_witness(
   monkeypatch.undo()
   assert validated == []
   read_maps = listed_maps = 0
-  for pred, cands, searches in runs:
+  inverse_reads = inverse_listed = 0
+  for pred, cands, searches, inversions in runs:
     assert searches, pred
     for X, Y, pulled in searches:
       (_, pa), = [c for c in cands if c[0] is X]
@@ -977,7 +993,26 @@ def test_condition_w_validates_no_map_and_reads_no_map_past_a_witness(
       assert sum(arrows) <= 2 and (len(pulled) == len(listed) or arrows[-1])
       read_maps += len(pulled)
       listed_maps += len(listed)
+    assert inversions, pred
+    for f, g, pulled in inversions:
+      X, Y = f.source, f.target
+      listed = hom_maps(serre._dense_sub(Y, pred), serre._collapsed(X, pred))
+      assert [u.mapping for u in pulled] == \
+          [u.mapping for u in listed[:len(pulled)]]
+      inverses = [u for u in listed
+                  if compose_quotient(f, QuotientHom(Y, X, pred, u))
+                  == identity_quotient(X, pred)
+                  and compose_quotient(QuotientHom(Y, X, pred, u), f)
+                  == identity_quotient(Y, pred)]
+      assert len(inverses) <= 1
+      if g is None:
+        assert not inverses and len(pulled) == len(listed)
+      else:
+        assert g.rep.mapping == pulled[-1].mapping == inverses[0].mapping
+      inverse_reads += len(pulled)
+      inverse_listed += len(listed)
   assert read_maps < listed_maps, (read_maps, listed_maps)
+  assert inverse_reads < inverse_listed, (inverse_reads, inverse_listed)
 
 
 # ------------------------------------------ condition (W) against its oracle
@@ -1029,7 +1064,8 @@ def oracle_compose_quotient(f, g):
 def oracle_inverse(f):
   ident_s = oracle_identity(f.source, f.pred)
   ident_t = oracle_identity(f.target, f.pred)
-  for g in hom_quotient(f.target, f.source, f.pred):
+  for g in sorted(hom_quotient(f.target, f.source, f.pred),
+                  key=lambda g: sorted(g.rep.mapping.items())):
     if oracle_compose_quotient(f, g) == ident_s and \
        oracle_compose_quotient(g, f) == ident_t:
       return g
@@ -1183,6 +1219,88 @@ def test_condition_w_matches_its_oracle(monkeypatch):
   assert tally["refused"] == 2        # both: not equivariant
   assert tally["composites"] > 50000
   assert tally["inverse"] > 0 and tally["no inverse"] > 0
+
+
+def test_lazy_inverse_finds_the_one_inverse_and_validates_no_map(monkeypatch):
+  """What the lazy ``_inverse`` rests on.  For every f whose inverse is
+  asked for while condition (W) runs on ``condition_w_corpus()``, and by
+  ``is_iso_quotient`` on 200 random quotient-law triples (as in selftest
+  case 09): at most one g in hom_quotient(Y, X) has both composites with
+  f equal to the identities, and ``_inverse(f)`` returns that g or None.
+  Under a list that is not Serre a composite may be refused, and then
+  ``_inverse`` may raise where the full scan skips.  ``is_iso_quotient``
+  on each f, and ``monic_representative`` on each iso whose source has at
+  most 6 elements (a larger wedge takes seconds), build no map through the
+  validating ``ASetMap(...)``; ``monic_representative`` finds no retract
+  only under those lists."""
+  asked = {}
+  inverse = serre._inverse
+
+  def kept(f):
+    asked.setdefault((id(f.source), id(f.target), id(f.pred),
+                      frozenset(f.rep.mapping.items())), f)
+    return inverse(f)
+
+  monkeypatch.setattr(serre, "_inverse", kept)
+  for V, pred in condition_w_corpus():
+    observed(check_condition_w, V, pred, 25)
+  rng = random.Random(20240816)
+  triples = 0
+  while triples < 200:
+    X, Y = random_nset(rng, 4), random_nset(rng, 4)
+    fs = hom_quotient(X, Y, TORSION)
+    if fs:
+      is_iso_quotient(rng.choice(fs))
+      triples += 1
+  monkeypatch.undo()
+
+  tally = collections.Counter()
+  expected = {}
+  for key, f in asked.items():
+    X, Y, pred = f.source, f.target, f.pred
+    ident_x, ident_y = identity_quotient(X, pred), identity_quotient(Y, pred)
+    inverses = []
+    for g in hom_quotient(Y, X, pred):
+      try:
+        if compose_quotient(f, g) == ident_x and \
+           compose_quotient(g, f) == ident_y:
+          inverses.append(g.rep.mapping)
+      except PredicateClosureError:
+        tally["refused"] += 1
+    assert len(inverses) <= 1, (X, Y, pred)
+    expected[key] = inverses[0] if inverses else None
+
+  validated = []
+  init = ASetMap.__init__
+
+  def counted_init(self, *args):
+    validated.append(args)
+    init(self, *args)
+
+  monkeypatch.setattr(ASetMap, "__init__", counted_init)
+  for key, f in asked.items():
+    got = observed(lambda: mapping_of(serre._inverse(f)))
+    if isinstance(got, tuple):
+      assert got[0] is PredicateClosureError and tally["refused"], f.pred
+      tally["raised"] += 1
+      continue
+    assert got == expected[key]
+    assert is_iso_quotient(f) == (got is not None)
+    tally["inverse" if got is not None else "no inverse"] += 1
+    if got is not None and len(f.source.elements) <= 6:
+      m = observed(monic_representative, f)
+      if isinstance(m, tuple):
+        # only under the lists of condition_w_corpus that are not Serre
+        assert m[0] is NotIso and f.pred.kind == "explicit"
+        tally["no retract"] += 1
+      else:
+        assert m.is_injective()
+        tally["monic"] += 1
+  monkeypatch.undo()
+  assert validated == []
+  assert len(asked) > 1000
+  assert tally["inverse"] > 1000 and tally["no inverse"] > 0
+  assert tally["monic"] > 1000
 
 
 def check_rep(rep, mapping):
