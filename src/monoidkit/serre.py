@@ -39,14 +39,31 @@ which every window refines.  ``_composite``, the one checked composition,
 returns a dict; its two checks (f lands in Y′, the composite is
 equivariant) fail only under a predicate that is not Serre, and raise
 ``PredicateClosureError``.  Every witness search reads ``iter_hom_maps``
-only up to its witness: (W)'s arrows, ``monic_representative``, and
-``_inverse``, which stops at the unique inverse.
+only up to its witness: (W)'s arrows, ``monic_representative``, and, under
+an ``explicit`` list, ``_inverse``, which stops at the unique inverse.
 
 Isomorphism in M/C is decided without a morphism search: ``reduced_object``
-cuts X down to its minimal dense subobject and collapses that one's largest
-subobject in C, and two objects are isomorphic in M/C exactly when their
-reduced objects are isomorphic A-sets.  ``is_iso_quotient`` still answers
-whether a given morphism is invertible.
+cuts X down to its minimal dense subobject X′ and collapses that one's
+largest subobject in C, X′ ∩ K(X) with K(X) the largest subobject of X in
+C, and two objects are isomorphic in M/C exactly when their reduced
+objects red(X) are isomorphic A-sets.  The same points 1-4 of
+``reduced_object`` decide whether one morphism f: X → Y is invertible.
+Let m: X′ → Y″ be f's rep, and π: X → red(X), ι: red(Y) → Y the isos of
+point 1.  If m sends X′ ∩ K(X) to ∗ and lands in Y′, it induces an A-set
+map m̄: red(X) → red(Y), and f = ι ∘ m̄ ∘ π, since both sides have the rep
+m at the canonical window; so f is invertible when m̄ is an A-set
+isomorphism.  Conversely, if f is invertible, ι⁻¹ ∘ f ∘ π⁻¹ is an M/C
+isomorphism between reduced objects, so an A-set isomorphism h (point 4);
+f = ι ∘ h ∘ π has the rep x ↦ h(x̄), and as a germ has one rep, m is that
+map.  So ``is_iso_quotient`` asks only that m send X′ ∩ K(X) to ∗ and
+X′ ∖ K(X) one-to-one onto Y′ ∖ K(Y), read off the kept halves, and
+``_iso_candidates`` writes the inverse of each projection V ↠ V/k down.
+The argument needs C closed under subobjects, quotients and extensions,
+which ``support_in``, ``torsion`` and ``finite_length`` are by their
+definitions (``SerrePredicate.serre_by_construction``).  An ``explicit``
+list may not be closed, so under it both still search for the inverse
+(``_inverse``), and where closure fails a composite raises
+``PredicateClosureError``.
 """
 
 from __future__ import annotations
@@ -124,6 +141,14 @@ class SerrePredicate:
   def everything(cls, monoid):
     return cls(monoid, "support_in",
                primes=[p.label for p in monoid.primes()])
+
+  @property
+  def serre_by_construction(self):
+    """Is C Serre by its definition?  ``support_in``, ``torsion`` and
+    ``finite_length`` are closed under subobjects, quotients and extensions
+    whatever the monoid; an ``explicit`` list is Serre only if it happens
+    to be closed, which nothing here checks."""
+    return self.kind != "explicit"
 
   # -- membership -------------------------------------------------------------
 
@@ -653,8 +678,30 @@ def _inverse(f):
 
 
 def is_iso_quotient(f):
-  """Does f have a two-sided inverse in M/C?"""
-  return _inverse(f) is not None
+  """Does f have a two-sided inverse in M/C?
+
+  Under a predicate that is Serre by construction this is read off the kept
+  window halves, with no search: f's rep m: X′ → Y″ is invertible exactly
+  when it sends X′ ∩ K(X) to ∗ and maps X′ ∖ K(X) one-to-one onto
+  Y′ ∖ K(Y), that is, when it induces an A-set isomorphism
+  red(X) → red(Y) (the module docstring has the proof).  Under an
+  ``explicit`` list, which may not be Serre, the inverse is searched for
+  (``_inverse``), and its composites raise ``PredicateClosureError`` where
+  closure fails.
+  """
+  pred = f.pred
+  if not pred.serre_by_construction:
+    return _inverse(f) is not None
+  base, x_kernel = f.target.base, maximal_kernel(f.source, pred)
+  live = []
+  for x, y in f.rep.mapping.items():
+    if x not in x_kernel:
+      live.append(y)
+    elif y != base:
+      return False
+  image = set(live)
+  return len(image) == len(live) and image == (
+      minimal_dense_sub(f.target, pred) - maximal_kernel(f.target, pred))
 
 
 def monic_representative(f):
@@ -696,6 +743,15 @@ def _iso_candidates(V, pred):
   so each S, V/K and K is built once here, unchecked, and only where it is
   used; so are the inclusion, the projection and the collapse W → V (T's
   copy is action-closed in W), all morphisms.
+
+  Under a predicate that is Serre by construction, the inverse of
+  V ↠ Q = V/k is written down, not searched for.  It is the germ of Q's
+  identity read as a map Q → V/k at the window (Q, k).  K(Q) is the image
+  of K(V) (the preimage of K(Q) is an extension of it by k), so Q″ and V″
+  are one A-set, and the inverse's rep is Q's identity rep, x ↦ x on Q′
+  with K(V) sent to ∗, read as a map Q′ → V″.  Under an ``explicit`` list
+  it is searched for (``_inverse``), and a projection with no inverse gives
+  no candidate.
   """
   cands = []
   for s in admissible_subs(V, pred):
@@ -705,8 +761,13 @@ def _iso_candidates(V, pred):
   kernels = admissible_kernels(V, pred)
   for k in kernels:
     Q = V._quotient_object(k)
-    g = _inverse(QuotientHom.from_ambient(ASetMap._trusted(
-        V, Q, {x: V.base if x in k else x for x in V.elements}), pred))
+    if pred.serre_by_construction:
+      ident = identity_quotient(Q, pred).rep
+      g = QuotientHom._trusted(Q, V, pred, ASetMap._trusted(
+          ident.source, _collapsed(V, pred), ident.mapping))
+    else:
+      g = _inverse(QuotientHom.from_ambient(ASetMap._trusted(
+          V, Q, {x: V.base if x in k else x for x in V.elements}), pred))
     if g is not None:
       cands.append((Q, g))
   for k in kernels:
@@ -730,6 +791,13 @@ def check_condition_w(V, pred, pair_bound=40):
   in M and verified to remain invertible over V.  An arrow a → b is an
   honest map u with pb ∘ u = pa in M/C; it is tested on the reps' dicts,
   and the maps u are enumerated only as far as the search reads.
+
+  Under a predicate that is Serre by construction no inverse is searched
+  for: ``_iso_candidates`` writes the structure isos down, and
+  ``is_iso_quotient`` reads each projection's invertibility off the window
+  halves.  Part (b) judges each (target candidate, projection) once per
+  call: pairs that coequalize to the same projection out of the same
+  candidate ask one question.
   """
   cands = _iso_candidates(V, pred)
 
@@ -759,20 +827,25 @@ def check_condition_w(V, pred, pair_bound=40):
     if not any(reach(a, c) and reach(b, c) for c in range(len(cands))):
       return False
 
-  # (b) weak coequalizers
+  # (b) weak coequalizers; a projection out of b already judged is not
+  # judged again
   checked = 0
-  for a, b in itertools.combinations(cands, 2):
+  judged = set()
+  for a, b in itertools.combinations(range(len(cands)), 2):
     if checked >= pair_bound:
       break
-    pair = list(itertools.islice(arrows(a, b), 2))
+    pair = list(itertools.islice(arrows(cands[a], cands[b]), 2))
     if len(pair) < 2:
       continue
     checked += 1
     u, v = pair
     Q, proj = coequalizer(u, v)
-    pq = QuotientHom.from_ambient(proj, pred)
-    if not is_iso_quotient(pq):
+    key = (b, frozenset(proj.mapping.items()))
+    if key in judged:
+      continue
+    if not is_iso_quotient(QuotientHom.from_ambient(proj, pred)):
       return False
+    judged.add(key)
   return True
 
 

@@ -231,6 +231,100 @@ def test_quotient_on_mixed_element_names(tmp_path, capsys, action, fmt):
     assert "QuotientHom(['*', 1, 2] -> target/['*']: *->*, 1->a, 2->1)" in out
 
 
+# condition (W) through the binary on fixed N- and Z/2₊-sets: each instance
+# holds unless listed here, with its verdict or the refusal's message
+W_SETS = {
+    "N": {"fixed_point": {"x1": "x1"},
+          "two_cycle": {"x1": "x2", "x2": "x1"},
+          "line_2": {"x1": "*", "x2": "x1"},
+          "three_cycle": {"x1": "x2", "x2": "x3", "x3": "x1"},
+          "cycle_2_tail_1": {"x1": "x2", "x2": "x1", "x3": "x2"},
+          "line_3_on_a_loop": {"x1": "x1", "x2": "x1", "x3": "x2"},
+          "point_and_line_2": {"x1": "*", "x2": "x2", "x3": "x2"},
+          "two_cycles": {"x1": "x2", "x2": "x1", "x3": "x4", "x4": "x3"},
+          "tree_on_a_loop": {"x1": "x1", "x2": "x1", "x3": "x2", "x4": "x2"},
+          "line_3_on_a_two_cycle": {"x1": "x2", "x2": "x1", "x3": "x2",
+                                    "x4": "x3"},
+          "line_4": {"x1": "*", "x2": "x1", "x3": "x2", "x4": "x3"}},
+    "Z2": {"free_orbit_and_a_fixed_point": {"a": "b", "b": "a", "c": "c"},
+           "two_free_orbits": {"a": "b", "b": "a", "c": "d", "d": "c"}}}
+N_POINT = {"elements": ["*"], "base": "*", "action": {"t": {}}}
+N_LINE_1 = {"elements": ["*", "x1"], "base": "*", "action": {"t": {"x1": "*"}}}
+W_PREDS = {
+    "N": {"torsion": {"kind": "torsion", "mult_set": ["t"]},
+          "zero": {"kind": "explicit", "objects": [N_POINT]},
+          "support_in_t": {"kind": "support_in", "primes": ["(t)"]},
+          "finite_length": {"kind": "finite_length"},
+          "point_and_line_1": {"kind": "explicit",
+                               "objects": [N_POINT, N_LINE_1]},
+          "line_1": {"kind": "explicit", "objects": [N_LINE_1]}},
+    "Z2": {"zero": {"kind": "explicit", "objects": [
+               {"elements": ["*"], "base": "*", "action": {"g": {}}}]},
+           "finite_length": {"kind": "finite_length"},
+           "support_in_nothing": {"kind": "support_in", "primes": []}}}
+NOT_SERRE = "the predicate is not Serre: "
+NOT_EQUIVARIANT = ("composite representative is not equivariant (map is not "
+                   "equivariant at generator 't', element 'x3'); the "
+                   "predicate fails Serre closure")
+W_VERDICTS = {
+    ("free_orbit_and_a_fixed_point", "finite_length"): "FAILS",
+    ("line_3_on_a_loop", "point_and_line_1"): "FAILS",
+    ("line_3_on_a_two_cycle", "point_and_line_1"): "FAILS",
+    ("cycle_2_tail_1", "line_1"):
+        NOT_SERRE + "the cokernel of ['*', 'x1', 'x2'] is not in C",
+    ("line_2", "line_1"):
+        NOT_SERRE + "the cokernel of ['*', 'x1#1'] is not in C",
+    ("line_2", "point_and_line_1"):
+        NOT_SERRE + "the cokernel of ['*', 'x1#1'] is not in C",
+    ("line_3_on_a_loop", "line_1"): NOT_SERRE + "the kernel ['*'] is not in C",
+    ("line_3_on_a_two_cycle", "line_1"):
+        NOT_SERRE + "the kernel ['*'] is not in C",
+    ("line_4", "line_1"): NOT_EQUIVARIANT,
+    ("line_4", "point_and_line_1"): NOT_EQUIVARIANT,
+    ("point_and_line_2", "line_1"):
+        NOT_SERRE + "the cokernel of ['*', 'x2'] is not in C",
+    ("point_and_line_2", "point_and_line_1"):
+        NOT_SERRE + "the cokernel of ['*', 'x2'] is not in C",
+    ("tree_on_a_loop", "line_1"): NOT_SERRE + "the kernel ['*'] is not in C",
+    ("tree_on_a_loop", "point_and_line_1"):
+        NOT_SERRE + "the cokernel of ['*', 'x1', 'x2'] is not in C"}
+
+
+def test_quotient_check_w_prints_the_pinned_verdicts(tmp_path, capsys):
+  """``quotient … X X check-w``, text and --json, on every pinned instance:
+  the verdict, or the refusal's exit 4 and message, under the predicates
+  whose isos are read off the window halves and under the explicit lists
+  that still search for inverses."""
+  monoids = {"N": ("N", "t"), "Z2": (fixture("z2_with_zero.json"), "g")}
+  seen = set()
+  for kind, (monoid, gen) in monoids.items():
+    for pname, pdata in W_PREDS[kind].items():
+      pred = tmp_path / f"{kind}_{pname}.json"
+      pred.write_text(json.dumps(pdata))
+      for name, succ in W_SETS[kind].items():
+        aset = tmp_path / f"{name}.json"
+        aset.write_text(json.dumps({"name": name, "base": "*",
+                                    "elements": ["*"] + sorted(succ),
+                                    "action": {gen: succ}}))
+        argv = ("quotient", monoid, str(pred), str(aset), str(aset),
+                "check-w")
+        verdict = W_VERDICTS.get((name, pname), "holds")
+        seen.add((name, pname))
+        text, as_json = run(capsys, *argv), run(capsys, *argv, "--json")
+        if verdict not in ("holds", "FAILS"):
+          assert text == as_json == (4, "", f"error: {verdict}\n")
+          continue
+        ok = verdict == "holds"
+        assert text == (0 if ok else 1, "".join(
+            f"condition (W) over {side}: {verdict}\n" for side in "XY"), "")
+        payload = {"X": name, "Y": name, "command": "check-w",
+                   "condition_w": {"X": ok, "Y": ok}, "ok": ok,
+                   "schema_version": 1}
+        assert as_json == (text[0], json.dumps(payload, indent=2,
+                                               sort_keys=True) + "\n", "")
+  assert seen >= set(W_VERDICTS)
+
+
 def test_aset_check_exit_3_on_mixed_element_names(tmp_path, capsys):
   path = tmp_path / "partial.json"
   path.write_text(json.dumps({"monoid": "N", "elements": ["*", 1, "a"],
@@ -386,3 +480,17 @@ def test_selftest_forwards_knobs(monkeypatch, capsys):
   monkeypatch.setattr(cli.selftest_mod, "run_all", spy)
   run(capsys, "selftest", "--max-size", "5", "--seed", "7", "--pi1s", "3")
   assert seen == {"max_size": 5, "seed": 7, "pi1s": 3}
+
+
+@pytest.mark.parametrize("seed", [(), ("--seed", "7")])
+def test_selftest_case_10_prints_its_pinned_report(monkeypatch, capsys, seed):
+  monkeypatch.setattr(selftest, "ALL_CASES",
+                      (selftest.case_10_filtered_and_condition_w,))
+  code, data = run_json(capsys, "selftest", *seed)
+  (case,) = data["cases"]
+  assert case.pop("seconds") >= 0
+  assert (code, data) == (0, {"cases": [{
+      "id": 10, "name": "filteredness and condition (W)",
+      "expected": "0 unfiltered, 0 W failures",
+      "computed": "0 unfiltered posets of 625, 0 condition-W failures of 100",
+      "pass": True}], "ok": True, "schema_version": 1})

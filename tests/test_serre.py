@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoidkit import serre
+from monoidkit import selftest, serre
 from monoidkit.asets import (ASetMap, FiniteASet, coequalizer, cycle_nset,
                              exact_seq_from_sub, hom_maps, is_rooted_tree,
                              nat_set, point_aset, support, truncated_line,
                              wedge)
 from monoidkit.corpora import (all_gamma_asets, all_nilpotent_asets,
-                               all_nsets, random_nset)
+                               all_nsets, brute_force_asets, random_nset)
 from monoidkit.errors import (InvalidStructure, NotIso, PredicateClosureError,
                               Undecidable)
 from monoidkit.monoids import STAR, FiniteMonoid, NatMonoid, ValidationReport
@@ -28,6 +28,7 @@ from monoidkit.serre import (IndexPoset, QuotientHom, SerrePredicate,
                              minimal_dense_sub, monic_representative,
                              quotient_equivalence_report, reduced_object)
 from test_diagrams import product
+from test_monoids import small_monoids
 
 N = NatMonoid()
 TORSION = SerrePredicate.torsion(N)
@@ -511,8 +512,10 @@ def test_each_window_half_is_computed_once_per_object_and_predicate(
     assert len(computed) == len(halves) > 0
     computed.clear()
     homs = hom_quotient(X, Y, pred)
-    # X's dense half is known from condition (W); only Y's kernel is new
-    assert [(name, A) for name, A, _ in computed] == [("_kernel_set", Y)]
+    # condition (W) inverts no map out of X, so X's dense half is new here,
+    # as is Y's kernel
+    assert [(name, A) for name, A, _ in computed] == \
+        [("_dense_set", X), ("_kernel_set", Y)]
     R = reduced_object(X, pred)
     computed.clear()
     builds.clear()
@@ -933,7 +936,8 @@ def test_condition_w_validates_no_map_and_reads_no_map_past_a_witness(
   check_condition_w builds no map through the validating ``ASetMap(...)``
   (the public ``from_window`` keeps one, and is not on this path), and each
   search reads maps only up to its witness.  An arrow search ends at an
-  arrow, or at the end of the hom-set, and reads at most two arrows.  An
+  arrow, or at the end of the hom-set, and reads at most two arrows.  Under
+  torsion and support in (t) no inverse search runs.  Under zero, an
   inverse search (``_inverse``, tagged apart) reads a prefix of
   Hom(Y′, X″) and ends at the one map whose composites with f are the
   identities, or reads the whole hom-set and finds none."""
@@ -993,6 +997,11 @@ def test_condition_w_validates_no_map_and_reads_no_map_past_a_witness(
       assert sum(arrows) <= 2 and (len(pulled) == len(listed) or arrows[-1])
       read_maps += len(pulled)
       listed_maps += len(listed)
+    if pred.serre_by_construction:
+      # the structure isos are written down and invertibility is read off
+      # the window halves: no inverse search at all
+      assert inversions == [], pred
+      continue
     assert inversions, pred
     for f, g, pulled in inversions:
       X, Y = f.source, f.target
@@ -1177,29 +1186,52 @@ def test_condition_w_matches_its_oracle(monkeypatch):
   ambient image and every composite that condition (W) computes, the
   inverses of the candidates and of every endomorphism of V, and the
   public composites with identities, equal the oracle's, and so do the
-  type and message of everything raised."""
-  composites, images = [], []
+  type and message of everything raised.  Under a predicate that is Serre
+  by construction, condition (W) searches for no inverse, so every
+  projection it judges is also inverted by ``_inverse`` and by the oracle:
+  the two inverses must agree and the verdict must be whether one exists.
+  Every composite computed on the way, the inverse searches' included, is
+  compared with the oracle's; ``refused`` counts the composites that (W)
+  itself refuses."""
+  composites, images, judged = [], [], []
   monkeypatch.setattr(serre, "_composite",
                       recording(composites, serre._composite))
   monkeypatch.setattr(QuotientHom, "from_ambient", staticmethod(
       recording(images, QuotientHom.from_ambient)))
+  monkeypatch.setattr(serre, "is_iso_quotient",
+                      recording(judged, serre.is_iso_quotient))
   tally = collections.Counter()
+
+  def compare_composites(refused, V, pred):
+    for (m, n), mapping in composites:
+      want = observed(lambda: oracle_composite(m, n).mapping)
+      assert mapping == want, (V, pred, m.mapping, n.mapping)
+      tally[refused if isinstance(mapping, tuple) else "composites"] += 1
+    composites.clear()
+
   for V, pred in condition_w_corpus():
     composites.clear()
     images.clear()
+    judged.clear()
     got = observed(check_condition_w, V, pred, 25)
     assert got == observed(oracle_check_condition_w, V, pred, 25), (V, pred)
     tally[got if isinstance(got, bool) else got[0].__name__] += 1
     for (u, _), image in images:
       assert image == observed(oracle_from_ambient, u, pred), (V, pred)
-    for (m, n), mapping in composites:
-      want = observed(lambda: oracle_composite(m, n).mapping)
-      assert mapping == want, (V, pred, m.mapping, n.mapping)
-      tally["refused" if isinstance(mapping, tuple) else "composites"] += 1
+    # under an explicit list (W) searches for inverses itself, and their
+    # composites are compared below with the rest
+    for (f,), verdict in judged if pred.serre_by_construction else ():
+      inverse = observed(lambda: mapping_of(serre._inverse(f)))
+      assert inverse == observed(lambda: mapping_of(oracle_inverse(f))), \
+          (V, pred)
+      assert verdict == (inverse is not None), (V, pred)
+      tally["judged"] += 1
+    compare_composites("refused", V, pred)
     cands = observed(serre._iso_candidates, V, pred)
     want = observed(oracle_iso_candidates, V, pred)
     if isinstance(want, tuple):
       assert cands == want, (V, pred)
+      compare_composites("refused later", V, pred)
       continue
     assert [(X.elements, X.action, p.rep.mapping) for X, p in cands] == \
         [(X.elements, X.action, p.rep.mapping) for X, p in want], (V, pred)
@@ -1214,34 +1246,41 @@ def test_condition_w_matches_its_oracle(monkeypatch):
       for f, g in ((identity_quotient(X, pred), p),
                    (p, identity_quotient(V, pred))):
         assert compose_quotient(f, g) == oracle_compose_quotient(f, g)
+    compare_composites("refused later", V, pred)
   assert (tally[True], tally[False], tally["PredicateClosureError"]) == \
       (346, 5, 105)
   assert tally["refused"] == 2        # both: not equivariant
   assert tally["composites"] > 50000
   assert tally["inverse"] > 0 and tally["no inverse"] > 0
+  assert tally["judged"] > 0
 
 
 def test_lazy_inverse_finds_the_one_inverse_and_validates_no_map(monkeypatch):
-  """What the lazy ``_inverse`` rests on.  For every f whose inverse is
-  asked for while condition (W) runs on ``condition_w_corpus()``, and by
-  ``is_iso_quotient`` on 200 random quotient-law triples (as in selftest
-  case 09): at most one g in hom_quotient(Y, X) has both composites with
-  f equal to the identities, and ``_inverse(f)`` returns that g or None.
-  Under a list that is not Serre a composite may be refused, and then
-  ``_inverse`` may raise where the full scan skips.  ``is_iso_quotient``
-  on each f, and ``monic_representative`` on each iso whose source has at
-  most 6 elements (a larger wedge takes seconds), build no map through the
-  validating ``ASetMap(...)``; ``monic_representative`` finds no retract
-  only under those lists."""
+  """What the lazy ``_inverse`` rests on.  For every f whose inverse or
+  invertibility is asked for while condition (W) runs on
+  ``condition_w_corpus()``, and by ``is_iso_quotient`` on 200 random
+  quotient-law triples (as in selftest case 09): at most one g in
+  hom_quotient(Y, X) has both composites with f equal to the identities,
+  and ``_inverse(f)`` returns that g or None.  Under a list that is not
+  Serre a composite may be refused, and then ``_inverse`` may raise where
+  the full scan skips.  ``is_iso_quotient`` on each f, and
+  ``monic_representative`` on each iso whose source has at most 6 elements
+  (a larger wedge takes seconds), build no map through the validating
+  ``ASetMap(...)``; ``monic_representative`` finds no retract only under
+  those lists."""
   asked = {}
-  inverse = serre._inverse
 
-  def kept(f):
-    asked.setdefault((id(f.source), id(f.target), id(f.pred),
-                      frozenset(f.rep.mapping.items())), f)
-    return inverse(f)
+  def kept(fn):
+    def call(f):
+      asked.setdefault((id(f.source), id(f.target), id(f.pred),
+                        frozenset(f.rep.mapping.items())), f)
+      return fn(f)
+    return call
 
-  monkeypatch.setattr(serre, "_inverse", kept)
+  # under the predicates that are Serre by construction is_iso_quotient
+  # asks _inverse nothing, so both are watched
+  for name in ("_inverse", "is_iso_quotient"):
+    monkeypatch.setattr(serre, name, kept(getattr(serre, name)))
   for V, pred in condition_w_corpus():
     observed(check_condition_w, V, pred, 25)
   rng = random.Random(20240816)
@@ -1250,7 +1289,7 @@ def test_lazy_inverse_finds_the_one_inverse_and_validates_no_map(monkeypatch):
     X, Y = random_nset(rng, 4), random_nset(rng, 4)
     fs = hom_quotient(X, Y, TORSION)
     if fs:
-      is_iso_quotient(rng.choice(fs))
+      serre.is_iso_quotient(rng.choice(fs))
       triples += 1
   monkeypatch.undo()
 
@@ -1301,6 +1340,156 @@ def test_lazy_inverse_finds_the_one_inverse_and_validates_no_map(monkeypatch):
   assert len(asked) > 1000
   assert tally["inverse"] > 1000 and tally["no inverse"] > 0
   assert tally["monic"] > 1000
+
+
+# --------------------------------- M/C invertibility on the window halves
+
+
+def carrier_corpus():
+  """The (V, pred) of ``condition_w_corpus()`` whose predicate is Serre by
+  construction: the pairs where no inverse is searched for."""
+  return [(V, pred) for V, pred in condition_w_corpus()
+          if pred.serre_by_construction]
+
+
+def test_carrier_rule_is_the_inverse_search_on_what_condition_w_judges(
+    monkeypatch):
+  """Every f whose invertibility condition (W) asks for, over the pairs of
+  ``condition_w_corpus()`` under the predicates that are Serre by
+  construction, with no pair bound: ``is_iso_quotient`` reads it off the
+  window halves, and ``_inverse`` finds an inverse exactly then."""
+  judged = []
+  monkeypatch.setattr(serre, "is_iso_quotient",
+                      recording(judged, serre.is_iso_quotient))
+  verdicts = collections.Counter()
+  for V, pred in carrier_corpus():
+    verdicts[check_condition_w(V, pred, pair_bound=10 ** 9)] += 1
+  monkeypatch.undo()
+  tally = collections.Counter()
+  for (f,), verdict in judged:
+    assert verdict == (serre._inverse(f) is not None), (f, f.pred)
+    tally[verdict] += 1
+  assert verdicts[False] == 2 and verdicts[True] > 200
+  assert tally[True] > 1000 and tally[False] == 2
+
+
+def test_carrier_rule_is_the_inverse_search_on_small_monoid_hom_sets():
+  """On a seeded sample of hom-sets between the A-sets of at most three
+  non-base elements over every monoid of ``small_monoids()``, under finite
+  length, torsion and support in one prime: the rule answers whether
+  ``_inverse`` finds an inverse, on isos and on non-isos."""
+  rng = random.Random(31)
+  tally = collections.Counter()
+  for M in small_monoids():
+    objects = brute_force_asets(M, 4)
+    primes = [p.label for p in M.primes()]
+    killers = [a for a in M.elements if a != M.one]
+    for pred in (SerrePredicate.finite_length(M),
+                 SerrePredicate.torsion(M, killers[:1]),
+                 SerrePredicate.support_in(M, primes[:1])):
+      for _ in range(6):
+        X, Y = rng.choice(objects), rng.choice(objects)
+        for f in hom_quotient(X, Y, pred):
+          iso = is_iso_quotient(f)
+          assert iso == (serre._inverse(f) is not None), (M, pred, f)
+          tally[iso] += 1
+  assert tally[True] > 100 and tally[False] > 100
+
+
+def test_written_down_candidate_inverse_is_the_searched_one():
+  """For every (V, k) with k an admissible kernel of V, under the
+  predicates of ``condition_w_corpus()`` that are Serre by construction:
+  the quotient candidate's structure iso, written down by
+  ``_iso_candidates``, is the inverse that ``_inverse`` finds for the
+  public projection V ↠ V/k, rep, carriers and all."""
+  pairs = 0
+  for V, pred in carrier_corpus():
+    cands = serre._iso_candidates(V, pred)
+    kernels = admissible_kernels(V, pred)
+    first = len(admissible_subs(V, pred))
+    for k, (Q, g) in zip(kernels, cands[first:first + len(kernels)]):
+      seq = exact_seq_from_sub(V, k)
+      p = QuotientHom.from_ambient(seq.p, pred)
+      h = serre._inverse(p)
+      assert (Q.elements, Q.action) == \
+          (seq.quotient.elements, seq.quotient.action)
+      assert h is not None and g.rep.mapping == h.rep.mapping, (V, pred, k)
+      assert g.rep.source is serre._dense_sub(Q, pred)
+      assert g.rep.target is serre._collapsed(V, pred)
+      assert is_iso_quotient(p)
+      pairs += 1
+  assert pairs > 700
+
+
+def test_carrier_rule_refuses_an_iso_rep_with_one_image_changed():
+  """Negative control.  For each structure iso of the candidates over the
+  N-sets with at most 3 non-base elements and the Z/2₊-sets to 5 elements,
+  under the predicates that are Serre by construction: changing one image
+  of its rep to any other element of Y″ makes the rule answer False, and
+  where the changed map is still a morphism, ``_inverse`` finds no
+  inverse either."""
+  tally = collections.Counter()
+  corpus = [(V, pred) for V, pred in carrier_corpus()
+            if len(V.elements) <= 4 or V.monoid is Z2]
+  for V, pred in corpus:
+    for _, f in serre._iso_candidates(V, pred):
+      assert is_iso_quotient(f)
+      rep = f.rep
+      for x in rep.source.elements:
+        for y in rep.target.elements:
+          if y == rep.mapping[x]:
+            continue
+          changed = {**rep.mapping, x: y}
+          g = QuotientHom._trusted(f.source, f.target, pred, ASetMap._trusted(
+              rep.source, rep.target, changed))
+          assert not is_iso_quotient(g), (f, x, y)
+          tally["changed"] += 1
+          try:
+            ASetMap(rep.source, rep.target, changed)
+          except InvalidStructure:
+            continue
+          assert serre._inverse(g) is None, (f, x, y)
+          tally["morphism"] += 1
+  assert tally["changed"] > 1000 and tally["morphism"] > 100
+
+
+def test_carrier_kinds_search_for_no_inverse(monkeypatch):
+  """Count guard.  Under support in (t), torsion and finite length,
+  ``check_condition_w``, ``is_iso_quotient`` and selftest case 09 call
+  ``_inverse`` no time; under zero the first two still search.  Part (b)
+  asks ``is_iso_quotient`` once per (target candidate, projection), though
+  some pairs coequalize to a projection already judged."""
+  searches, judged, images, coequalized = [], [], [], []
+  monkeypatch.setattr(serre, "_inverse", recording(searches, serre._inverse))
+  monkeypatch.setattr(serre, "is_iso_quotient",
+                      recording(judged, serre.is_iso_quotient))
+  monkeypatch.setattr(QuotientHom, "from_ambient", staticmethod(
+      recording(images, QuotientHom.from_ambient)))
+  monkeypatch.setattr(serre, "coequalizer",
+                      recording(coequalized, serre.coequalizer))
+  corpus = all_nsets(4)
+  repeats = 0
+  for pred in (SerrePredicate.support_in(N, ["(t)"]), TORSION,
+               SerrePredicate.finite_length(N), SerrePredicate.zero(N)):
+    searches.clear()
+    for V in corpus:
+      judged.clear()
+      images.clear()
+      coequalized.clear()
+      assert check_condition_w(V, pred, pair_bound=25) is True
+      made = {id(f): u for (u, _), f in images}
+      asked = [(id(made[id(f)].source), frozenset(made[id(f)].mapping.items()))
+               for (f,), _ in judged]
+      assert len(asked) == len(set(asked)) == len(judged), (V, pred)
+      repeats += len(coequalized) - len(judged)
+    for X, Y in itertools.product(corpus[:8], repeat=2):
+      for f in hom_quotient(X, Y, pred):
+        serre.is_iso_quotient(f)
+    assert (searches == []) == pred.serre_by_construction, pred
+  assert repeats > 0
+  searches.clear()
+  assert selftest.case_09_quotient_laws().passed
+  assert searches == []
 
 
 def check_rep(rep, mapping):
