@@ -11,7 +11,7 @@ by `selftest` (also: ``monoidkit selftest``).
 
 from .affine import AffineMonoid
 from .asets import (ASetMap, ExactSeq, FiniteASet, aset_length, is_pc_aset,
-                    is_rooted_tree, support)
+                    is_rooted_tree)
 from .diagrams import KeyDiagram, key_diagram
 from .errors import (ClosureBoundExceeded, InvalidStructure, MonoidKitError,
                      NotIso, NotNormal, NotZeroSmooth, ParseError,
@@ -28,7 +28,7 @@ from .monoids import FiniteMonoid, NatMonoid, UnitGroupDescriptor
 from .serre import (SerrePredicate, check_condition_w, check_filtered,
                     compose_quotient, hom_quotient, index_poset,
                     is_iso_quotient, monic_representative,
-                    quotient_equivalence_report)
+                    quotient_equivalence_report, support)
 
 __version__ = "0.1.0"
 

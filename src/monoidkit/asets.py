@@ -155,10 +155,12 @@ class FiniteASet:
     if self._full_action_cache is not None:
       return self._full_action_cache
     m = self.monoid
-    ident = {x: x for x in self.elements}
-    # the unit and zero actions are forced; a conflicting closure product
-    # still trips the consistency check below
-    table = {m.one: ident, m.zero: {x: self.base for x in self.elements}}
+    const = {x: self.base for x in self.elements}
+    # the unit and zero actions are forced (so if 1 = 0, X is the point); a
+    # conflicting generator map or closure product trips a check below
+    table = {m.one: {x: x for x in self.elements}}
+    if table.setdefault(m.zero, const) != const:
+      raise InvalidStructure("the unit law: 1 = 0, so X must be the point")
     for gen, gmap in self.action.items():
       if gen in table and table[gen] != gmap:
         raise InvalidStructure(f"action of {gen!r} conflicts with the unit law")
@@ -180,9 +182,6 @@ class FiniteASet:
     if missing:
       raise InvalidStructure(
           f"action keys do not generate the monoid (missing {missing})")
-    const = {x: self.base for x in self.elements}
-    if table[m.zero] != const:
-      raise InvalidStructure("the monoid zero does not act as the basepoint map")
     self._full_action_cache = table
     return table
 
@@ -1148,31 +1147,6 @@ def aset_length(X):
   if isinstance(chain, NotFiniteLength):
     return None
   return len(chain)
-
-
-# -- support ------------------------------------------------------------------------
-
-
-def support(X):
-  """Primes where the localized set does not vanish."""
-  out = []
-  if isinstance(X.monoid, NatMonoid):
-    step = X.action["t"]
-    for p in X.monoid.primes():
-      if p.label == "(t)":
-        alive = len(X.elements) > 1
-      else:
-        # inverting t kills exactly the torsion part
-        alive = not is_rooted_tree(X)
-      if alive:
-        out.append(p)
-    return out
-  table = X.full_action()
-  for p in X.monoid.primes():
-    comp = [a for a in X.monoid.elements if a not in p.subset]
-    if any(all(table[s][x] != X.base for s in comp) for x in X.nonbase()):
-      out.append(p)
-  return out
 
 
 # -- N-set conveniences ---------------------------------------------------------------

@@ -23,7 +23,7 @@ import sys
 import traceback
 
 from .affine import AffineMonoid
-from .asets import NotFiniteLength, irreducible_chain, is_pc_aset, support
+from .asets import NotFiniteLength, irreducible_chain, is_pc_aset
 from .errors import (ClosureBoundExceeded, InvalidStructure, MonoidKitError,
                      NotNormal, NotZeroSmooth, ParseError,
                      PredicateClosureError, Undecidable)
@@ -33,7 +33,7 @@ from .ktheory import (StableConstants, class_group, coniveau_k0_report,
                       dvm_report, gersten_exactness_check, k0_of_catspec)
 from .monoids import FiniteMonoid, NatMonoid, UnitGroupDescriptor
 from .serre import (check_condition_w, compose_quotient, hom_quotient,
-                    identity_quotient, quotient_equivalence_report)
+                    identity_quotient, quotient_equivalence_report, support)
 from . import selftest as selftest_mod
 
 SCHEMA_VERSION = 1

@@ -434,11 +434,10 @@ class LatticeComplex:
   modeling assumption.
   """
 
-  def __init__(self, A, constants=None):
+  def __init__(self, A):
     if not A.is_normal():
       raise NotNormal(f"{A.name or 'monoid'} is not normal")
     self.monoid = A
-    self.constants = constants or StableConstants()
     self.gamma_free = A.unit_group.free_rank
     self.gamma_torsion = list(A.unit_group.torsion)
     d = A.cone_dim
@@ -503,9 +502,9 @@ class LatticeComplex:
     return f"LatticeComplex({self.monoid.name or 'A'}: {chain})"
 
 
-def gersten_complex(A, constants=None):
+def gersten_complex(A):
   """The units-lattice coniveau data of a normal affine monoid."""
-  return LatticeComplex(A, constants)
+  return LatticeComplex(A)
 
 
 def w_group(A, p):

@@ -14,12 +14,10 @@ x), and Y″ collapses each orbit whose cyclic subobject lies in C.
 
 Each of those questions is about a subobject or a quotient of X on a set
 closed by construction, so it goes to ``pred.contains_sub(X, s)`` or
-``pred.contains_quotient(X, s)``.  For ``support_in`` and ``torsion`` these
-read X's action (its successor map over N, its one ``full_action`` table
-otherwise) and build no object; ``finite_length`` and ``explicit`` build
-the object they are asked about (``explicit`` only when its size allows a
-match).  So a window half builds only X′ or Y″, and an admissible list
-builds nothing under the carrier kinds.
+``pred.contains_quotient(X, s)``.  Every kind but an ``explicit`` list
+decides these on X's carrier and builds no object; a list builds the
+object only when its size allows a match.  So a window half builds only X′
+or Y″, and an admissible list builds nothing outside ``explicit``.
 
 X′ depends only on (X, C) and Y″ only on (Y, C).  Each object keeps, in
 its derived-data slot and per predicate under a weak reference, a source
@@ -71,15 +69,11 @@ from __future__ import annotations
 import itertools
 import weakref
 
-from .asets import (ASetMap, FiniteASet, aset_length, coequalizer,
-                    falls_into, hom_maps, identity_map, iter_hom_maps,
-                    point_aset, wedge)
+from .asets import (ASetMap, FiniteASet, coequalizer, falls_into, hom_maps,
+                    identity_map, iter_hom_maps, wedge)
 from .errors import (InvalidStructure, NotIso, PredicateClosureError,
                      Undecidable)
 from .monoids import NatMonoid
-
-
-_CARRIER_KINDS = ("support_in", "torsion")
 
 
 class SerrePredicate:
@@ -92,11 +86,10 @@ class SerrePredicate:
 
   ``contains`` takes an object; ``contains_sub`` and ``contains_quotient``
   take an admissible set s of X and ask about the subobject on s and about
-  X/s.  ``support_in`` and ``torsion`` decide all three on X's carrier
-  (``_kills``) and build nothing.  ``finite_length`` builds the object;
-  ``explicit`` builds it only when its size is that of a listed object
-  other than the point, since isomorphic objects have equal size and every
-  one-element object is the point.
+  X/s.  Every kind but ``explicit`` decides all three on X's carrier
+  (``_kills``); ``explicit`` builds the object only when its size is that
+  of a listed object other than the point, since isomorphic objects have
+  equal size and every one-element object is the point.
   """
 
   KINDS = ("support_in", "torsion", "finite_length", "explicit")
@@ -134,8 +127,8 @@ class SerrePredicate:
 
   @classmethod
   def zero(cls, monoid):
-    """The zero subcategory: only the point."""
-    return cls.explicit(monoid, [point_aset(monoid)])
+    """The zero subcategory, only the point: support in no prime."""
+    return cls.support_in(monoid, ())
 
   @classmethod
   def everything(cls, monoid):
@@ -153,26 +146,24 @@ class SerrePredicate:
   # -- membership -------------------------------------------------------------
 
   def contains(self, X):
-    if self.kind in _CARRIER_KINDS:
+    if self.serre_by_construction:
       return self._kills(X, X.nonbase(), (X.base,))
-    if self.kind == "finite_length":
-      return aset_length(X) is not None
     return any(X.is_isomorphic(W) for W in self.objects)
 
   def contains_sub(self, X, s):
     """Is the subobject of X on the admissible set s in C?"""
-    if self.kind in _CARRIER_KINDS:
+    if self.serre_by_construction:
       return self._kills(X, [x for x in s if x != X.base], (X.base,))
-    if self.kind == "explicit" and (len(s) == 1 or len(s) not in self._sizes):
+    if len(s) == 1 or len(s) not in self._sizes:
       return len(s) in self._sizes
     return self.contains(X._sub_object(s))
 
   def contains_quotient(self, X, s):
     """Is X/s in C, for an admissible set s of X?"""
-    if self.kind in _CARRIER_KINDS:
+    if self.serre_by_construction:
       return self._kills(X, [x for x in X.elements if x not in s], s)
     size = len(X.elements) - len(s) + 1
-    if self.kind == "explicit" and (size == 1 or size not in self._sizes):
+    if size == 1 or size not in self._sizes:
       return size in self._sizes
     return self.contains(X._quotient_object(s))
 
@@ -181,44 +172,55 @@ class SerrePredicate:
     action-closed set of X holding ∗ and none of ``elements``) is its ∗?
 
     That object's action is X's, with every image in ``dead`` read as ∗.
-    Over a finite monoid, each rule is a set of monoid elements, and the
-    object is in C when each rule has an element sending each x into
+    It is in C when each rule has, for each x, an element sending x into
     ``dead``: under ``torsion`` the one rule is the multiplicative closure,
-    under ``support_in`` the rules are the complements of the excluded
-    primes (x outside ``dead`` is killed by no element of one such
-    complement exactly when that prime is in the object's support).  Over
-    N the complement of (t) is {1}, so excluding (t) asks for no elements
-    at all; the complement of (0), like torsion's closure of {t}, is every
-    power of t, so x must fall into ``dead``.
+    otherwise the complements of the excluded primes (x is killed by no
+    element of one exactly when that prime is in the support).  Units send
+    no x into ``dead``, so a rule of units only (excluding m = A ∖ A^×, or
+    (t) over N) asks for no elements; over N the other rules say that x
+    falls into ``dead``.
+
+    ``finite_length`` is support in {m} with A^× acting freely.  Each step
+    of ``asets.irreducible_chain`` adjoins a free unit orbit whose non-unit
+    images are in the chain, so the chain completes iff the units act
+    freely and the non-units nilpotently: iff each non-unit idempotent e
+    (a power of each non-unit) kills every x.  That holds iff the support
+    lies in {m}: a prime p ≠ m misses a non-unit and so its idempotent
+    power; for e ≠ 0 the divisors of e are the complement of a prime p ∌ e,
+    so p ≠ m, and if a divisor b (bc = e) kills x then ex = cbx = ∗.
     """
-    rules = self._rules
-    if rules is None:
-      rules = self._rules = self._carrier_rules()
+    if self._rules is None:
+      self._rules = self._carrier_rules()
+    rules, units = self._rules
+    if not all(rules):
+      return not elements
+    if units and not _units_act_freely(X, elements, units):
+      return False
     if isinstance(self.monoid, NatMonoid):
-      trivial, falls = rules
-      if trivial and elements:
-        return False
-      return not falls or falls_into(X, elements, dead)
-    table = X.full_action()
+      return not rules or falls_into(X, elements, dead)
+    table = X.full_action() if rules else None
     return all(any(table[a][x] in dead for a in rule)
                for rule in rules for x in elements)
 
   def _carrier_rules(self):
-    """``_kills``' rules, once per predicate: (trivial, falls) over N, else
-    a list of lists of monoid elements."""
-    m = self.monoid
-    if isinstance(m, NatMonoid):
-      if self.kind == "torsion":
-        if self.mult_set != ("t",):
-          raise Undecidable(
-              "torsion over N supports the multiplicative set {t}")
-        return False, True
-      excluded = {p.label for p in m.primes()} - self.primes
-      return "(t)" in excluded, "(0)" in excluded
+    """``_kills``' rules, as lists of non-units (over N, ["t"] is the
+    powers of t), and the units that must act freely, once per predicate."""
+    m, nat = self.monoid, isinstance(self.monoid, NatMonoid)
     if self.kind == "torsion":
-      return [list(self._mult_closure())]
-    return [[a for a in m.elements if a not in p.subset]
-            for p in m.primes() if p.label not in self.primes]
+      if nat and self.mult_set != ("t",):
+        raise Undecidable(
+            "torsion over N supports the multiplicative set {t}")
+      rules = [["t"] if nat else self._mult_closure()]
+    else:
+      # finite length is support in m, which holds every prime: the last
+      kept = (self.primes if self.kind == "support_in"
+              else {p.label for p in m.primes()[-1:]})
+      rules = [(["t"] if p.label == "(0)" else []) if nat
+               else [a for a in m.elements if a not in p.subset]
+               for p in m.primes() if p.label not in kept]
+    units = () if nat else m.unit_elements()
+    rules = [[a for a in rule if a not in units] for rule in rules]
+    return rules, (units if self.kind == "finite_length" else ())
 
   def _mult_closure(self):
     m = self.monoid
@@ -281,6 +283,31 @@ class SerrePredicate:
               for w in data["objects"]]
       return cls.explicit(monoid, objs)
     raise InvalidStructure(f"unknown Serre predicate kind {kind!r}")
+
+
+def _units_act_freely(X, elements, units):
+  """Does A^× act freely on ``elements``?  Orbits are walked on X's unit
+  generators, as a product is a unit only when its factors are."""
+  steps = [gmap for g, gmap in X.action.items() if g in units]
+  left = set(elements)
+  while left:
+    orbit = [left.pop()]
+    for y in orbit:
+      for gmap in steps:
+        if gmap[y] not in orbit:
+          orbit.append(gmap[y])
+    if len(orbit) != len(units):
+      return False
+    left.difference_update(orbit)
+  return True
+
+
+def support(X):
+  """The primes where X does not vanish: each p such that X is not in
+  ``support_in`` of the other primes, decided on X's carrier."""
+  primes = X.monoid.primes()
+  return [p for p in primes if not SerrePredicate.support_in(
+      X.monoid, [q.label for q in primes if q is not p]).contains(X)]
 
 
 # ------------------------------------------------------------------- windows
@@ -348,8 +375,8 @@ def admissible_subs(X, pred):
   """Subobject sets S ⊆ X whose cokernel X/S lies in C, in lattice order.
 
   Filtered from X's kept subobject masks, one frozenset at a time, by
-  ``pred.contains_quotient``, which builds X/S only under ``finite_length``
-  and ``explicit``.  The list is kept with X's window halves, so X's
+  ``pred.contains_quotient``, which builds X/S only under ``explicit``.
+  The list is kept with X's window halves, so X's
   lattice is walked once and each S decided once per predicate, whatever
   the number of callers.
   """

@@ -14,9 +14,10 @@ from monoidkit.asets import (ASetMap, ExactSeq, FiniteASet, NotFiniteLength,
                              irreducible_chain, is_exact, is_pc_aset,
                              is_rooted_tree, kernel,
                              nat_set, orbit_decomposition, point_aset,
-                             smash, support, truncated_line, wedge)
+                             smash, truncated_line, wedge)
 from monoidkit.errors import InvalidStructure
 from monoidkit.monoids import STAR, FiniteMonoid, NatMonoid
+from monoidkit.serre import support
 from test_diagrams import fiber_product, product, pushout
 
 import math
@@ -50,6 +51,28 @@ def free_aset(monoid, rank=1):
   return wedge_list(copies) if len(copies) > 1 else copies[0]
 
 
+def oracle_support(X):
+  """Primes where the localized set does not vanish, by a walk over each
+  prime's complement: the ``support`` oracle."""
+  out = []
+  if isinstance(X.monoid, NatMonoid):
+    for p in X.monoid.primes():
+      if p.label == "(t)":
+        alive = len(X.elements) > 1
+      else:
+        # inverting t kills exactly the torsion part
+        alive = not is_rooted_tree(X)
+      if alive:
+        out.append(p)
+    return out
+  table = X.full_action()
+  for p in X.monoid.primes():
+    comp = [a for a in X.monoid.elements if a not in p.subset]
+    if any(all(table[s][x] != X.base for s in comp) for x in X.nonbase()):
+      out.append(p)
+  return out
+
+
 def codim_support(X):
   """Minimal height in the support; math.inf for the point."""
   return min((p.height for p in support(X)), default=math.inf)
@@ -73,6 +96,21 @@ def test_construction_and_validation():
   assert not bad.validate().ok
   with pytest.raises(InvalidStructure):
     bad.full_action()
+
+
+def test_one_equal_to_zero_leaves_the_point_only():
+  """Over a monoid with 1 = 0 the unit acts as the identity and as the
+  basepoint map, so only the point is an A-set."""
+  for M in (FiniteMonoid([STAR], STAR, STAR, {(STAR, STAR): STAR}),
+            FiniteMonoid.truncated_free(2).quotient_by_ideal(["1"])):
+    assert point_aset(M).validate().ok
+    for n in (1, 2):
+      X = FiniteASet(M, [STAR] + [f"x{i}" for i in range(n)], {}, STAR)
+      report = X.validate()
+      assert not report.ok and "unit law" in report.violations[0], report
+      with pytest.raises(InvalidStructure):
+        X.full_action()
+    assert [X.elements for X in corpora.brute_force_asets(M, 4)] == [[STAR]]
 
 
 def test_structural_errors():

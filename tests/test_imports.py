@@ -82,6 +82,7 @@ KEPT_UNREAD = {
     "kernel": "a construction of the paper's quasi-exact category",
     "cokernel": "a construction of the paper's quasi-exact category",
     "smash": "a construction of the paper's quasi-exact category",
+    "point_aset": "the zero object of the paper's quasi-exact category",
 }
 
 

@@ -1053,3 +1053,31 @@ def test_localization_of_gamma_sets_of_order_8_at_cap_9():
                     (Z(16), Z(16), Z(0))]
   assert all(rep.ok for rep in reports)
   assert elapsed < 30, f"three localizations at cap 9 took {elapsed:.1f} s"
+
+
+def test_localization_of_gamma_sets_of_order_8_at_cap_11():
+  """Finite length is decided on each object's carrier, so at cap 11 the
+  localization builds no subobject or quotient to ask it about.  The peak
+  is the child's own VmHWM: Linux carries the spawning process's peak RSS
+  into a child's ru_maxrss across exec, and under pytest that is pytest's."""
+  out = run_in_child("""
+      from monoidkit.corpora import all_gamma_asets
+      from monoidkit.ktheory import localization_exactness_k0
+      from monoidkit.monoids import FiniteMonoid
+      from monoidkit.serre import SerrePredicate
+      G = FiniteMonoid.group_with_zero([2, 2, 2])
+      start = time.perf_counter()
+      rep = localization_exactness_k0(
+          [X for X, _ in all_gamma_asets(G, 11)],
+          SerrePredicate.finite_length(G), closure_bound=6000)
+      out = {"groups": [str(rep.c_group), str(rep.m_group),
+                        str(rep.q_group)],
+             "ok": rep.ok, "wall_s": time.perf_counter() - start}
+      with open("/proc/self/status") as status:
+        peak_kb = int(status.read().split("VmHWM:")[1].split()[0])
+      out["peak_mb"] = peak_kb / 1024
+      """)
+  assert out["groups"] == [str(Z(1)), str(Z(16)), str(Z(15))], out
+  assert out["ok"], out
+  assert out["wall_s"] < 6, out
+  assert out["peak_mb"] < 100, out

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoidkit import selftest, serre
-from monoidkit.asets import (ASetMap, FiniteASet, coequalizer, cycle_nset,
-                             exact_seq_from_sub, hom_maps, is_rooted_tree,
-                             nat_set, point_aset, support, truncated_line,
-                             wedge)
+from monoidkit.asets import (ASetMap, FiniteASet, aset_length, coequalizer,
+                             cycle_nset, exact_seq_from_sub, hom_maps,
+                             is_rooted_tree, nat_set, point_aset,
+                             truncated_line, wedge)
 from monoidkit.corpora import (all_gamma_asets, all_nilpotent_asets,
                                all_nsets, brute_force_asets, random_nset)
 from monoidkit.errors import (InvalidStructure, NotIso, PredicateClosureError,
@@ -26,7 +26,9 @@ from monoidkit.serre import (IndexPoset, QuotientHom, SerrePredicate,
                              identity_quotient,
                              index_poset, is_iso_quotient, maximal_kernel,
                              minimal_dense_sub, monic_representative,
-                             quotient_equivalence_report, reduced_object)
+                             quotient_equivalence_report, reduced_object,
+                             support)
+from test_asets import oracle_support
 from test_diagrams import product
 from test_monoids import small_monoids
 
@@ -355,11 +357,16 @@ def test_window_functions_never_list_the_lattice(monkeypatch):
 
 
 def oracle_contains(pred, X):
-  """Membership of a built object as first written: the support by
-  ``support``, torsion by rooted-tree shape over N and by the full action
-  table otherwise; the other kinds have only the object path."""
+  """Membership of a built object by the oracles: zero as one element, the
+  support by ``oracle_support``, finite length by ``aset_length``, torsion
+  by rooted-tree shape over N and by the full action table otherwise; an
+  explicit list has only the object path."""
+  if pred == SerrePredicate.zero(pred.monoid):
+    return len(X.elements) == 1
   if pred.kind == "support_in":
-    return all(p.label in pred.primes for p in support(X))
+    return all(p.label in pred.primes for p in oracle_support(X))
+  if pred.kind == "finite_length":
+    return aset_length(X) is not None
   if pred.kind == "torsion" and isinstance(X.monoid, NatMonoid):
     return is_rooted_tree(X)
   if pred.kind == "torsion":
@@ -370,13 +377,17 @@ def oracle_contains(pred, X):
 
 
 def test_carrier_tests_match_membership_of_the_built_objects():
-  # the window corpus has torsion over N only: add it over the finite
-  # monoids, with and without the zero in the multiplicative closure
+  # the window corpus has torsion over N only and no list over the finite
+  # monoids: add torsion over them, with and without the zero in the
+  # multiplicative closure, and the list of the point
   z2, t3 = FiniteMonoid.group_with_zero([2]), FiniteMonoid.truncated_free(2)
-  extra = [(X, SerrePredicate.torsion(M, mult))
+  extra = [(X, pred)
            for M, objects in [(z2, [X for X, _ in all_gamma_asets(z2, 5)]),
                               (t3, all_nilpotent_asets(t3, 5))]
-           for mult in ([], ["1"], M.elements[1:2], M.elements[2:3])
+           for pred in [SerrePredicate.torsion(M, mult)
+                        for mult in ([], ["1"], M.elements[1:2],
+                                     M.elements[2:3])]
+                        + [SerrePredicate.explicit(M, [point_aset(M)])]
            for X in objects]
   decisions, answers = [], collections.defaultdict(set)
   for pairs in (window_corpus(), extra):
@@ -390,10 +401,87 @@ def test_carrier_tests_match_membership_of_the_built_objects():
               (X, pred, sorted(s))
           answers[pred.kind, isinstance(pred.monoid, NatMonoid)].add(got)
           decisions[-1] += 1
-  assert decisions == [41_442, 1_272]
+  assert decisions == [41_442, 1_590]
   # every kind, over N and over the finite monoids, answers both ways
   assert len(answers) == 8, answers
   assert all(a == {True, False} for a in answers.values()), answers
+
+
+def carrier_rule_corpora():
+  """(monoid, objects) pairs: ``brute_force_asets`` to 4 elements of every
+  ``small_monoids()`` monoid (broken tables and the one-element monoids
+  included), the Γ₊-sets to 9 elements for Z/2, Z/3, Z/4, (Z/2)², Z/6,
+  Z/2×Z/4 and (Z/2)³, and the nilpotent N/(t²)- and N/(t³)-sets and the
+  N-sets to 7 elements."""
+  out = [(M, brute_force_asets(M, 4)) for M in small_monoids()]
+  for orders in ([2], [3], [4], [2, 2], [6], [2, 4], [2, 2, 2]):
+    G = FiniteMonoid.group_with_zero(orders)
+    out.append((G, [X for X, _ in all_gamma_asets(G, 9)]))
+  for top in (1, 2):
+    T = FiniteMonoid.truncated_free(top)
+    out.append((T, all_nilpotent_asets(T, 7)))
+  return out + [(N, all_nsets(7))]
+
+
+def test_carrier_rules_equal_the_oracles_on_every_subquotient():
+  """On every subobject and quotient of every object of the corpora,
+  ``finite_length`` decided on X's carrier is whether ``aset_length`` of
+  the built object is not None, and ``zero`` is whether it has one
+  element; on every object, ``support`` is ``oracle_support``.  A Γ₊-set
+  is ∗ plus orbits Γ/H, and its subobjects are unions of them, so the
+  length oracle runs once per multiset of stabilizers: the orbits of X
+  inside s for the subobject, outside s for the quotient."""
+  lengths = {}
+
+  def finite(X, bits, orbits, s, build, inside):
+    if orbits is None:
+      return aset_length(build(s)) is not None
+    mask = sum(bits[x] for x in s)
+    key = (X.monoid, inside, tuple(sorted(
+        h for o, h in orbits if (o & mask == o) == inside)))
+    if key not in lengths:
+      lengths[key] = aset_length(build(s)) is not None
+    return lengths[key]
+
+  objects = decisions = 0
+  answers = collections.Counter()
+  for M, corpus in carrier_rule_corpora():
+    length, zero = SerrePredicate.finite_length(M), SerrePredicate.zero(M)
+    for X in corpus:
+      assert support(X) == oracle_support(X), X
+      objects += 1
+      bits, orbits = X._bits(), X._orbit_masks()
+      for s in X.subobject_sets():
+        for ask, build, size in (
+            ("contains_sub", X._sub_object, len(s)),
+            ("contains_quotient", X._quotient_object,
+             len(X.elements) - len(s) + 1)):
+          got = getattr(length, ask)(X, s)
+          inside = ask == "contains_sub"
+          assert got == finite(X, bits, orbits, s, build, inside), \
+              (X, ask, sorted(s, key=str))
+          assert getattr(zero, ask)(X, s) == (size == 1), \
+              (X, ask, sorted(s, key=str))
+          answers[got] += 1
+          decisions += 1
+  assert (objects, decisions) == (2_365, 79_030)
+  assert min(answers.values()) > 10_000, answers
+
+
+def test_finite_length_refuses_a_fixed_point_and_a_loop():
+  """Negative control: a Z/2₊ fixed point is no free orbit, and an N-set
+  loop never falls to ∗, so neither is of finite length, nor is an object
+  holding one; the free orbit and the line beside them are."""
+  fixed = FiniteASet(Z2, [STAR, "x"], {"g": {"x": "x"}})
+  free = FiniteASet(Z2, [STAR, "y", "gy"], {"g": {"y": "gy", "gy": "y"}})
+  for bad, good in ((fixed, free), (cycle_nset(1), truncated_line(2))):
+    pred = SerrePredicate.finite_length(bad.monoid)
+    W, _, inc = wedge(bad, good)
+    part = frozenset(inc(y) for y in good.elements)
+    assert aset_length(bad) is None and aset_length(good) is not None
+    assert not pred.contains(bad) and pred.contains(good)
+    assert not pred.contains(W) and pred.contains_sub(W, part)
+    assert not pred.contains_quotient(W, part)
 
 
 def test_torsion_over_n_is_decided_for_the_powers_of_t_only():
@@ -937,10 +1025,10 @@ def test_condition_w_validates_no_map_and_reads_no_map_past_a_witness(
   (the public ``from_window`` keeps one, and is not on this path), and each
   search reads maps only up to its witness.  An arrow search ends at an
   arrow, or at the end of the hom-set, and reads at most two arrows.  Under
-  torsion and support in (t) no inverse search runs.  Under zero, an
-  inverse search (``_inverse``, tagged apart) reads a prefix of
-  Hom(Y′, X″) and ends at the one map whose composites with f are the
-  identities, or reads the whole hom-set and finds none."""
+  torsion, zero and support in (t) no inverse search runs.  Under the list
+  of the point, an inverse search (``_inverse``, tagged apart) reads a
+  prefix of Hom(Y′, X″) and ends at the one map whose composites with f
+  are the identities, or reads the whole hom-set and finds none."""
   V = nat_set({"a": "b", "b": STAR, "c": "d", "d": "c"})
   validated, runs, inverting = [], [], []
   init, candidates = ASetMap.__init__, serre._iso_candidates
@@ -978,7 +1066,8 @@ def test_condition_w_validates_no_map_and_reads_no_map_past_a_witness(
   monkeypatch.setattr(serre, "_inverse", tagged_inverse)
   monkeypatch.setattr(serre, "iter_hom_maps", read)
   for pred in (TORSION, SerrePredicate.zero(N),
-               SerrePredicate.support_in(N, ["(t)"])):
+               SerrePredicate.support_in(N, ["(t)"]),
+               SerrePredicate.explicit(N, [point_aset(N)])):
     assert check_condition_w(V, pred, pair_bound=25) is True
   monkeypatch.undo()
   assert validated == []
@@ -1454,11 +1543,12 @@ def test_carrier_rule_refuses_an_iso_rep_with_one_image_changed():
 
 
 def test_carrier_kinds_search_for_no_inverse(monkeypatch):
-  """Count guard.  Under support in (t), torsion and finite length,
-  ``check_condition_w``, ``is_iso_quotient`` and selftest case 09 call
-  ``_inverse`` no time; under zero the first two still search.  Part (b)
-  asks ``is_iso_quotient`` once per (target candidate, projection), though
-  some pairs coequalize to a projection already judged."""
+  """Count guard.  Under support in (t), torsion, finite length and zero,
+  ``check_condition_w``, ``is_iso_quotient`` and selftest cases 09 and 10
+  call ``_inverse`` no time; under the list of the point the first two
+  still search.  Part (b) asks ``is_iso_quotient`` once per (target
+  candidate, projection), though some pairs coequalize to a projection
+  already judged."""
   searches, judged, images, coequalized = [], [], [], []
   monkeypatch.setattr(serre, "_inverse", recording(searches, serre._inverse))
   monkeypatch.setattr(serre, "is_iso_quotient",
@@ -1470,7 +1560,8 @@ def test_carrier_kinds_search_for_no_inverse(monkeypatch):
   corpus = all_nsets(4)
   repeats = 0
   for pred in (SerrePredicate.support_in(N, ["(t)"]), TORSION,
-               SerrePredicate.finite_length(N), SerrePredicate.zero(N)):
+               SerrePredicate.finite_length(N), SerrePredicate.zero(N),
+               SerrePredicate.explicit(N, [point_aset(N)])):
     searches.clear()
     for V in corpus:
       judged.clear()
@@ -1489,6 +1580,7 @@ def test_carrier_kinds_search_for_no_inverse(monkeypatch):
   assert repeats > 0
   searches.clear()
   assert selftest.case_09_quotient_laws().passed
+  assert selftest.case_10_filtered_and_condition_w().passed
   assert searches == []
 
 
