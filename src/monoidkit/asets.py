@@ -30,7 +30,9 @@ may be shared, and no caller mutates a map's mapping.
 
 Maps and isomorphisms come from one backtracking search,
 ``_equivariant_maps``.  ``iter_hom_maps`` yields the maps it finds one
-at a time, so a search for a witness stops at it; ``hom_maps`` lists them;
+at a time, so a search for a witness stops at it; ``iter_maps_within``
+is the same search with a list of allowed images per element, for a
+caller that knows where each element must go; ``hom_maps`` lists them;
 ``find_isomorphism`` first compares the objects' ``iso_key`` (an invariant
 each object computes once and keeps) and then takes the first one-to-one map
 that sends each element to one of equal invariant.
@@ -857,20 +859,16 @@ def _class_names(elements, base, uf):
   return {y: names[r] for y, r in root.items()}, carrier
 
 
-def coequalizer(f, g):
-  """(Q, proj): the genuine coequalizer of morphisms f, g : X ⇉ Y.
+def coequalizer_classes(f, g):
+  """(y ↦ its class's name, the names in order): the classes of the
+  coequalizer of morphisms f, g : X ⇉ Y, with no object built.
 
-  Identifies f(x) ~ g(x) by one union-find pass and collapses the class of
-  the basepoint; any other class is named by the least ``str`` of its
-  members.  No closing under the action is needed: f and g are
+  Identifies f(x) ~ g(x) by one union-find pass; the basepoint's class is
+  collapsed and any other class is named by the least ``str`` of its
+  members (``_class_names``, which refuses two classes that print alike,
+  as 1 and "1" do).  No closing under the action is needed: f and g are
   equivariant, so a·f(x) ~ a·g(x) is the pair of a·x, and the equivalence
-  the pairs generate is already a congruence; Q's action is read through
-  ``proj``.
-
-  Contract: f and g are morphisms (the pair is not checked for
-  equivariance).  Q and ``proj`` are built unchecked; only the class names
-  are checked distinct (``InvalidStructure`` when two classes print alike,
-  as 1 and "1" do).
+  the pairs generate is already a congruence.
   """
   if not f.source.same_carrier(g.source) or not f.target.same_carrier(g.target):
     raise InvalidStructure("coequalizer needs a parallel pair")
@@ -879,7 +877,23 @@ def coequalizer(f, g):
   fm, gm = f.mapping, g.mapping
   for x in f.source.elements:
     uf.union(fm[x], gm[x])
-  proj, carrier = _class_names(Y.elements, Y.base, uf)
+  return _class_names(Y.elements, Y.base, uf)
+
+
+def coequalizer(f, g, classes=None):
+  """(Q, proj): the genuine coequalizer of morphisms f, g : X ⇉ Y.
+
+  Q is Y's classes under ``coequalizer_classes(f, g)``, or under
+  ``classes`` when the caller has already computed them, to decide from
+  the classes alone whether Q is needed; Q's action is read through
+  ``proj``.
+
+  Contract: f and g are morphisms (the pair is not checked for
+  equivariance).  Q and ``proj`` are built unchecked; only the class names
+  are checked distinct.
+  """
+  proj, carrier = classes or coequalizer_classes(f, g)
+  Y = f.target
   action = {g: {proj[y]: proj[gmap[y]] for y in Y.elements}
             for g, gmap in Y.action.items()}
   Q = FiniteASet._trusted(Y.monoid, carrier, action, Y.base)
@@ -965,9 +979,20 @@ def iter_hom_maps(X, Y):
   runs only as far as the caller reads, so a search for a witness stops
   at it.
   """
+  return iter_maps_within(X, Y, dict.fromkeys(X.nonbase(), Y.elements))
+
+
+def iter_maps_within(X, Y, choices):
+  """Every A-set map X → Y that sends each nonbase x into ``choices[x]``,
+  one at a time: ``iter_hom_maps``' search with fewer images to try.
+
+  Each ``choices[x]`` is a sublist of ``Y.elements`` in its order, so the
+  maps come in ``iter_hom_maps``' order, and they are exactly the maps it
+  yields that send each x into ``choices[x]``.  The generator sets are
+  compared on the call.
+  """
   if set(X.action) != set(Y.action):
     raise InvalidStructure("hom needs a common acting generator set")
-  choices = dict.fromkeys(X.nonbase(), Y.elements)
   return (ASetMap._trusted(X, Y, m)
           for m in _equivariant_maps(X, Y, choices, False))
 

@@ -27,6 +27,13 @@ on first use and fetched in one lookup, and so the admissible lists of
 never mutated, so none of these can go stale.  A ``PredicateClosureError``
 is not kept: it is raised again on every call.  A ``QuotientHom`` is a map
 between the kept X′ and Y″; composing reads both off the representatives.
+Under a predicate that is Serre by construction, condition (W)'s
+candidates inherit their halves from V's, with no ``_dense_set`` or
+``_kernel_set``: a dense S ⊆ V has V′ itself and K(V) ∩ S, a quotient
+V/k has (V′ ∖ k) ∪ {∗} and (K(V) ∖ k) ∪ {∗}, with V″ itself as its
+collapsed half, and a wedge V ∨ T has ι_V(V′) and ι_V(K(V)) ∪ ι_T(T).
+``_iso_candidates`` proves each by closure under subobjects, quotients
+and extensions.
 
 What is checked where.  Only the public ``QuotientHom(...)`` and
 ``from_window`` check the representative they are given.  A rep built
@@ -36,9 +43,17 @@ inside is a morphism by construction and is built unchecked: a map
 which every window refines.  ``_composite``, the one checked composition,
 returns a dict; its two checks (f lands in Y′, the composite is
 equivariant) fail only under a predicate that is not Serre, and raise
-``PredicateClosureError``.  Every witness search reads ``iter_hom_maps``
-only up to its witness: (W)'s arrows, ``monic_representative``, and, under
-an ``explicit`` list, ``_inverse``, which stops at the unique inverse.
+``PredicateClosureError``.  Every witness search reads its maps only up to
+its witness: (W)'s arrows, ``monic_representative``, and, under an
+``explicit`` list, ``_inverse``, which stops at the unique inverse.  An
+arrow u: Xa → Xb of (W) must have pb ∘ u = pa, so under a predicate that
+is Serre by construction its search (``iter_maps_within``) gives each x
+of Xa′ only the y whose image in Xb″ pb's rep sends to pa's rep of x;
+every map it reads is an arrow, in ``iter_hom_maps``' order, and still
+passes ``_composite``.  Under an ``explicit`` list it reads the whole
+hom-set (``iter_hom_maps``): C may not be closed there, and a map the
+constraint would skip may be one whose composite raises
+``PredicateClosureError`` before the first arrow.
 
 Isomorphism in M/C is decided without a morphism search: ``reduced_object``
 cuts X down to its minimal dense subobject X′ and collapses that one's
@@ -69,8 +84,9 @@ from __future__ import annotations
 import itertools
 import weakref
 
-from .asets import (ASetMap, FiniteASet, coequalizer, falls_into, hom_maps,
-                    identity_map, iter_hom_maps, wedge)
+from .asets import (ASetMap, FiniteASet, coequalizer, coequalizer_classes,
+                    falls_into, hom_maps, identity_map, iter_hom_maps,
+                    iter_maps_within, wedge)
 from .errors import (InvalidStructure, NotIso, PredicateClosureError,
                      Undecidable)
 from .monoids import NatMonoid
@@ -642,8 +658,10 @@ def hom_quotient(X, Y, pred):
           for m in hom_maps(_dense_sub(X, pred), _collapsed(Y, pred))]
 
 
-def _composite(m, n):
-  """The mapping of m followed by n, for reps m: X′ → Y″ and n: Y′ → Z″.
+def _composite(sub, raw, n):
+  """The mapping of m followed by n, for reps m: X′ → Y″ and n: Y′ → Z″,
+  with m given as its source X′ = ``sub`` and its mapping ``raw``: the
+  only parts of m read, so a caller with a mapping in hand wraps no map.
 
   The composite of canonical representatives is computed by restriction to
   D = m⁻¹(Y′ ∩ Y″) and descent of n; minimality of the canonical
@@ -655,7 +673,6 @@ def _composite(m, n):
   raises ``PredicateClosureError``.  The carriers and the basepoint hold
   by construction.
   """
-  sub, raw = m.source, m.mapping                   # X′
   y_sub = n.source._element_set                    # Y′
   if not y_sub.issuperset(raw.values()):
     domain = sorted((x for x in sub.elements if raw[x] in y_sub), key=str)
@@ -686,7 +703,9 @@ def compose_quotient(f, g):
   """
   if not f.target.same_carrier(g.source) or f.pred != g.pred:
     raise InvalidStructure("quotient morphisms do not compose")
-  rep = ASetMap._trusted(f.rep.source, g.rep.target, _composite(f.rep, g.rep))
+  m = f.rep
+  rep = ASetMap._trusted(m.source, g.rep.target,
+                         _composite(m.source, m.mapping, g.rep))
   return QuotientHom._trusted(f.source, g.target, f.pred, rep)
 
 
@@ -698,8 +717,10 @@ def _inverse(f):
   X, Y, pred = f.source, f.target, f.pred
   ident_s = identity_quotient(X, pred).rep.mapping
   ident_t = identity_quotient(Y, pred).rep.mapping
+  m = f.rep
   for g in iter_hom_maps(_dense_sub(Y, pred), _collapsed(X, pred)):
-    if _composite(f.rep, g) == ident_s and _composite(g, f.rep) == ident_t:
+    if (_composite(m.source, m.mapping, g) == ident_s
+        and _composite(g.source, g.mapping, m) == ident_t):
       return QuotientHom._trusted(Y, X, pred, g)
   return None
 
@@ -771,30 +792,56 @@ def _iso_candidates(V, pred):
   used; so are the inclusion, the projection and the collapse W → V (T's
   copy is action-closed in W), all morphisms.
 
-  Under a predicate that is Serre by construction, the inverse of
-  V ↠ Q = V/k is written down, not searched for.  It is the germ of Q's
-  identity read as a map Q → V/k at the window (Q, k).  K(Q) is the image
-  of K(V) (the preimage of K(Q) is an extension of it by k), so Q″ and V″
-  are one A-set, and the inverse's rep is Q's identity rep, x ↦ x on Q′
-  with K(V) sent to ∗, read as a map Q′ → V″.  Under an ``explicit`` list
-  it is searched for (``_inverse``), and a projection with no inverse gives
-  no candidate.
+  Under a predicate that is Serre by construction each candidate inherits
+  its window halves from V's, written into its slot (``_keep_halves``), so
+  neither ``_dense_set`` nor ``_kernel_set`` runs for it.  With V′ and K(V)
+  V's halves, by closure under subobjects, quotients and extensions:
+
+  - S with V/S ∈ C: S′ = V′, the same object, since V′ ⊆ S and a T dense
+    in S is dense in V (V/T is an extension of V/S by S/T); K(S) =
+    K(V) ∩ S, as K(S) is a subobject of V in C and K(V) ∩ S one of K(V).
+  - Q = V/k with k ∈ C: Q′ = (V′ ∖ k) ∪ {∗}, the image of V′, since Q/Q′ is
+    a quotient of V/V′ and a T dense in Q has T ∪ k dense in V
+    (V/(T ∪ k) = Q/T); K(Q) = (K(V) ∖ k) ∪ {∗}, as the preimage of a
+    subobject of Q in C is an extension of it by k; and Q″ = V/K(V) is
+    V″'s object, as k ⊆ K(V).
+  - W = V ∨ T: W′ = ι_V(V′), since W/W′ is an extension of V/V′ by T and
+    a dense S in W meets ι_V(V) in a dense subobject of V (a subobject of
+    W/S is V/(S ∩ V)); K(W) = ι_V(K(V)) ∪ ι_T(T), an extension of K(V) by
+    T that holds each subobject L of W in C, as L ∩ ι_V(V) lies in C.
+
+  The inverse of V ↠ Q = V/k is then written down, not searched for: it
+  is the germ of Q's identity read as a map Q → V/k at the window (Q, k),
+  and as Q″ is V″, its rep is Q's identity rep, x ↦ x on Q′ with K(V) sent
+  to ∗.  Under an ``explicit`` list, which may not be closed, no half is
+  inherited, the inverse is searched for (``_inverse``), and a projection
+  with no inverse gives no candidate.
   """
+  inherit = pred.serre_by_construction
+  if inherit:
+    dense, sub = _window_half(V, pred, 0)
+    kernel, quo = _window_half(V, pred, 1)
   cands = []
   for s in admissible_subs(V, pred):
     S = V._sub_object(s)
+    if inherit:
+      s_kernel = kernel & s
+      _keep_halves(S, pred, (dense, sub),
+                   (s_kernel, S._quotient_object(s_kernel)))
     incl = ASetMap._trusted(S, V, {x: x for x in S.elements})
     cands.append((S, QuotientHom.from_ambient(incl, pred)))
   kernels = admissible_kernels(V, pred)
+  base = V.base
   for k in kernels:
     Q = V._quotient_object(k)
-    if pred.serre_by_construction:
-      ident = identity_quotient(Q, pred).rep
-      g = QuotientHom._trusted(Q, V, pred, ASetMap._trusted(
-          ident.source, _collapsed(V, pred), ident.mapping))
+    if inherit:
+      q_dense = (dense - k) | {base}
+      _keep_halves(Q, pred, (q_dense, Q._sub_object(q_dense)),
+                   ((kernel - k) | {base}, quo))
+      g = QuotientHom._trusted(Q, V, pred, identity_quotient(Q, pred).rep)
     else:
       g = _inverse(QuotientHom.from_ambient(ASetMap._trusted(
-          V, Q, {x: V.base if x in k else x for x in V.elements}), pred))
+          V, Q, {x: base if x in k else x for x in V.elements}), pred))
     if g is not None:
       cands.append((Q, g))
   for k in kernels:
@@ -802,11 +849,46 @@ def _iso_candidates(V, pred):
       continue
     T = V._sub_object(k)
     W, inc_v, inc_t = wedge(V, T)
+    if inherit:
+      w_dense = frozenset([inc_v(x) for x in dense])
+      w_kernel = frozenset([inc_v(x) for x in kernel] + [inc_t(t) for t in k])
+      _keep_halves(W, pred, (w_dense, W._sub_object(w_dense)),
+                   (w_kernel, W._quotient_object(w_kernel)))
     collapse = {inc_v(x): x for x in V.elements}
-    collapse.update({inc_t(t): V.base for t in T.elements})
+    collapse.update({inc_t(t): base for t in T.elements})
     cands.append((W, QuotientHom.from_ambient(
         ASetMap._trusted(W, V, collapse), pred)))
   return cands
+
+
+def _keep_halves(X, pred, source, target):
+  """Write X's source half (X′'s carrier, X′) and target half (K, X/K)
+  under pred into X's slot, where ``_window_half`` finds them; the
+  carrier and K are frozensets."""
+  kept = X._kept().windows
+  ref = weakref.ref(pred)
+  kept[0, ref], kept[1, ref] = source, target
+
+
+def _arrow_images(a, b, kernel):
+  """The images an arrow a → b may give each nonbase x of Xa, for the
+  candidates a = (Xa, pa) and b = (Xb, pb), with ``kernel`` = K(Xb).
+
+  An arrow u has pb ∘ u = pa in M/C: pb's rep sends u(x), read in Xb″
+  (K(Xb) sent to ∗), to pa's rep of x, for each x of Xa′.  So x of Xa′
+  may go only to those y; any other x may go anywhere.  Each list keeps
+  ``Xb.elements``' order.
+  """
+  (Xa, pa), (Xb, pb) = a, b
+  base, back = Xb.base, pb.rep.mapping
+  fibres = {}
+  for y in Xb.elements:
+    canon = base if y in kernel else y
+    if canon in back:
+      fibres.setdefault(back[canon], []).append(y)
+  want = pa.rep.mapping
+  return {x: fibres.get(want[x], []) if x in want else Xb.elements
+          for x in Xa.nonbase()}
 
 
 def check_condition_w(V, pred, pair_bound=40):
@@ -816,15 +898,24 @@ def check_condition_w(V, pred, pair_bound=40):
   receiving honest maps compatible with the structure isos, and (b) sampled
   parallel pairs admit a weak coequalizer, built as the genuine coequalizer
   in M and verified to remain invertible over V.  An arrow a → b is an
-  honest map u with pb ∘ u = pa in M/C; it is tested on the reps' dicts,
-  and the maps u are enumerated only as far as the search reads.
+  honest map u with pb ∘ u = pa in M/C; it is tested on the reps' dicts
+  (``_composite``), and the maps u are enumerated only as far as the
+  search reads.
 
-  Under a predicate that is Serre by construction no inverse is searched
-  for: ``_iso_candidates`` writes the structure isos down, and
+  Under a predicate that is Serre by construction the candidates inherit
+  V's window halves (``_iso_candidates``) and no inverse is searched for:
+  ``_iso_candidates`` writes the structure isos down, and
   ``is_iso_quotient`` reads each projection's invertibility off the window
-  halves.  Part (b) judges each (target candidate, projection) once per
-  call: pairs that coequalize to the same projection out of the same
-  candidate ask one question.
+  halves.  An arrow search there tries for each x of Xa′ only the images
+  that ``pb ∘ u = pa`` allows (``_arrow_images``), so every map it reads is
+  an arrow, in the order of the full search.  Under an ``explicit`` list it
+  reads the whole hom-set in order: there C may not be closed, and a map
+  the constraint would skip may be the one whose composite raises
+  ``PredicateClosureError`` before the first arrow.
+
+  Part (b) judges each (target candidate, projection) once per call: pairs
+  that coequalize to the same projection out of the same candidate ask one
+  question, and Q is built only for a new projection.
   """
   cands = _iso_candidates(V, pred)
 
@@ -832,12 +923,15 @@ def check_condition_w(V, pred, pair_bound=40):
     # u's image in M/C has the rep u on Xa′ followed by Xb ↠ Xb″: Xa′ is
     # pa's source, and Xb's target half is read once per pair
     (Xa, pa), (Xb, pb) = a, b
-    sub = pa.rep.source
-    kernel, quo = _window_half(Xb, pred, 1)
-    for u in iter_hom_maps(Xa, Xb):
-      rep = ASetMap._trusted(
-          sub, quo, _canonical_mapping(u, sub, kernel, Xb.base))
-      if _composite(rep, pb.rep) == pa.rep.mapping:
+    sub, want = pa.rep.source, pa.rep.mapping
+    kernel = maximal_kernel(Xb, pred)
+    if pred.serre_by_construction:
+      maps = iter_maps_within(Xa, Xb, _arrow_images(a, b, kernel))
+    else:
+      maps = iter_hom_maps(Xa, Xb)
+    for u in maps:
+      if _composite(sub, _canonical_mapping(u, sub, kernel, Xb.base),
+                    pb.rep) == want:
         yield u
 
   reaches = {}
@@ -855,7 +949,7 @@ def check_condition_w(V, pred, pair_bound=40):
       return False
 
   # (b) weak coequalizers; a projection out of b already judged is not
-  # judged again
+  # judged again, nor its Q built
   checked = 0
   judged = set()
   for a, b in itertools.combinations(range(len(cands)), 2):
@@ -866,10 +960,11 @@ def check_condition_w(V, pred, pair_bound=40):
       continue
     checked += 1
     u, v = pair
-    Q, proj = coequalizer(u, v)
-    key = (b, frozenset(proj.mapping.items()))
+    classes = coequalizer_classes(u, v)
+    key = (b, frozenset(classes[0].items()))
     if key in judged:
       continue
+    _, proj = coequalizer(u, v, classes)
     if not is_iso_quotient(QuotientHom.from_ambient(proj, pred)):
       return False
     judged.add(key)

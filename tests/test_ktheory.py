@@ -989,13 +989,17 @@ def test_localization_of_klein_four_sets_at_cap_8():
 
 
 def run_in_child(code):
-  """Run ``code`` in a fresh interpreter that prints one JSON line, with
-  its own RUSAGE_SELF max RSS, in MB, under "rss_mb"."""
+  """Run ``code``, which sets a dict ``out``, in a fresh interpreter that
+  prints ``out`` as one JSON line, with the child's own peak RSS, in MB,
+  under "rss_mb".  The peak is the child's VmHWM: Linux carries the
+  spawning process's peak RSS into a child's ru_maxrss across exec, and
+  under pytest that is pytest's."""
   package_root = os.path.dirname(os.path.dirname(ktheory.__file__))
   env = dict(os.environ, PYTHONPATH=package_root)
-  script = ("import json, resource, time\n" + textwrap.dedent(code) +
-            "\nout['rss_mb'] = resource.getrusage(resource.RUSAGE_SELF)"
-            ".ru_maxrss / 1024\nprint(json.dumps(out))\n")
+  script = ("import json, time\n" + textwrap.dedent(code) +
+            "\nwith open('/proc/self/status') as status:\n"
+            "  peak_kb = int(status.read().split('VmHWM:')[1].split()[0])\n"
+            "out['rss_mb'] = peak_kb / 1024\nprint(json.dumps(out))\n")
   done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                         capture_output=True, text=True, timeout=300)
   return json.loads(done.stdout)
@@ -1057,9 +1061,7 @@ def test_localization_of_gamma_sets_of_order_8_at_cap_9():
 
 def test_localization_of_gamma_sets_of_order_8_at_cap_11():
   """Finite length is decided on each object's carrier, so at cap 11 the
-  localization builds no subobject or quotient to ask it about.  The peak
-  is the child's own VmHWM: Linux carries the spawning process's peak RSS
-  into a child's ru_maxrss across exec, and under pytest that is pytest's."""
+  localization builds no subobject or quotient to ask it about."""
   out = run_in_child("""
       from monoidkit.corpora import all_gamma_asets
       from monoidkit.ktheory import localization_exactness_k0
@@ -1073,11 +1075,8 @@ def test_localization_of_gamma_sets_of_order_8_at_cap_11():
       out = {"groups": [str(rep.c_group), str(rep.m_group),
                         str(rep.q_group)],
              "ok": rep.ok, "wall_s": time.perf_counter() - start}
-      with open("/proc/self/status") as status:
-        peak_kb = int(status.read().split("VmHWM:")[1].split()[0])
-      out["peak_mb"] = peak_kb / 1024
       """)
   assert out["groups"] == [str(Z(1)), str(Z(16)), str(Z(15))], out
   assert out["ok"], out
   assert out["wall_s"] < 6, out
-  assert out["peak_mb"] < 100, out
+  assert out["rss_mb"] < 100, out

@@ -600,10 +600,9 @@ def test_each_window_half_is_computed_once_per_object_and_predicate(
     assert len(computed) == len(halves) > 0
     computed.clear()
     homs = hom_quotient(X, Y, pred)
-    # condition (W) inverts no map out of X, so X's dense half is new here,
-    # as is Y's kernel
-    assert [(name, A) for name, A, _ in computed] == \
-        [("_dense_set", X), ("_kernel_set", Y)]
+    # condition (W) computed both of X's halves, which its candidates
+    # inherit, so only Y's kernel is new here
+    assert [(name, A) for name, A, _ in computed] == [("_kernel_set", Y)]
     R = reduced_object(X, pred)
     computed.clear()
     builds.clear()
@@ -996,15 +995,17 @@ def test_condition_w_searches_each_ordered_pair_once_per_part(monkeypatch):
   """The upper-bound part decides "some arrow a → c" once per ordered pair
   of candidates; the weak-coequalizer part searches each pair once more at
   most.  Every verdict on the N-sets to 5 elements is True.  A search is
-  a call of either enumerator: the arrow searches read ``iter_hom_maps``,
-  ``hom_quotient`` lists ``hom_maps``."""
+  a call of any enumerator: the arrow searches read ``iter_maps_within``
+  (or ``iter_hom_maps`` under a list), ``hom_quotient`` lists
+  ``hom_maps``."""
   searches = []
 
   def counted(search):
-    return lambda X, Y: searches.append((X, Y)) or search(X, Y)
+    return lambda X, Y, *choices: (searches.append((X, Y))
+                                   or search(X, Y, *choices))
 
   # the objects are kept, so no id is reused within one call
-  for name in ("hom_maps", "iter_hom_maps"):
+  for name in ("hom_maps", "iter_hom_maps", "iter_maps_within"):
     monkeypatch.setattr(serre, name, counted(getattr(serre, name)))
   preds = [TORSION, SerrePredicate.zero(N),
            SerrePredicate.support_in(N, ["(t)"])]
@@ -1025,14 +1026,17 @@ def test_condition_w_validates_no_map_and_reads_no_map_past_a_witness(
   (the public ``from_window`` keeps one, and is not on this path), and each
   search reads maps only up to its witness.  An arrow search ends at an
   arrow, or at the end of the hom-set, and reads at most two arrows.  Under
-  torsion, zero and support in (t) no inverse search runs.  Under the list
-  of the point, an inverse search (``_inverse``, tagged apart) reads a
-  prefix of Hom(Y′, X″) and ends at the one map whose composites with f
-  are the identities, or reads the whole hom-set and finds none."""
+  torsion, zero and support in (t) no inverse search runs, and an arrow
+  search (``iter_maps_within``) reads only arrows, in the order of the
+  full hom-set; under the list it reads a prefix of the hom-set
+  (``iter_hom_maps``).  Under the list of the point, an inverse search
+  (``_inverse``, tagged apart) reads a prefix of Hom(Y′, X″) and ends at
+  the one map whose composites with f are the identities, or reads the
+  whole hom-set and finds none."""
   V = nat_set({"a": "b", "b": STAR, "c": "d", "d": "c"})
   validated, runs, inverting = [], [], []
   init, candidates = ASetMap.__init__, serre._iso_candidates
-  inverse, enumerate_maps = serre._inverse, serre.iter_hom_maps
+  inverse = serre._inverse
 
   def counted_init(self, *args):
     validated.append(args)
@@ -1051,20 +1055,25 @@ def test_condition_w_validates_no_map_and_reads_no_map_past_a_witness(
     runs[-1][3].append((f, g, inverting.pop()))
     return g
 
-  def read(X, Y):
-    if inverting:
-      pulled = inverting[-1]
-    else:
-      pulled = []
-      runs[-1][2].append((X, Y, pulled))
-    for u in enumerate_maps(X, Y):
-      pulled.append(u)
-      yield u
+  def reading(name):
+    search = getattr(serre, name)
+
+    def read(X, Y, *choices):
+      if inverting:
+        pulled = inverting[-1]
+      else:
+        pulled = []
+        runs[-1][2].append((X, Y, pulled, name))
+      for u in search(X, Y, *choices):
+        pulled.append(u)
+        yield u
+    return read
 
   monkeypatch.setattr(ASetMap, "__init__", counted_init)
   monkeypatch.setattr(serre, "_iso_candidates", kept_candidates)
   monkeypatch.setattr(serre, "_inverse", tagged_inverse)
-  monkeypatch.setattr(serre, "iter_hom_maps", read)
+  for name in ("iter_hom_maps", "iter_maps_within"):
+    monkeypatch.setattr(serre, name, reading(name))
   for pred in (TORSION, SerrePredicate.zero(N),
                SerrePredicate.support_in(N, ["(t)"]),
                SerrePredicate.explicit(N, [point_aset(N)])):
@@ -1075,17 +1084,25 @@ def test_condition_w_validates_no_map_and_reads_no_map_past_a_witness(
   inverse_reads = inverse_listed = 0
   for pred, cands, searches, inversions in runs:
     assert searches, pred
-    for X, Y, pulled in searches:
+    for X, Y, pulled, name in searches:
       (_, pa), = [c for c in cands if c[0] is X]
       (_, pb), = [c for c in cands if c[0] is Y]
-      arrows = [compose_quotient(QuotientHom.from_ambient(u, pred), pb) == pa
-                for u in pulled]
+
+      def is_arrow(u):
+        return compose_quotient(QuotientHom.from_ambient(u, pred), pb) == pa
+
+      arrows = [is_arrow(u) for u in pulled]
       listed = hom_maps(X, Y)
+      listed_maps += len(listed)
+      assert (name == "iter_maps_within") == pred.serre_by_construction
+      if pred.serre_by_construction:
+        # the constrained search reads only arrows, in the hom-set's order
+        assert all(arrows), pred
+        listed = [u for u in listed if is_arrow(u)]
       assert [u.mapping for u in pulled] == \
           [u.mapping for u in listed[:len(pulled)]]
       assert sum(arrows) <= 2 and (len(pulled) == len(listed) or arrows[-1])
       read_maps += len(pulled)
-      listed_maps += len(listed)
     if pred.serre_by_construction:
       # the structure isos are written down and invertibility is read off
       # the window halves: no inverse search at all
@@ -1292,9 +1309,12 @@ def test_condition_w_matches_its_oracle(monkeypatch):
   tally = collections.Counter()
 
   def compare_composites(refused, V, pred):
-    for (m, n), mapping in composites:
+    for (sub, raw, n), mapping in composites:
+      # _composite takes m: X′ → Y″ as its source and mapping; the oracle
+      # reads m's target only for its basepoint, Y's, which Y′ shares
+      m = ASetMap._trusted(sub, n.source, raw)
       want = observed(lambda: oracle_composite(m, n).mapping)
-      assert mapping == want, (V, pred, m.mapping, n.mapping)
+      assert mapping == want, (V, pred, raw, n.mapping)
       tally[refused if isinstance(mapping, tuple) else "composites"] += 1
     composites.clear()
 
@@ -1510,6 +1530,38 @@ def test_written_down_candidate_inverse_is_the_searched_one():
   assert pairs > 700
 
 
+def test_candidates_inherit_the_halves_a_fresh_copy_computes(monkeypatch):
+  """Oracle for the window halves the candidates inherit from V.  For every
+  (V, pred) of ``condition_w_corpus()`` whose pred is Serre by
+  construction, each candidate's kept source and target halves are the
+  sets ``_dense_set`` and ``_kernel_set`` compute on a fresh copy of it,
+  built through the public ``FiniteASet(...)``, and the kept X′ and X/K
+  are the copy's public ``sub_aset`` and ``quotient_by`` of those sets.
+  ``_iso_candidates`` computes no half but V's."""
+  dense_set, kernel_set = serre._dense_set, serre._kernel_set
+  computed = []
+  for name in ("_dense_set", "_kernel_set"):
+    monkeypatch.setattr(serre, name, recording(computed, getattr(serre, name)))
+  tally = collections.Counter()
+  for V, pred in carrier_corpus():
+    computed.clear()
+    cands = serre._iso_candidates(V, pred)
+    assert all(X is V for (X, _), _ in computed), (V, pred)
+    for X, _ in cands:
+      kept = X._derived.windows
+      dense, sub = kept[0, weakref.ref(pred)]
+      kernel, quo = kept[1, weakref.ref(pred)]
+      copy = FiniteASet(X.monoid, X.elements, X.action, X.base)
+      assert dense == dense_set(copy, pred), (V, pred, X.elements)
+      assert kernel == kernel_set(copy, pred), (V, pred, X.elements)
+      want_sub, want_quo = copy.sub_aset(dense)[0], copy.quotient_by(kernel)[0]
+      assert (sub.elements, sub.action) == (want_sub.elements, want_sub.action)
+      assert (quo.elements, quo.action) == (want_quo.elements, want_quo.action)
+      tally[len(dense) < len(X.elements), len(kernel) > 1] += 1
+  # proper dense halves, with and without a proper kernel, and full ones
+  assert len(tally) == 3 and sum(tally.values()) > 2000, tally
+
+
 def test_carrier_rule_refuses_an_iso_rep_with_one_image_changed():
   """Negative control.  For each structure iso of the candidates over the
   N-sets with at most 3 non-base elements and the Z/2₊-sets to 5 elements,
@@ -1548,8 +1600,9 @@ def test_carrier_kinds_search_for_no_inverse(monkeypatch):
   call ``_inverse`` no time; under the list of the point the first two
   still search.  Part (b) asks ``is_iso_quotient`` once per (target
   candidate, projection), though some pairs coequalize to a projection
-  already judged."""
-  searches, judged, images, coequalized = [], [], [], []
+  already judged, and builds a coequalizer only for a projection it
+  judges."""
+  searches, judged, images, coequalized, classes = [], [], [], [], []
   monkeypatch.setattr(serre, "_inverse", recording(searches, serre._inverse))
   monkeypatch.setattr(serre, "is_iso_quotient",
                       recording(judged, serre.is_iso_quotient))
@@ -1557,6 +1610,8 @@ def test_carrier_kinds_search_for_no_inverse(monkeypatch):
       recording(images, QuotientHom.from_ambient)))
   monkeypatch.setattr(serre, "coequalizer",
                       recording(coequalized, serre.coequalizer))
+  monkeypatch.setattr(serre, "coequalizer_classes",
+                      recording(classes, serre.coequalizer_classes))
   corpus = all_nsets(4)
   repeats = 0
   for pred in (SerrePredicate.support_in(N, ["(t)"]), TORSION,
@@ -1567,12 +1622,14 @@ def test_carrier_kinds_search_for_no_inverse(monkeypatch):
       judged.clear()
       images.clear()
       coequalized.clear()
+      classes.clear()
       assert check_condition_w(V, pred, pair_bound=25) is True
       made = {id(f): u for (u, _), f in images}
       asked = [(id(made[id(f)].source), frozenset(made[id(f)].mapping.items()))
                for (f,), _ in judged]
       assert len(asked) == len(set(asked)) == len(judged), (V, pred)
-      repeats += len(coequalized) - len(judged)
+      assert len(coequalized) == len(judged), (V, pred)
+      repeats += len(classes) - len(judged)
     for X, Y in itertools.product(corpus[:8], repeat=2):
       for f in hom_quotient(X, Y, pred):
         serre.is_iso_quotient(f)
